@@ -22,7 +22,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dragonfly/internal/core"
@@ -40,6 +42,38 @@ type simBenchRecord struct {
 	AllocsPerCyc  float64 `json:"allocs_per_cycle"`
 	BytesPerCyc   float64 `json:"bytes_per_cycle"`
 	InFlightAtEnd int     `json:"in_flight_at_end"`
+	// Host says where and from which commit the record was measured
+	// (absent on records carried forward from before it was recorded).
+	Host *benchHost `json:"host,omitempty"`
+}
+
+// benchHost is the provenance block of a BENCH_sim.json record.
+type benchHost struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	// Commit is `git describe --always --dirty` of the working tree
+	// ("-dirty" marks uncommitted changes), "unknown" outside git.
+	Commit string `json:"commit"`
+}
+
+// thisHost fills the provenance block of the running benchmark.
+func thisHost() *benchHost {
+	h := &benchHost{CPU: "unknown", NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go: runtime.Version(), Commit: "unknown"}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
 }
 
 // simBenchFile is the BENCH_sim.json schema: the current engine's
@@ -191,6 +225,8 @@ func BenchmarkSimCycle(b *testing.B) {
 // writeSimBench persists the collected records to BENCH_sim.json,
 // carrying the existing file's baseline section forward (or demoting a
 // previous engine's numbers to the baseline slot if none is recorded).
+// Scenarios this run did not measure keep their previous records, so a
+// -bench filter refreshes just the rows it selects.
 func writeSimBench() {
 	if len(simBenchRecords) == 0 {
 		return
@@ -205,9 +241,11 @@ func writeSimBench() {
 	// The bench framework runs a b.N=1 calibration probe before the
 	// timed run; keep only the largest-N record per scenario (under
 	// -benchtime=1x the probe IS the run, so it survives).
+	host := thisHost()
 	best := make(map[string]int)
 	var scenarios []simBenchRecord
 	for _, rec := range simBenchRecords {
+		rec.Host = host
 		if i, ok := best[rec.Name]; ok {
 			if rec.Cycles >= scenarios[i].Cycles {
 				scenarios[i] = rec
@@ -226,6 +264,9 @@ func writeSimBench() {
 		var old simBenchFile
 		if json.Unmarshal(prev, &old) == nil {
 			out.ScaleDemo = old.ScaleDemo
+			if old.Engine == out.Engine {
+				out.Scenarios = mergeRecords(old.Scenarios, scenarios)
+			}
 			if old.Baseline != nil {
 				out.Baseline = old.Baseline
 			} else if len(old.Scenarios) > 0 && old.Engine != out.Engine {
@@ -242,6 +283,23 @@ func writeSimBench() {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "BENCH_sim.json: %v\n", err)
 	}
+}
+
+// mergeRecords replaces the rows of old that fresh re-measured, in
+// old's order, and appends fresh scenarios old did not have.
+func mergeRecords(old, fresh []simBenchRecord) []simBenchRecord {
+	out := append([]simBenchRecord(nil), old...)
+next:
+	for _, rec := range fresh {
+		for i := range out {
+			if out[i].Name == rec.Name {
+				out[i] = rec
+				continue next
+			}
+		}
+		out = append(out, rec)
+	}
+	return out
 }
 
 // TestMain lets the benchmark suite flush BENCH_sim.json after the run.

@@ -7,9 +7,12 @@ package core_test
 // events fire at cycle 0 must reproduce the static fault-plan goldens
 // (epoch 0 replays the same seeded draw chain a standing Plan makes).
 // A third test pins a fail-then-recover run to identical results across
-// worker-pool sizes.
+// worker-pool sizes, and a fourth drives the paths that rebuild the
+// engine's derived occupancy counters (partitioning, Restore, epoch
+// swaps) on the 1K machine.
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -197,6 +200,106 @@ func TestTimelineInvariantsAcrossRevive(t *testing.T) {
 	step(400) // keep running on the recovered network
 	if err := net.CheckFlowInvariants(); err != nil {
 		t.Fatalf("invariants in steady state after recovery: %v", err)
+	}
+}
+
+// TestOccupancyCountersAcrossRebuilds covers every place the engine
+// rebuilds the occupancy counters its cycle pipeline skips idle routers,
+// ports and links on: the shard partition, Restore, and each epoch swap
+// of a timeline that kills a global channel, kills a router and revives
+// the channel. On the 1K machine at UR 0.05 the sharded engine must end
+// in the same snapshot as the serial one, a run restored mid-fault at a
+// different shard count must end where the uninterrupted run does, and
+// the flow invariants (the counter check included) must hold after
+// every epoch swap and every restore.
+func TestOccupancyCountersAcrossRebuilds(t *testing.T) {
+	sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4, Seed: 5})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	sched, err := fault.NewTimeline(5).
+		FailChannelsAt(100, topology.ClassGlobal, 1).
+		FailRouterAt(150, 37).
+		RecoverChannelsAt(250, topology.ClassGlobal, 1).
+		Compile(sys.Topo)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if sys, err = sys.WithTimeline(sched); err != nil {
+		t.Fatalf("WithTimeline: %v", err)
+	}
+	const mid, end = 200, 400 // mid: router and channel down
+	build := func(shards int) *sim.Network {
+		t.Helper()
+		net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+		if err != nil {
+			t.Fatalf("NewNetwork: %v", err)
+		}
+		if err := net.SetShards(shards); err != nil {
+			t.Fatalf("SetShards(%d): %v", shards, err)
+		}
+		net.SetLoad(0.05)
+		return net
+	}
+	run := func(name string, net *sim.Network, to int64) {
+		t.Helper()
+		for net.Now() < to {
+			epoch := net.ActiveEpoch()
+			if err := net.Step(); err != nil {
+				t.Fatalf("%s: Step: %v", name, err)
+			}
+			if net.ActiveEpoch() != epoch {
+				if err := net.CheckFlowInvariants(); err != nil {
+					t.Fatalf("%s: after epoch %d: %v", name, net.ActiveEpoch(), err)
+				}
+			}
+		}
+	}
+	snapshot := func(name string, net *sim.Network) []byte {
+		t.Helper()
+		b, err := net.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot: %v", name, err)
+		}
+		return b
+	}
+
+	serial := build(1)
+	run("serial", serial, end)
+	if got := serial.ActiveEpoch(); got != 3 {
+		t.Fatalf("serial run ended in epoch %d, want 3", got)
+	}
+	if serial.KilledInFlight() == 0 || serial.InFlight() == 0 {
+		t.Fatalf("serial run killed %d packets and holds %d: the timeline hit no traffic",
+			serial.KilledInFlight(), serial.InFlight())
+	}
+	want := snapshot("serial", serial)
+
+	for _, k := range []int{2, 4} {
+		name := fmt.Sprintf("shards=%d", k)
+		net := build(k)
+		run(name, net, end)
+		if !bytes.Equal(snapshot(name, net), want) {
+			t.Errorf("%s: final state differs from the serial engine's", name)
+		}
+	}
+
+	for _, pair := range [][2]int{{1, 2}, {2, 4}} {
+		name := fmt.Sprintf("resume %d->%d shards", pair[0], pair[1])
+		src := build(pair[0])
+		run(name, src, mid)
+		snap := snapshot(name, src)
+		dst := build(pair[1])
+		if err := dst.Restore(snap); err != nil {
+			t.Fatalf("%s: Restore: %v", name, err)
+		}
+		if err := dst.CheckFlowInvariants(); err != nil {
+			t.Fatalf("%s: after Restore: %v", name, err)
+		}
+		run(name, dst, end)
+		if !bytes.Equal(snapshot(name, dst), want) {
+			t.Errorf("%s: final state differs from the uninterrupted run's", name)
+		}
 	}
 }
 

@@ -365,14 +365,16 @@ func TestCancelRunningJob(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	sub := tinySubmission()
 	sub.Run = RunSpec{Warmup: 5_000_000, Measure: 1000, Drain: 1000} // minutes of work
+	// A windowed run streams a progress event every Window cycles.
+	sub.Window = 10
 	st, code := submit(t, ts, sub)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for getStatus(t, ts, st.ID).State != StateRunning && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Cancel only after the first progress event: a job that is merely
+	// running may not have stepped a cycle yet, and the cycle_reached
+	// check below needs the cancel to land mid-run.
+	waitFirstEvent(t, ts, st.ID, "window")
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
@@ -389,6 +391,24 @@ func TestCancelRunningJob(t *testing.T) {
 	if fin.CycleReached <= 0 {
 		t.Errorf("canceled mid-warmup but cycle_reached = %d, want > 0", fin.CycleReached)
 	}
+}
+
+// waitFirstEvent reads a job's SSE feed until the first event of the
+// given type arrives.
+func waitFirstEvent(t *testing.T, ts *httptest.Server, id, evType string) {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if sc.Text() == "event: "+evType {
+			return
+		}
+	}
+	t.Fatalf("job %s event feed ended without a %q event", id, evType)
 }
 
 func TestJobTimeout(t *testing.T) {

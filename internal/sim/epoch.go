@@ -209,6 +209,9 @@ func (n *Network) applyEpoch(v *topology.Degraded) error {
 	if n.mcEpoch != nil {
 		n.mcEpoch.EpochSwitch(n.now, n.epochIdx)
 	}
+	// The passes above rewrite queues wholesale, bypassing the
+	// occupancy counters the cycle pipeline skips on; rebuild them.
+	n.recount()
 	if arenaDebug {
 		if err := n.CheckFlowInvariants(); err != nil {
 			return err
@@ -367,8 +370,13 @@ func (n *Network) dropDeparted(sh *shard, router int, ref int32) {
 // counted from the outboxes. Epoch swaps re-establish the law by
 // construction; this check (run automatically after every swap under
 // the dflydebug build tag, and callable from tests in any build)
-// proves it.
+// proves it. It also checks that every occupancy counter the cycle
+// pipeline skips on equals the length of the queues it counts (which
+// dflydebug builds check after every Step as well).
 func (n *Network) CheckFlowInvariants() error {
+	if err := n.checkCounters(); err != nil {
+		return err
+	}
 	// In-transit mailbox entries per (link, vc). Keyed link<<8|vc; VCs
 	// are far below 256.
 	var transit map[int64]int

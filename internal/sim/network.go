@@ -131,8 +131,15 @@ func New(topo Topology, cfg Config, routing Routing, traffic Traffic) (*Network,
 		traffic: traffic,
 	}
 	n.routers = make([]Router, topo.Routers())
+	ports := 0
 	for r := range n.routers {
-		n.routers[r].init(r, topo, cfg)
+		ports += topo.Radix(r)
+	}
+	counts := make([]int32, 2*ports) // every router's per-port counters, in one allocation
+	for r := range n.routers {
+		k := 2 * topo.Radix(r)
+		n.routers[r].init(r, topo, cfg, counts[:k:k])
+		counts = counts[k:]
 	}
 	// Build one directed link per non-terminal port direction, then
 	// cross-wire the in/out ids (two passes so append can't invalidate
@@ -420,9 +427,20 @@ func (n *Network) Step() error {
 		}
 	}
 	n.now++
+	var err error
 	if len(n.shards) > 1 {
-		return n.stepSharded()
+		err = n.stepSharded()
+	} else {
+		err = n.stepSerial()
 	}
+	if arenaDebug && err == nil {
+		err = n.checkCounters()
+	}
+	return err
+}
+
+// stepSerial is Step's single-shard body, run inline.
+func (n *Network) stepSerial() error {
 	if n.epochs != nil {
 		if err := n.advanceEpochs(); err != nil {
 			return err
@@ -439,11 +457,17 @@ func (n *Network) Step() error {
 
 // deliver moves flits and credits whose latency elapsed into their
 // destination routers, walking the shard's links in ascending id order
-// (single-shard: all links, both sides — the serial order). Delivered
-// flits are routed immediately and placed in the virtual output queue
-// of their next hop.
+// (single-shard: all links, both sides — the serial order). Links with
+// nothing queued on the sides this shard owns are skipped on the dense
+// linkPend counter without touching the link. Delivered flits are
+// routed immediately and placed in the virtual output queue of their
+// next hop.
 func (n *Network) deliver(sh *shard) error {
-	for _, sl := range sh.linkOrder {
+	for i, pend := range sh.linkPend {
+		if pend == 0 {
+			continue
+		}
+		sl := sh.linkOrder[i]
 		l := &n.links[sl.id]
 		if l.dead {
 			// A dead channel delivers nothing in either direction: its
@@ -459,6 +483,7 @@ func (n *Network) deliver(sh *shard) error {
 					break
 				}
 				e := l.flits.pop()
+				sh.linkPend[i]--
 				rt := &n.routers[l.dst]
 				occ := &rt.inOcc[rt.pv(l.dstPort, int(e.vc))]
 				if *occ >= int32(rt.depth) {
@@ -485,7 +510,7 @@ func (n *Network) deliver(sh *shard) error {
 					}
 					return err
 				}
-				rt.waitQ[rt.pv(int(sh.ar.nextPort[ref]), int(sh.ar.nextVC[ref]))].push(ref)
+				rt.pushWait(int(sh.ar.nextPort[ref]), int(sh.ar.nextVC[ref]), ref)
 			}
 		}
 		if sl.cred {
@@ -495,6 +520,7 @@ func (n *Network) deliver(sh *shard) error {
 					break
 				}
 				e := l.credits.pop()
+				sh.linkPend[i]--
 				rt := &n.routers[l.src]
 				cr := &rt.credits[rt.pv(l.srcPort, int(e.vc))]
 				*cr++
@@ -593,6 +619,7 @@ func (n *Network) inject(sh *shard) {
 		}
 		rt := &n.routers[n.topo.TerminalRouter(t)]
 		rt.srcQ[n.topo.TerminalPort(t)].push(ref)
+		rt.srcN++
 	}
 }
 
@@ -611,6 +638,7 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 			continue
 		}
 		r.srcQ[p].pop()
+		r.srcN--
 		r.inOcc[r.pv(p, 0)]++
 		sh.ar.inPort[head] = int16(p)
 		sh.ar.bufVC[head] = 0
@@ -634,7 +662,7 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 			}
 			return err
 		}
-		r.waitQ[r.pv(int(sh.ar.nextPort[head]), int(sh.ar.nextVC[head]))].push(head)
+		r.pushWait(int(sh.ar.nextPort[head]), int(sh.ar.nextVC[head]), head)
 	}
 	return nil
 }
@@ -647,9 +675,12 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 // router order — at the end-of-cycle fold.
 func (n *Network) eject(sh *shard, r *Router) {
 	for p := 0; p < r.radix; p++ {
-		if !r.isTerm[p] {
+		if !r.isTerm[p] || r.waitPort[p] == 0 {
 			continue
 		}
+		// The loop below empties every VC of the port.
+		r.waitN -= r.waitPort[p]
+		r.waitPort[p] = 0
 		for vc := 0; vc < r.vcs; vc++ {
 			q := &r.waitQ[r.pv(p, vc)]
 			for q.len() > 0 {
@@ -734,10 +765,11 @@ func (n *Network) departed(sh *shard, r *Router, ref int32) {
 // 4.2), freeing their input slots and returning credits upstream.
 func (n *Network) transfer(sh *shard, r *Router) {
 	for out := 0; out < r.radix; out++ {
-		if r.outLink[out] == nilLink {
-			continue // terminal outputs eject straight from waitQ
+		if r.waitPort[out] == 0 || r.outLink[out] == nilLink {
+			continue // nothing waiting; terminal outputs eject straight from waitQ
 		}
 		base := out * r.vcs
+		moved := int32(0)
 		for vc := 0; vc < r.vcs; vc++ {
 			w := &r.waitQ[base+vc]
 			q := &r.outQ[base+vc]
@@ -748,8 +780,13 @@ func (n *Network) transfer(sh *shard, r *Router) {
 				}
 				n.departed(sh, r, ref)
 				q.push(ref)
+				moved++
 			}
 		}
+		r.waitPort[out] -= moved
+		r.waitN -= moved
+		r.outPort[out] += moved
+		r.outN += moved
 	}
 }
 
@@ -761,6 +798,9 @@ func (n *Network) transfer(sh *shard, r *Router) {
 // delivery can be due.
 func (n *Network) allocate(sh *shard, r *Router) {
 	for out := 0; out < r.radix; out++ {
+		if r.outPort[out] == 0 {
+			continue // empty output buffer
+		}
 		lid := r.outLink[out]
 		if lid == nilLink {
 			continue // terminal outputs are handled by eject
@@ -787,6 +827,8 @@ func (n *Network) allocate(sh *shard, r *Router) {
 				continue
 			}
 			ref := q.pop()
+			r.outPort[out]--
+			r.outN--
 			r.credits[base+vc]--
 			r.ctq[out].push(0, n.now)
 			if n.mc != nil {
@@ -841,6 +883,7 @@ func (n *Network) allocate(sh *shard, r *Router) {
 				sh.ar.release(ref)
 			} else {
 				l.flits.push(flitEntry{ref: ref, vc: uint8(vc), at: n.now + l.latency})
+				sh.linkPend[l.flitSlot]++
 			}
 			rr := vc + 1
 			if rr >= r.vcs {

@@ -13,9 +13,14 @@ type link struct {
 	global       bool
 	// dead marks a channel severed by a fault plan: the allocator never
 	// forwards a flit onto it, so it carries nothing for the whole run.
-	dead    bool
-	flits   flitQueue
-	credits creditQueue
+	dead bool
+	// flitSlot and credSlot are the link's positions in the linkOrder
+	// of the shards owning its flit side (l.dst) and its credit side
+	// (l.src): the index of the shard's queued-entry counter (see
+	// shard.linkPend) that pushes onto each delay line bump.
+	flitSlot, credSlot int32
+	flits              flitQueue
+	credits            creditQueue
 }
 
 // nilLink is the "no channel on this port" link id.
@@ -53,6 +58,16 @@ type Router struct {
 	depth int
 	// outDepth is the output-buffer depth per VC.
 	outDepth int
+
+	// Occupancy counters: the packets queued in srcQ, waitQ and outQ
+	// over the whole router, and in waitQ and outQ per output port.
+	// They change with every push and pop, so the cycle pipeline skips
+	// routers and ports with nothing to do in O(1). They are derived
+	// state: written only by the shard owning the router, rebuilt by
+	// recount after any bulk rewrite of the queues, never serialized.
+	srcN, waitN, outN int32
+	waitPort          []int32
+	outPort           []int32
 
 	// srcQ[port] is the unbounded source (injection) queue of the
 	// terminal attached at `port`; unused for non-terminal ports.
@@ -111,7 +126,9 @@ type Router struct {
 // pv maps (port, vc) to the index of the flat per-(port, VC) slices.
 func (r *Router) pv(port, vc int) int { return port*r.vcs + vc }
 
-func (r *Router) init(id int, topo Topology, cfg Config) {
+// init builds router id's state; counts (2*radix long) backs its
+// per-port occupancy counters.
+func (r *Router) init(id int, topo Topology, cfg Config, counts []int32) {
 	radix := topo.Radix(id)
 	out := cfg.OutDepth
 	if out == 0 {
@@ -125,6 +142,8 @@ func (r *Router) init(id int, topo Topology, cfg Config) {
 	r.srcQ = make([]pktQueue, radix)
 	r.waitQ = make([]pktQueue, radix*cfg.VCs)
 	r.outQ = make([]pktQueue, radix*cfg.VCs)
+	r.waitPort = counts[:radix:radix]
+	r.outPort = counts[radix : 2*radix : 2*radix]
 	r.inOcc = make([]int32, radix*cfg.VCs)
 	r.credits = make([]int32, radix*cfg.VCs)
 	r.outRR = make([]int32, radix)
@@ -154,6 +173,34 @@ func (r *Router) init(id int, topo Topology, cfg Config) {
 			r.outQ[r.pv(p, vc)].reserve(out)
 		}
 	}
+}
+
+// pushWait queues ref in the virtual output queue of (port, vc).
+func (r *Router) pushWait(port, vc int, ref int32) {
+	r.waitQ[r.pv(port, vc)].push(ref)
+	r.waitPort[port]++
+	r.waitN++
+}
+
+// recount rebuilds the occupancy counters from the queues.
+func (r *Router) recount() {
+	r.srcN, r.waitN, r.outN = 0, 0, 0
+	for p := 0; p < r.radix; p++ {
+		r.srcN += int32(r.srcQ[p].len())
+		r.waitPort[p], r.outPort[p] = r.queued(p)
+		r.waitN += r.waitPort[p]
+		r.outN += r.outPort[p]
+	}
+}
+
+// queued counts the packets in waitQ and in outQ over port's VCs.
+func (r *Router) queued(port int) (wait, out int32) {
+	base := port * r.vcs
+	for vc := 0; vc < r.vcs; vc++ {
+		wait += int32(r.waitQ[base+vc].len())
+		out += int32(r.outQ[base+vc].len())
+	}
+	return wait, out
 }
 
 // Radix returns the number of ports (terminal ports included).

@@ -2,14 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"dragonfly/internal/metrics"
 )
 
 // The sharded engine partitions the network into contiguous ranges of
 // groups (or of routers, when the topology has no group structure) and
-// advances each range on its own goroutine. Every shard owns the full
-// per-cycle pipeline — deliver, inject, admit, eject, transfer,
+// advances the ranges in parallel: shard 0 on the stepping goroutine,
+// every other shard on a goroutine of its own. Every shard owns the
+// full per-cycle pipeline — deliver, inject, admit, eject, transfer,
 // allocate — for its routers, its terminals and its packet arena, so
 // the hot loop stays allocation-free and lock-free within a shard.
 //
@@ -109,6 +111,11 @@ type shard struct {
 	terms  []int32 // owned terminals, ascending
 
 	linkOrder []shardLink
+	// linkPend[i] counts the flits and credits queued on the sides of
+	// link linkOrder[i] this shard owns — the only writer of both — so
+	// deliver skips idle links on a dense array. Derived state, like
+	// the router occupancy counters (see Network.recount).
+	linkPend []int32
 
 	ar        arena
 	hs        HopState
@@ -243,14 +250,26 @@ func (n *Network) buildShards(k int) {
 			}
 			e.flit = e.flit || s == fs
 			e.cred = e.cred || s == cs
+			if s == fs {
+				l.flitSlot = int32(len(sh.linkOrder))
+			}
+			if s == cs {
+				l.credSlot = int32(len(sh.linkOrder))
+			}
 			sh.linkOrder = append(sh.linkOrder, e)
 			if fs == cs {
 				break // one entry with both sides
 			}
 		}
 	}
-	// Prebuilt phase closures: Step spawns these verbatim every cycle,
-	// so the steady state allocates nothing.
+	for s := range n.shards {
+		sh := &n.shards[s]
+		sh.linkPend = make([]int32, len(sh.linkOrder))
+	}
+	n.recountLinks() // router counters do not depend on the partition
+	// Prebuilt phase closures: Step runs these verbatim every cycle
+	// (shard 0's on the coordinator, the rest on fresh goroutines), so
+	// the steady state allocates nothing.
 	n.drainFns = make([]func(), k)
 	n.mainFns = make([]func(), k)
 	for s := range n.shards {
@@ -266,15 +285,93 @@ func (n *Network) buildShards(k int) {
 	}
 }
 
+// recount rebuilds every occupancy counter — the routers' queue
+// counts and the shards' per-link queued-entry counts — from the queues
+// they shadow. The hot path keeps the counters in step push by push;
+// the bulk rewrites (Restore's decode, an epoch swap's kill, rescue and
+// retrain passes) end with a recount instead, and partitioning with
+// recountLinks.
+func (n *Network) recount() {
+	for i := range n.routers {
+		n.routers[i].recount()
+	}
+	n.recountLinks()
+}
+
+// recountLinks rebuilds the shards' per-link queued-entry counts.
+func (n *Network) recountLinks() {
+	for s := range n.shards {
+		sh := &n.shards[s]
+		for i, sl := range sh.linkOrder {
+			sh.linkPend[i] = n.linkQueued(sl)
+		}
+	}
+}
+
+// linkQueued counts the entries queued on the sides of a link that
+// linkOrder entry sl covers.
+func (n *Network) linkQueued(sl shardLink) int32 {
+	l := &n.links[sl.id]
+	c := 0
+	if sl.flit {
+		c += l.flits.len()
+	}
+	if sl.cred {
+		c += l.credits.len()
+	}
+	return int32(c)
+}
+
+// checkCounters verifies every occupancy counter against its queues.
+func (n *Network) checkCounters() error {
+	for i := range n.routers {
+		r := &n.routers[i]
+		var src, wait, out int32
+		for p := 0; p < r.radix; p++ {
+			src += int32(r.srcQ[p].len())
+			w, o := r.queued(p)
+			if w != r.waitPort[p] || o != r.outPort[p] {
+				return &InvariantError{Kind: "port occupancy counter", Router: i, Port: p, Cycle: n.now}
+			}
+			wait += w
+			out += o
+		}
+		if src != r.srcN || wait != r.waitN || out != r.outN {
+			return &InvariantError{Kind: "router occupancy counter", Router: i, Port: -1, Cycle: n.now}
+		}
+	}
+	for s := range n.shards {
+		sh := &n.shards[s]
+		for i, sl := range sh.linkOrder {
+			if sh.linkPend[i] != n.linkQueued(sl) {
+				l := &n.links[sl.id]
+				return &InvariantError{Kind: "link occupancy counter", Router: l.src, Port: l.srcPort, Cycle: n.now}
+			}
+		}
+	}
+	return nil
+}
+
 // shardForRouter returns the shard owning router r.
 func (n *Network) shardForRouter(r int) *shard { return &n.shards[n.routerShard[r]] }
 
-// runPhase runs one per-shard phase to completion on all shards.
+// runPhase runs one per-shard phase to completion on all shards:
+// shards 1..k-1 on goroutines of their own, shard 0 on the calling one.
+//
+// The caller yields once before running shard 0. The goroutine spawned
+// last sits in this P's runnext slot, which an idle P steals only
+// after a short sleep while this P is busy — tens of microseconds once
+// the kernel's timer slack applies, longer than a whole low-load phase
+// of one shard. Yielding hands runnext to this P at once and moves the
+// caller to the global run queue, where any woken P picks it up
+// without the back-off.
 func (n *Network) runPhase(fns []func()) {
 	n.wg.Add(len(fns))
-	for i := range fns {
+	for i := 1; i < len(fns); i++ {
 		go fns[i]()
 	}
+	runtime.Gosched()
+	fns[0]()
 	n.wg.Wait()
 }
 
@@ -332,20 +429,28 @@ func (n *Network) drainShard(sh *shard) {
 			if x.flags&pfMeasured != 0 {
 				sh.outstanding++
 			}
-			n.links[x.link].flits.push(flitEntry{at: x.at, ref: ref, vc: x.vc})
+			l := &n.links[x.link]
+			l.flits.push(flitEntry{at: x.at, ref: ref, vc: x.vc})
+			sh.linkPend[l.flitSlot]++
 		}
 		src.flitOut[sh.idx] = in[:0]
 		cin := src.credOut[sh.idx]
 		for i := range cin {
 			c := &cin[i]
-			n.links[c.link].credits.push(c.vc, c.at)
+			l := &n.links[c.link]
+			l.credits.push(c.vc, c.at)
+			sh.linkPend[l.credSlot]++
 		}
 		src.credOut[sh.idx] = cin[:0]
 	}
 }
 
 // mainShard runs the per-cycle pipeline over this shard's links,
-// terminals and routers.
+// terminals and routers. A stage whose queues are empty is skipped on
+// the router's occupancy counters: each stage body is a no-op on empty
+// queues (its sensor and arbiter updates all happen on a pop, or on a
+// non-empty queue), so skipping is exact. The counters are re-read
+// after each stage, which may fill the next stage's queues.
 func (n *Network) mainShard(sh *shard) error {
 	if err := n.deliver(sh); err != nil {
 		return err
@@ -353,12 +458,20 @@ func (n *Network) mainShard(sh *shard) error {
 	n.inject(sh)
 	for ri := sh.r0; ri < sh.r1; ri++ {
 		r := &n.routers[ri]
-		if err := n.admitSources(sh, r); err != nil {
-			return err
+		if r.srcN > 0 {
+			if err := n.admitSources(sh, r); err != nil {
+				return err
+			}
 		}
-		n.eject(sh, r)
-		n.transfer(sh, r)
-		n.allocate(sh, r)
+		if r.waitN > 0 {
+			n.eject(sh, r)
+		}
+		if r.waitN > 0 {
+			n.transfer(sh, r)
+		}
+		if r.outN > 0 {
+			n.allocate(sh, r)
+		}
 	}
 	return nil
 }
@@ -410,13 +523,15 @@ func (n *Network) replayShard(sh *shard) {
 // from serial coordinator contexts (epoch rescue) where the mailboxes
 // are empty and the direct push is always correct.
 func (n *Network) pushCredit(sh *shard, l *link, vc uint8, at int64) {
-	if n.inPhase {
-		if ss := n.routerShard[l.src]; int(ss) != sh.idx {
+	if ss := n.routerShard[l.src]; int(ss) != sh.idx {
+		if n.inPhase {
 			sh.credOut[ss] = append(sh.credOut[ss], credXfer{link: int32(l.id), at: at, vc: vc})
 			return
 		}
+		sh = &n.shards[ss] // the credit side's counter lives with l.src
 	}
 	l.credits.push(vc, at)
+	sh.linkPend[l.credSlot]++
 }
 
 // emitDrop reports a routing-level drop, buffering it when raised

@@ -166,6 +166,7 @@ func (n *Network) restore(snap []byte, wantRun bool) (*runState, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	n.recount()
 	if arenaDebug {
 		if err := n.CheckFlowInvariants(); err != nil {
 			return nil, err
