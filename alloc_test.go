@@ -24,7 +24,7 @@ func steadyNet(t *testing.T, shards int) interface {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+	net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSteadyStateTracerBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+	net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSteadyStateZeroAllocZoo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+		net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 		if err != nil {
 			t.Fatal(err)
 		}

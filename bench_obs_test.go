@@ -41,7 +41,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			sys, _ := benchSystem(b, simBenchScenario{})
-			net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+			net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 			if err != nil {
 				b.Fatalf("NewNetwork: %v", err)
 			}

@@ -97,7 +97,7 @@ var simBenchRecords []simBenchRecord
 type simBenchScenario struct {
 	name       string
 	alg        core.Algorithm
-	pattern    core.Pattern
+	wl         core.Workload
 	load       float64
 	failGlobal float64
 	shards     int
@@ -111,29 +111,29 @@ type simBenchScenario struct {
 
 func simBenchScenarios() []simBenchScenario {
 	return []simBenchScenario{
-		{name: "low/pristine", alg: core.AlgUGALLVCH, pattern: core.PatternUR, load: 0.1},
-		{name: "sat/pristine", alg: core.AlgUGALLVCH, pattern: core.PatternWC, load: 0.5},
-		{name: "low/faulted", alg: core.AlgUGALLVCH, pattern: core.PatternUR, load: 0.1, failGlobal: 0.1},
-		{name: "sat/faulted", alg: core.AlgUGALLVCH, pattern: core.PatternWC, load: 0.5, failGlobal: 0.1},
+		{name: "low/pristine", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "ur"}, load: 0.1},
+		{name: "sat/pristine", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "wc"}, load: 0.5},
+		{name: "low/faulted", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "ur"}, load: 0.1, failGlobal: 0.1},
+		{name: "sat/faulted", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "wc"}, load: 0.5, failGlobal: 0.1},
 		// The sharded engine on the same machine: shard count pinned at 4
 		// (not NumCPU) so the records stay comparable across runners; the
 		// saturated point maximises inter-group traffic and therefore
 		// mailbox crossings.
-		{name: "low/sharded4", alg: core.AlgUGALLVCH, pattern: core.PatternUR, load: 0.1, shards: 4},
-		{name: "sat/sharded4", alg: core.AlgUGALLVCH, pattern: core.PatternWC, load: 0.5, shards: 4},
+		{name: "low/sharded4", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "ur"}, load: 0.1, shards: 4},
+		{name: "sat/sharded4", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "wc"}, load: 0.5, shards: 4},
 		// The topology zoo at the same radix class as the 1K dragonfly:
 		// per-cycle cost of the pluggable machines, so a regression in
 		// one family's oracle or port layout shows up next to the
 		// canonical numbers.
-		{name: "mid/dragonflyplus", alg: core.AlgUGALLVCH, pattern: core.PatternUR, load: 0.3,
+		{name: "mid/dragonflyplus", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "ur"}, load: 0.3,
 			family:      "dragonflyplus",
 			params:      map[string]int{"p": 4, "leaves": 8, "spines": 8, "h": 4},
 			quickParams: map[string]int{"p": 2, "leaves": 4, "spines": 4, "h": 2}},
-		{name: "mid/swapped", alg: core.AlgUGALLVCH, pattern: core.PatternUR, load: 0.3,
+		{name: "mid/swapped", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "ur"}, load: 0.3,
 			family:      "swapped",
 			params:      map[string]int{"p": 4, "k": 12},
 			quickParams: map[string]int{"p": 2, "k": 6}},
-		{name: "mid/aries", alg: core.AlgUGALLVCH, pattern: core.PatternUR, load: 0.3,
+		{name: "mid/aries", alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "ur"}, load: 0.3,
 			family:      "aries",
 			params:      map[string]int{"p": 4, "blades": 8, "chassis": 2, "bundle": 1, "h": 4, "g": 9},
 			quickParams: map[string]int{"p": 1, "blades": 4, "chassis": 2, "bundle": 2, "h": 2, "g": 8}},
@@ -185,7 +185,7 @@ func BenchmarkSimCycle(b *testing.B) {
 	for _, sc := range simBenchScenarios() {
 		b.Run(sc.name, func(b *testing.B) {
 			sys, netName := benchSystem(b, sc)
-			net, err := sys.NewNetwork(sc.alg, sc.pattern)
+			net, err := sys.NewNetworkFor(sc.alg, sc.wl)
 			if err != nil {
 				b.Fatalf("NewNetwork: %v", err)
 			}

@@ -83,7 +83,7 @@ func benchSim(p, a, h int, algName string, shards int, load float64, cycles int)
 	if err != nil {
 		return err
 	}
-	net, err := sys.NewNetwork(alg, core.PatternUR)
+	net, err := sys.NewNetworkFor(alg, core.Workload{Traffic: "ur"})
 	if err != nil {
 		return err
 	}

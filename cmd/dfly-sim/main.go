@@ -320,7 +320,7 @@ func main() {
 		rep := obs.NewReport("run")
 		rep.Topology = fmt.Sprintf("%v", sys.Topo)
 		rep.Algorithm = string(alg)
-		rep.Pattern = string(disp)
+		rep.Pattern = disp
 		rep.Seed = *seed
 		rep.Points = []obs.Point{{Load: *load, Result: obs.MakeResult(res)}}
 		if win != nil {
@@ -447,7 +447,7 @@ func applyFaults(info io.Writer, sys *core.System, failGlobal float64, failRoute
 // runSweep runs a latency-load curve on a worker pool and prints it as
 // an aligned table (or one JSON report), stopping two points after
 // saturation like the paper's plots.
-func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core.Workload, disp core.Pattern, spec string, jobs int, rc sim.RunConfig, jsonOut bool, seed uint64) {
+func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core.Workload, disp, spec string, jobs int, rc sim.RunConfig, jsonOut bool, seed uint64) {
 	loads, err := parseSweep(spec)
 	if err != nil {
 		fatal(err)
@@ -466,7 +466,7 @@ func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core
 		rep := obs.NewReport("sweep")
 		rep.Topology = fmt.Sprintf("%v", sys.Topo)
 		rep.Algorithm = string(alg)
-		rep.Pattern = string(disp)
+		rep.Pattern = disp
 		rep.Seed = seed
 		var dropped, delivered int64
 		for _, p := range pts {
@@ -514,14 +514,14 @@ func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core
 }
 
 // buildWorkload resolves the traffic/workload flags into the Workload
-// the run executes and the pattern string shown in reports. The legacy
-// -pattern enum path maps through core.PatternWorkload (bit-identical
-// results); -traffic selects a registry family directly and excludes an
-// explicit -pattern. The trace itself is parsed later, once the system
-// (and with it the terminal count) exists.
-func buildWorkload(pattern, trafFam, trafPar, wlFam, wlPar, traceFile string) (core.Workload, core.Pattern, error) {
+// the run executes and the pattern string shown in reports. A -pattern
+// spelling resolves to its registry family (traffic.LegacyFamily) and is
+// shown as spelled; -traffic selects a registry family directly and
+// excludes an explicit -pattern. The trace itself is parsed later, once
+// the system (and with it the terminal count) exists.
+func buildWorkload(pattern, trafFam, trafPar, wlFam, wlPar, traceFile string) (core.Workload, string, error) {
 	var wl core.Workload
-	var disp core.Pattern
+	disp := pattern
 	if trafFam != "" {
 		var clash error
 		flag.Visit(func(f *flag.Flag) {
@@ -541,11 +541,11 @@ func buildWorkload(pattern, trafFam, trafPar, wlFam, wlPar, traceFile string) (c
 		if trafPar != "" {
 			return wl, disp, fmt.Errorf("-traffic-params needs -traffic")
 		}
-		pat, err := core.ParsePattern(pattern)
+		fam, err := traffic.LegacyFamily(pattern)
 		if err != nil {
 			return wl, disp, err
 		}
-		wl = core.PatternWorkload(pat)
+		wl.Traffic = fam
 	}
 	if wlFam != "" {
 		params, err := parseParams("-workload-params", wlPar)
@@ -564,9 +564,7 @@ func buildWorkload(pattern, trafFam, trafPar, wlFam, wlPar, traceFile string) (c
 		return wl, disp, fmt.Errorf("-workload trace needs -trace-file")
 	}
 	if trafFam != "" || wlFam != "" {
-		disp = core.Pattern(wl.Label())
-	} else {
-		disp = core.Pattern(pattern)
+		disp = wl.Label()
 	}
 	return wl, disp, nil
 }
@@ -581,10 +579,10 @@ func parseTopoParams(spec string) (map[string]int, error) {
 // parseParams parses a "k=v,k=v" flag value into a parameter map (key
 // validation happens in the registries, against the family's schema).
 func parseParams(flagName, spec string) (map[string]int, error) {
-	params := map[string]int{}
 	if spec == "" {
-		return params, nil
+		return nil, nil
 	}
+	params := map[string]int{}
 	for _, kv := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {

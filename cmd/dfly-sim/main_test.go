@@ -2,9 +2,11 @@ package main
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dragonfly/internal/core"
 	"dragonfly/internal/obs"
 )
 
@@ -70,5 +72,37 @@ func TestParseSweep(t *testing.T) {
 	}
 	if _, err := parseSweep("0.5:0.1:0.1"); err == nil {
 		t.Error("parseSweep accepted an empty range")
+	}
+}
+
+// TestBuildWorkload pins the -pattern front door: a legacy spelling
+// runs the same Workload as its -traffic family, keeps the spelling for
+// display, and resolves to the family the spelling has always meant.
+func TestBuildWorkload(t *testing.T) {
+	legacy, disp, err := buildWorkload("WC", "", "", "", "", "")
+	if err != nil {
+		t.Fatalf("-pattern WC: %v", err)
+	}
+	family, _, err := buildWorkload("UR", "wc", "", "", "", "")
+	if err != nil {
+		t.Fatalf("-traffic wc: %v", err)
+	}
+	if !reflect.DeepEqual(legacy, family) {
+		t.Errorf("-pattern WC workload %+v, -traffic wc workload %+v; want equal", legacy, family)
+	}
+	if disp != "WC" {
+		t.Errorf("-pattern WC displays as %q, want the spelling WC", disp)
+	}
+	perm, _, err := buildWorkload("Permutation", "", "", "", "", "")
+	if err != nil {
+		t.Fatalf("-pattern Permutation: %v", err)
+	}
+	if want := (core.Workload{Traffic: "perm"}); !reflect.DeepEqual(perm, want) {
+		t.Errorf("-pattern Permutation workload %+v, want %+v", perm, want)
+	}
+	for _, bad := range []string{"ur", "perm", "bogus"} {
+		if _, _, err := buildWorkload(bad, "", "", "", "", ""); err == nil {
+			t.Errorf("-pattern %s accepted, want an error", bad)
+		}
 	}
 }

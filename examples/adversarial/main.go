@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("%-12s %-8s %-10s %-10s %s\n", "algorithm", "load", "accepted", "latency", "saturated")
 	for _, alg := range []core.Algorithm{core.AlgMIN, core.AlgVAL, core.AlgUGALG, core.AlgUGALLVCH} {
 		for _, load := range []float64{0.1, 0.3, 0.45} {
-			res, err := sys.Run(alg, core.PatternWC, load, rc)
+			res, err := sys.RunW(alg, core.Workload{Traffic: "wc"}, load, rc)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.Run(alg, core.PatternWC, 0.3, rc)
+		res, err := sys.RunW(alg, core.Workload{Traffic: "wc"}, 0.3, rc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func main() {
 	// Run adaptive routing (the hybrid VC-discriminating UGAL of
 	// Section 4.3.1) under uniform random traffic at half load.
 	rc := sim.RunConfig{WarmupCycles: 1000, MeasureCycles: 1000, DrainCycles: 20000}
-	res, err := sys.Run(core.AlgUGALLVCH, core.PatternUR, 0.5, rc)
+	res, err := sys.RunW(core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.5, rc)
 	if err != nil {
 		log.Fatal(err)
 	}

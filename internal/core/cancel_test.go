@@ -37,9 +37,9 @@ func (c *cancelAtCycle) CycleEnd(cycle int64) {
 // with the golden-test encoding.
 func runHash(t *testing.T, sys *core.System) string {
 	t.Helper()
-	res, err := sys.Run(core.AlgUGALLVCH, core.PatternWC, 0.25, goldenRC())
+	res, err := sys.RunW(core.AlgUGALLVCH, core.Workload{Traffic: "wc"}, 0.25, goldenRC())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunW: %v", err)
 	}
 	h := fnv.New64a()
 	hashResult(h, "cancel-determinism", res)
@@ -57,7 +57,7 @@ func TestCancellationDeterminism(t *testing.T) {
 	// phases both, then prove a fresh uninterrupted run still matches.
 	for _, at := range []int64{100, 450, 700} {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := sys.Run(core.AlgUGALLVCH, core.PatternWC, 0.25, goldenRC(),
+		_, err := sys.RunW(core.AlgUGALLVCH, core.Workload{Traffic: "wc"}, 0.25, goldenRC(),
 			core.WithContext(ctx),
 			core.WithCollector(&cancelAtCycle{cycle: at, cancel: cancel}))
 		cancel()
@@ -86,14 +86,14 @@ func TestSweepCancellation(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	loads := []float64{0.1, 0.15, 0.2, 0.25, 0.3, 0.35}
-	full, err := sys.Sweep(core.AlgMIN, core.PatternUR, loads, goldenRC(), 0)
+	full, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, loads, goldenRC(), 0)
 	if err != nil {
 		t.Fatalf("uninterrupted sweep: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled up front: every point fails fast, no wave dispatches twice
-	pts, err := sys.Sweep(core.AlgMIN, core.PatternUR, loads, goldenRC(), 0, core.WithContext(ctx))
+	pts, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, loads, goldenRC(), 0, core.WithContext(ctx))
 	if err == nil {
 		t.Fatal("canceled sweep returned nil error")
 	}
@@ -104,7 +104,7 @@ func TestSweepCancellation(t *testing.T) {
 		t.Errorf("pre-canceled sweep returned %d points, want 0", len(pts))
 	}
 
-	again, err := sys.Sweep(core.AlgMIN, core.PatternUR, loads, goldenRC(), 0)
+	again, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, loads, goldenRC(), 0)
 	if err != nil {
 		t.Fatalf("sweep after canceled sweep: %v", err)
 	}

@@ -3,12 +3,13 @@
 // (internal/routing), the traffic patterns (internal/traffic) and the
 // cycle-accurate simulator (internal/sim) into one configurable object,
 // the System. Examples, command-line tools and the experiment harness
-// all build on it.
+// all build on it. The traffic of a run is always a Workload: a traffic
+// family from the registry plus an optional arrival process.
 //
 // A minimal session:
 //
 //	sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4})
-//	res, err := sys.Run(core.AlgUGALL, core.PatternWC, 0.3, sim.RunConfig{...})
+//	res, err := sys.RunW(core.AlgUGALL, core.Workload{Traffic: "wc"}, 0.3, sim.RunConfig{...})
 package core
 
 import (
@@ -51,33 +52,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("core: unknown routing algorithm %q (supported: %v)", s, Algorithms())
 }
 
-// Pattern names a traffic pattern.
-type Pattern string
-
-// The synthetic patterns used by the evaluation plus standard extras.
-const (
-	PatternUR            Pattern = "UR"
-	PatternWC            Pattern = "WC"
-	PatternBitComplement Pattern = "BitComplement"
-	PatternTornado       Pattern = "Tornado"
-	PatternPermutation   Pattern = "Permutation"
-)
-
-// Patterns lists the supported traffic patterns.
-func Patterns() []Pattern {
-	return []Pattern{PatternUR, PatternWC, PatternBitComplement, PatternTornado, PatternPermutation}
-}
-
-// ParsePattern resolves a name to a Pattern.
-func ParsePattern(s string) (Pattern, error) {
-	for _, p := range Patterns() {
-		if string(p) == s {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("core: unknown traffic pattern %q (supported: %v)", s, Patterns())
-}
-
 // SystemConfig describes a machine and its simulation parameters. Zero
 // values take the paper's defaults.
 type SystemConfig struct {
@@ -108,7 +82,7 @@ type SystemConfig struct {
 	// Shards is the engine shard count every network of this system is
 	// partitioned into (see sim.Network.SetShards). 0 or 1 runs the
 	// serial engine; values are clamped to the group count. Results are
-	// bit-identical for every shard count; WithShards overrides per run.
+	// bit-identical for every shard count.
 	Shards int
 	// Faults, when non-nil, is the fault plan (internal/fault.Plan) the
 	// system simulates under: routing and the simulator consume the
@@ -275,22 +249,6 @@ func routingOver(alg Algorithm, t routing.Topo) (sim.Routing, error) {
 	}
 }
 
-// Traffic constructs the traffic pattern over this topology.
-//
-// Deprecated: the enum is a shim over the traffic registry — use
-// TrafficFor with a Workload to reach parameterised families
-// (traffic.FamilyNames). The registry builds the exact patterns this
-// path built, so existing callers lose nothing by staying.
-func (s *System) Traffic(p Pattern) (sim.Traffic, error) {
-	return s.TrafficFor(PatternWorkload(p))
-}
-
-// NewNetwork builds a fresh simulation network for (alg, pattern); see
-// NewNetworkFor for the general Workload form.
-func (s *System) NewNetwork(alg Algorithm, pattern Pattern) (*sim.Network, error) {
-	return s.NewNetworkFor(alg, PatternWorkload(pattern))
-}
-
 // NewNetworkFor builds a fresh simulation network for (alg, workload).
 // Each load point of a sweep should use a fresh network. With a
 // timeline attached, the network gets its own switchable topology view
@@ -355,22 +313,22 @@ func withSource(net *sim.Network, src sim.Source) (*sim.Network, error) {
 	return net, nil
 }
 
-// Run builds a fresh network and executes one measured simulation at the
-// given load. Trailing options attach observability (WithCollector,
-// WithTrace) and progress reporting (WithProgress).
-func (s *System) Run(alg Algorithm, pattern Pattern, load float64, rc sim.RunConfig, opts ...RunOption) (sim.Result, error) {
+// RunW builds a fresh network and executes one measured simulation of
+// workload w at the given load. Trailing options attach observability
+// (WithCollector, WithTrace) and progress reporting (WithProgress).
+func (s *System) RunW(alg Algorithm, w Workload, load float64, rc sim.RunConfig, opts ...RunOption) (sim.Result, error) {
 	o := applyOptions(opts)
-	res, err := s.runWith(alg, PatternWorkload(pattern), load, rc, &o)
+	res, err := s.runWith(alg, w, load, rc, &o)
 	if err != nil {
 		return res, err
 	}
 	if o.progress != nil {
-		o.progress(ProgressEvent{Algorithm: alg, Pattern: pattern, Load: load, Index: 0, Total: 1, Result: res})
+		o.progress(ProgressEvent{Algorithm: alg, Label: w.Label(), Load: load, Index: 0, Total: 1, Result: res})
 	}
 	return res, nil
 }
 
-// runWith is Run minus the progress callback: the piece SweepPool's
+// runWith is RunW minus the progress callback: the piece SweepPoolW's
 // workers execute concurrently (progress stays serial, in the fold).
 func (s *System) runWith(alg Algorithm, w Workload, load float64, rc sim.RunConfig, o *runOptions) (sim.Result, error) {
 	net, err := s.NewNetworkFor(alg, w)
@@ -382,11 +340,6 @@ func (s *System) runWith(alg Algorithm, w Workload, load float64, rc sim.RunConf
 		// registry-built one — the hook composite sources like
 		// workload.MultiTenant come in through.
 		if err := net.SetSource(o.source); err != nil {
-			return sim.Result{}, err
-		}
-	}
-	if o.shards > 0 {
-		if err := net.SetShards(o.shards); err != nil {
 			return sim.Result{}, err
 		}
 	}
@@ -421,16 +374,17 @@ type SweepPoint struct {
 	Result sim.Result
 }
 
-// Sweep runs a load sweep with a fresh network per point, stopping early
-// after the first saturated point beyond stopAfterSaturated consecutive
-// saturations (0 disables early stopping). Load points are dispatched to
-// the process-wide shared worker pool (parallel.Default, sized to
-// GOMAXPROCS); use SweepPool to control the worker count.
-func (s *System) Sweep(alg Algorithm, pattern Pattern, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
-	return s.SweepPool(nil, alg, pattern, loads, rc, stopAfterSaturated, opts...)
+// SweepW runs a load sweep of workload w with a fresh network per
+// point, stopping early after the first saturated point beyond
+// stopAfterSaturated consecutive saturations (0 disables early
+// stopping). Load points are dispatched to the process-wide shared
+// worker pool (parallel.Default, sized to GOMAXPROCS); use SweepPoolW
+// to control the worker count.
+func (s *System) SweepW(alg Algorithm, w Workload, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
+	return s.SweepPoolW(nil, alg, w, loads, rc, stopAfterSaturated, opts...)
 }
 
-// SweepPool is Sweep running on an explicit worker pool (nil means
+// SweepPoolW is SweepW running on an explicit worker pool (nil means
 // parallel.Default()). Load points are independent jobs — each builds a
 // fresh network whose seed depends only on the system configuration, so
 // the returned series is bit-identical for every pool size, jobs=1
@@ -446,16 +400,9 @@ func (s *System) Sweep(alg Algorithm, pattern Pattern, loads []float64, rc sim.R
 // Options: a WithCollector/WithTrace sink observes every load point
 // (concurrently, when the pool runs several jobs — see WithCollector);
 // a WithProgress callback fires in the serial fold, in load order, and
-// never sees points a truncation discarded.
-func (s *System) SweepPool(pool *parallel.Pool, alg Algorithm, pattern Pattern, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
-	return s.sweepPool(pool, alg, PatternWorkload(pattern), pattern, loads, rc, stopAfterSaturated, opts...)
-}
-
-// sweepPool is the shared sweep engine: the legacy Pattern entry points
-// and the Workload entry points differ only in how the workload is
-// specified and how it is displayed (disp) in progress events and
-// errors.
-func (s *System) sweepPool(pool *parallel.Pool, alg Algorithm, w Workload, disp Pattern, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
+// never sees points a truncation discarded. Progress events and errors
+// name the workload by w.Label().
+func (s *System) SweepPoolW(pool *parallel.Pool, alg Algorithm, w Workload, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
 	if pool == nil {
 		pool = parallel.Default()
 	}
@@ -469,6 +416,7 @@ func (s *System) sweepPool(pool *parallel.Pool, alg Algorithm, w Workload, disp 
 	errs := make([]error, len(loads))
 	var out []SweepPoint
 	saturated := 0
+	label := w.Label()
 	ctx := o.context()
 	wave := pool.Jobs()
 	for lo := 0; lo < len(loads); lo += wave {
@@ -476,7 +424,7 @@ func (s *System) sweepPool(pool *parallel.Pool, alg Algorithm, w Workload, disp 
 		// in flight already observes ctx inside the engine, so this
 		// check only prevents dispatching fresh speculative work.
 		if err := ctx.Err(); err != nil {
-			return out, fmt.Errorf("core: %s/%s sweep canceled before load %.3f: %w", alg, disp, loads[lo], err)
+			return out, fmt.Errorf("core: %s/%s sweep canceled before load %.3f: %w", alg, label, loads[lo], err)
 		}
 		hi := lo + wave
 		if hi > len(loads) {
@@ -486,17 +434,17 @@ func (s *System) sweepPool(pool *parallel.Pool, alg Algorithm, w Workload, disp 
 			i := lo + j
 			pool.Work(func() {
 				results[i], errs[i] = s.runWith(alg, w, loads[i], rc, &o)
-				pool.Logf("  %s/%s load %.3f done\n", alg, disp, loads[i])
+				pool.Logf("  %s/%s load %.3f done\n", alg, label, loads[i])
 			})
 			return nil
 		})
 		for i := lo; i < hi; i++ {
 			if errs[i] != nil {
-				return out, fmt.Errorf("core: %s/%s at load %.3f: %w", alg, disp, loads[i], errs[i])
+				return out, fmt.Errorf("core: %s/%s at load %.3f: %w", alg, label, loads[i], errs[i])
 			}
 			out = append(out, SweepPoint{Load: loads[i], Result: results[i]})
 			if o.progress != nil {
-				o.progress(ProgressEvent{Algorithm: alg, Pattern: disp, Load: loads[i], Index: len(out) - 1, Total: len(loads), Result: results[i]})
+				o.progress(ProgressEvent{Algorithm: alg, Label: label, Load: loads[i], Index: len(out) - 1, Total: len(loads), Result: results[i]})
 			}
 			if results[i].Saturated {
 				saturated++

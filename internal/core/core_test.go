@@ -41,18 +41,6 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
-func TestParsePattern(t *testing.T) {
-	for _, p := range Patterns() {
-		got, err := ParsePattern(string(p))
-		if err != nil || got != p {
-			t.Errorf("ParsePattern(%q) = %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePattern("bogus"); err == nil {
-		t.Error("bogus pattern accepted")
-	}
-}
-
 func TestSimConfigEnablesCreditDelayForCR(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{P: 2, A: 4, H: 2})
 	if err != nil {
@@ -83,15 +71,15 @@ func TestRoutingAndTrafficConstruction(t *testing.T) {
 			t.Errorf("Routing(%s).Name() = %s", a, rt.Name())
 		}
 	}
-	for _, p := range Patterns() {
-		if _, err := sys.Traffic(p); err != nil {
-			t.Errorf("Traffic(%s): %v", p, err)
+	for _, fam := range []string{"ur", "wc", "bitcomp", "tornado", "perm"} {
+		if _, err := sys.TrafficFor(Workload{Traffic: fam}); err != nil {
+			t.Errorf("TrafficFor(%s): %v", fam, err)
 		}
 	}
 	if _, err := sys.Routing("bogus"); err == nil {
 		t.Error("bogus routing accepted")
 	}
-	if _, err := sys.Traffic("bogus"); err == nil {
+	if _, err := sys.TrafficFor(Workload{Traffic: "bogus"}); err == nil {
 		t.Error("bogus traffic accepted")
 	}
 }
@@ -102,9 +90,9 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
-	res, err := sys.Run(AlgUGALLVCH, PatternUR, 0.2, rc)
+	res, err := sys.RunW(AlgUGALLVCH, Workload{Traffic: "ur"}, 0.2, rc)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunW: %v", err)
 	}
 	if res.Latency.Count() == 0 || res.Accepted < 0.15 {
 		t.Errorf("suspicious result: %+v", res.Summary)
@@ -119,9 +107,9 @@ func TestSweepStopsAfterSaturation(t *testing.T) {
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 1500}
 	// MIN on WC saturates at 1/8: a sweep over many loads must stop early.
 	loads := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
-	pts, err := sys.Sweep(AlgMIN, PatternWC, loads, rc, 1)
+	pts, err := sys.SweepW(AlgMIN, Workload{Traffic: "wc"}, loads, rc, 1)
 	if err != nil {
-		t.Fatalf("Sweep: %v", err)
+		t.Fatalf("SweepW: %v", err)
 	}
 	if len(pts) == len(loads) {
 		t.Error("sweep did not stop after saturation")
@@ -138,9 +126,9 @@ func TestSweepAllPointsWhenUnderLoad(t *testing.T) {
 	}
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
 	loads := []float64{0.05, 0.1, 0.15}
-	pts, err := sys.Sweep(AlgUGALG, PatternUR, loads, rc, 2)
+	pts, err := sys.SweepW(AlgUGALG, Workload{Traffic: "ur"}, loads, rc, 2)
 	if err != nil {
-		t.Fatalf("Sweep: %v", err)
+		t.Fatalf("SweepW: %v", err)
 	}
 	if len(pts) != len(loads) {
 		t.Errorf("sweep returned %d points, want %d", len(pts), len(loads))

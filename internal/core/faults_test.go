@@ -25,11 +25,11 @@ func TestFaultSweepDeterministicAcrossJobs(t *testing.T) {
 	rc := shortRC()
 	loads := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3}
 	for _, alg := range []Algorithm{AlgMIN, AlgUGALL} {
-		serial, err := faultedSystem(t, 0.15, 3).SweepPool(parallel.New(1), alg, PatternUR, loads, rc, 2)
+		serial, err := faultedSystem(t, 0.15, 3).SweepPoolW(parallel.New(1), alg, Workload{Traffic: "ur"}, loads, rc, 2)
 		if err != nil {
 			t.Fatalf("%s jobs=1: %v", alg, err)
 		}
-		par, err := faultedSystem(t, 0.15, 3).SweepPool(parallel.New(4), alg, PatternUR, loads, rc, 2)
+		par, err := faultedSystem(t, 0.15, 3).SweepPoolW(parallel.New(4), alg, Workload{Traffic: "ur"}, loads, rc, 2)
 		if err != nil {
 			t.Fatalf("%s jobs=4: %v", alg, err)
 		}
@@ -84,7 +84,7 @@ func TestDisconnectedRouterDropsNotHangs(t *testing.T) {
 		t.Fatal("router 0 still connected after cutting all its channels")
 	}
 	for _, alg := range []Algorithm{AlgMIN, AlgUGALL} {
-		res, err := fsys.Run(alg, PatternUR, 0.2, shortRC())
+		res, err := fsys.RunW(alg, Workload{Traffic: "ur"}, 0.2, shortRC())
 		if err != nil {
 			t.Fatalf("%s: run on disconnected network failed: %v", alg, err)
 		}
@@ -102,7 +102,7 @@ func TestFailedRouterKeepsNetworkUsable(t *testing.T) {
 	plan := fault.NewPlan(1)
 	plan.FailRouter(0)
 	fsys := sys.WithFaults(plan)
-	res, err := fsys.Run(AlgUGALL, PatternUR, 0.2, shortRC())
+	res, err := fsys.RunW(AlgUGALL, Workload{Traffic: "ur"}, 0.2, shortRC())
 	if err != nil {
 		t.Fatalf("run with a failed router: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestResilienceAcceptance(t *testing.T) {
 	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	pool := parallel.New(0)
 	sat := func(s *System) float64 {
-		pts, err := s.SweepPool(pool, AlgUGALL, PatternUR, loads, rc, 0)
+		pts, err := s.SweepPoolW(pool, AlgUGALL, Workload{Traffic: "ur"}, loads, rc, 0)
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
 		}

@@ -22,9 +22,9 @@ func TestRunFlushesTrailingWindow(t *testing.T) {
 	// Warm-up + measurement is exactly one window; the drain tail past
 	// cycle 1000 only reaches the series through the finish flush.
 	rc := sim.RunConfig{WarmupCycles: 500, MeasureCycles: 500, DrainCycles: 20000}
-	res, err := sys.Run(core.AlgUGALLVCH, core.PatternUR, 0.3, rc, core.WithCollector(win))
+	res, err := sys.RunW(core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3, rc, core.WithCollector(win))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunW: %v", err)
 	}
 	if res.Cycles <= 1000 {
 		t.Fatalf("run finished in %d cycles; the scenario needs a drain tail past the window boundary", res.Cycles)

@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"dragonfly/internal/core"
@@ -63,10 +64,16 @@ func hashResult(w io.Writer, tag string, res sim.Result) {
 	)
 }
 
+// goldenRun is one golden scenario. Its hash tag spells the traffic
+// family in upper case ("MIN/UR@0.30"), as the goldens were pinned.
 type goldenRun struct {
-	alg     core.Algorithm
-	pattern core.Pattern
-	load    float64
+	alg  core.Algorithm
+	wl   core.Workload
+	load float64
+}
+
+func (r goldenRun) tag() string {
+	return fmt.Sprintf("%s/%s@%.2f", r.alg, strings.ToUpper(r.wl.Label()), r.load)
 }
 
 // goldenHash runs the scenario set for one seed and returns the
@@ -78,28 +85,28 @@ func goldenHash(t *testing.T, seed uint64, failGlobals bool) string {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.3},
-		{core.AlgVAL, core.PatternWC, 0.2},
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgUGALLVCH, core.PatternWC, 0.25},
+		{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.2},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "wc"}, 0.25},
 	}
 	if failGlobals {
 		plan := fault.NewPlan(seed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 		sys = sys.WithFaults(plan)
 		runs = []goldenRun{
-			{core.AlgMIN, core.PatternUR, 0.2},
-			{core.AlgUGALL, core.PatternUR, 0.25},
-			{core.AlgVAL, core.PatternWC, 0.15},
+			{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.2},
+			{core.AlgUGALL, core.Workload{Traffic: "ur"}, 0.25},
+			{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.15},
 		}
 	}
 	h := fnv.New64a()
 	for _, r := range runs {
-		res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC())
+		res, err := sys.RunW(r.alg, r.wl, r.load, goldenRC())
 		if err != nil {
-			t.Fatalf("seed %d %s/%s@%.2f: %v", seed, r.alg, r.pattern, r.load, err)
+			t.Fatalf("seed %d %s: %v", seed, r.tag(), err)
 		}
-		hashResult(h, fmt.Sprintf("%s/%s@%.2f", r.alg, r.pattern, r.load), res)
+		hashResult(h, r.tag(), res)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -15,24 +15,27 @@ func TestAlgorithmPatternMatrix(t *testing.T) {
 		t.Skip("matrix test")
 	}
 	rc := sim.RunConfig{WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 15000, StallLimit: 5000}
+	patterns := []struct{ name, family string }{
+		{"UR", "ur"}, {"WC", "wc"}, {"BitComplement", "bitcomp"}, {"Tornado", "tornado"}, {"Permutation", "perm"},
+	}
 	for _, alg := range Algorithms() {
-		for _, pat := range Patterns() {
+		for _, pat := range patterns {
 			alg, pat := alg, pat
-			t.Run(string(alg)+"/"+string(pat), func(t *testing.T) {
+			t.Run(string(alg)+"/"+pat.name, func(t *testing.T) {
 				sys, err := NewSystem(SystemConfig{P: 2, A: 4, H: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
 				// 0.1 is below every algorithm/pattern saturation point
 				// except MIN on the group-funnelling patterns.
-				res, err := sys.Run(alg, pat, 0.1, rc)
+				res, err := sys.RunW(alg, Workload{Traffic: pat.family}, 0.1, rc)
 				if err != nil {
-					t.Fatalf("Run: %v", err)
+					t.Fatalf("RunW: %v", err)
 				}
 				if res.Latency.Count() == 0 {
 					t.Fatal("no packets measured")
 				}
-				funnel := pat == PatternWC || pat == PatternTornado
+				funnel := pat.family == "wc" || pat.family == "tornado"
 				if alg == AlgMIN && funnel {
 					// Minimal routing legitimately saturates here.
 					return
@@ -64,7 +67,7 @@ func TestExtremeConfigurations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		res, err := sys.Run(AlgUGALLVCH, PatternUR, 0.05, rc)
+		res, err := sys.RunW(AlgUGALLVCH, Workload{Traffic: "ur"}, 0.05, rc)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -85,7 +88,7 @@ func TestLatencyMonotoneInLoad(t *testing.T) {
 	rc := sim.RunConfig{WarmupCycles: 600, MeasureCycles: 600, DrainCycles: 15000}
 	prev := 0.0
 	for _, load := range []float64{0.1, 0.3, 0.5, 0.7} {
-		res, err := sys.Run(AlgUGALG, PatternUR, load, rc)
+		res, err := sys.RunW(AlgUGALG, Workload{Traffic: "ur"}, load, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +109,7 @@ func TestCreditRoundTripBeatsPlainVCHOnWC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Run(alg, PatternWC, 0.3, rc)
+		res, err := sys.RunW(alg, Workload{Traffic: "wc"}, 0.3, rc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 	"dragonfly/internal/sim"
 )
 
-// RunOption customises System.Run, Sweep and SweepPool without
+// RunOption customises System.RunW, SweepW and SweepPoolW without
 // positional plumbing: observability and progress reporting attach as
 // trailing options, and call sites that want neither stay unchanged.
 type RunOption func(*runOptions)
@@ -19,7 +19,6 @@ type runOptions struct {
 	tracer          *obs.Tracer
 	progress        func(ProgressEvent)
 	source          sim.Source
-	shards          int
 	checkpointEvery int64
 	checkpointSink  func(snapshot []byte) error
 	resume          []byte
@@ -37,10 +36,11 @@ func (o *runOptions) context() context.Context {
 // callback.
 type ProgressEvent struct {
 	Algorithm Algorithm
-	Pattern   Pattern
-	Load      float64
+	// Label names the workload (Workload.Label).
+	Label string
+	Load  float64
 	// Index counts completed points (in load order) and Total the
-	// points requested; a single Run reports 0 of 1.
+	// points requested; a single RunW reports 0 of 1.
 	Index, Total int
 	Result       sim.Result
 }
@@ -48,7 +48,7 @@ type ProgressEvent struct {
 // WithContext makes the run cancelable: the engine observes ctx at
 // cycle-batch checkpoints and the call returns a typed error wrapping
 // sim.ErrCanceled (and the context cause — context.Canceled or
-// DeadlineExceeded) once ctx is done. Under Sweep/SweepPool every
+// DeadlineExceeded) once ctx is done. Under SweepW/SweepPoolW every
 // in-flight load point observes the same context, queued waves are
 // skipped, and the points completed before the cancellation are
 // returned alongside the error — the same partial-series contract as
@@ -61,7 +61,7 @@ func WithContext(ctx context.Context) RunOption {
 
 // WithCollector attaches c to every network the call builds, for the
 // whole run (warm-up included), stacking with any collector the run
-// itself attaches (RunConfig.Utilization). Under Sweep/SweepPool the
+// itself attaches (RunConfig.Utilization). Under SweepW/SweepPoolW the
 // same collector observes every load point — and with more than one
 // pool worker, concurrently; share a collector across sweep points
 // only if it is synchronised or the pool runs one job.
@@ -78,7 +78,7 @@ func WithTrace(t *obs.Tracer) RunOption {
 }
 
 // WithProgress registers a callback invoked after each load point
-// completes. Under SweepPool the callback runs on the caller's
+// completes. Under SweepPoolW the callback runs on the caller's
 // goroutine, serially and in load order, regardless of how the points
 // were scheduled — no synchronisation needed inside it.
 func WithProgress(fn func(ProgressEvent)) RunOption {
@@ -90,20 +90,11 @@ func WithProgress(fn func(ProgressEvent)) RunOption {
 // the hook for programmatic sources the registry cannot express —
 // composite ones like workload.MultiTenant. The source must satisfy the
 // determinism and snapshot obligations documented on sim.Source; under
-// Sweep/SweepPool the same source value drives every load point, so a
+// SweepW/SweepPoolW the same source value drives every load point, so a
 // stateful source should only be swept with one pool job (or a stateless
 // source used instead).
 func WithSource(src sim.Source) RunOption {
 	return func(o *runOptions) { o.source = src }
-}
-
-// WithShards partitions every network the call builds across n engine
-// shards (see sim.Network.SetShards), overriding SystemConfig.Shards
-// for this run. Results are bit-identical for every shard count; n is
-// clamped to the topology's group count. 0 (the default) keeps the
-// system configuration.
-func WithShards(n int) RunOption {
-	return func(o *runOptions) { o.shards = n }
 }
 
 // WithCheckpoint captures a dfly-snap/1 checkpoint — complete engine
@@ -112,7 +103,7 @@ func WithShards(n int) RunOption {
 // between cycles, so resuming one via WithResume finishes bit-identical
 // to a run that was never interrupted, at any shard count. A sink error
 // aborts the run (the right behaviour for unwritable checkpoint
-// storage). Applies to single runs; Sweep/SweepPool reject it — a sweep
+// storage). Applies to single runs; SweepW/SweepPoolW reject it — a sweep
 // is many runs, and a single snapshot stream would interleave them.
 func WithCheckpoint(every int64, sink func(snapshot []byte) error) RunOption {
 	return func(o *runOptions) {

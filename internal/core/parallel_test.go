@@ -59,11 +59,11 @@ func TestSweepParallelDeterminism(t *testing.T) {
 	rc := shortRC()
 	loads := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3}
 	for _, alg := range []Algorithm{AlgUGALL, AlgVAL} {
-		serial, err := sys.SweepPool(parallel.New(1), alg, PatternUR, loads, rc, 2)
+		serial, err := sys.SweepPoolW(parallel.New(1), alg, Workload{Traffic: "ur"}, loads, rc, 2)
 		if err != nil {
 			t.Fatalf("%s jobs=1: %v", alg, err)
 		}
-		par, err := sys.SweepPool(parallel.New(4), alg, PatternUR, loads, rc, 2)
+		par, err := sys.SweepPoolW(parallel.New(4), alg, Workload{Traffic: "ur"}, loads, rc, 2)
 		if err != nil {
 			t.Fatalf("%s jobs=4: %v", alg, err)
 		}
@@ -79,11 +79,11 @@ func TestSweepParallelTruncation(t *testing.T) {
 	sys := testSystem(t)
 	rc := sim.RunConfig{WarmupCycles: 200, MeasureCycles: 200, DrainCycles: 1000}
 	loads := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
-	serial, err := sys.SweepPool(parallel.New(1), AlgMIN, PatternWC, loads, rc, 1)
+	serial, err := sys.SweepPoolW(parallel.New(1), AlgMIN, Workload{Traffic: "wc"}, loads, rc, 1)
 	if err != nil {
 		t.Fatalf("jobs=1: %v", err)
 	}
-	par, err := sys.SweepPool(parallel.New(4), AlgMIN, PatternWC, loads, rc, 1)
+	par, err := sys.SweepPoolW(parallel.New(4), AlgMIN, Workload{Traffic: "wc"}, loads, rc, 1)
 	if err != nil {
 		t.Fatalf("jobs=4: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestConcurrentSweepsSharedSystem(t *testing.T) {
 	algs := []Algorithm{AlgMIN, AlgVAL, AlgUGALL, AlgUGALG}
 	pool := parallel.New(4)
 	err := pool.ForEach(len(algs), func(i int) error {
-		pts, err := sys.SweepPool(pool, algs[i], PatternUR, loads, rc, 2)
+		pts, err := sys.SweepPoolW(pool, algs[i], Workload{Traffic: "ur"}, loads, rc, 2)
 		if err != nil {
 			return err
 		}
@@ -121,7 +121,7 @@ func TestConcurrentSweepsSharedSystem(t *testing.T) {
 // TestSweepPoolNilUsesDefault pins the nil-pool convenience path.
 func TestSweepPoolNilUsesDefault(t *testing.T) {
 	sys := testSystem(t)
-	pts, err := sys.SweepPool(nil, AlgMIN, PatternUR, []float64{0.1}, shortRC(), 0)
+	pts, err := sys.SweepPoolW(nil, AlgMIN, Workload{Traffic: "ur"}, []float64{0.1}, shortRC(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

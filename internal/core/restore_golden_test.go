@@ -28,33 +28,33 @@ import (
 // process at the checkpoint.
 var errStopAfterSnapshot = errors.New("stop after first snapshot")
 
-// restoreScenario is one row of the matrix: how to build the system and
-// which run to measure on it.
+// restoreScenario is one row of the matrix: how to build the system
+// (at a given engine shard count) and which run to measure on it.
 type restoreScenario struct {
-	name    string
-	build   func(t *testing.T, seed uint64) *core.System
-	alg     core.Algorithm
-	pattern core.Pattern
-	load    float64
+	name  string
+	build func(t *testing.T, seed uint64, shards int) *core.System
+	alg   core.Algorithm
+	wl    core.Workload
+	load  float64
 }
 
 func restoreScenarios() []restoreScenario {
 	return []restoreScenario{
 		{
 			name: "pristine",
-			build: func(t *testing.T, seed uint64) *core.System {
-				sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+			build: func(t *testing.T, seed uint64, shards int) *core.System {
+				sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 				if err != nil {
 					t.Fatalf("NewSystem: %v", err)
 				}
 				return sys
 			},
-			alg: core.AlgUGALLVCH, pattern: core.PatternUR, load: 0.3,
+			alg: core.AlgUGALLVCH, wl: core.Workload{Traffic: "ur"}, load: 0.3,
 		},
 		{
 			name: "faulted",
-			build: func(t *testing.T, seed uint64) *core.System {
-				sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+			build: func(t *testing.T, seed uint64, shards int) *core.System {
+				sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 				if err != nil {
 					t.Fatalf("NewSystem: %v", err)
 				}
@@ -62,12 +62,12 @@ func restoreScenarios() []restoreScenario {
 				plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 				return sys.WithFaults(plan)
 			},
-			alg: core.AlgMIN, pattern: core.PatternUR, load: 0.2,
+			alg: core.AlgMIN, wl: core.Workload{Traffic: "ur"}, load: 0.2,
 		},
 		{
 			name:  "timeline",
 			build: failRecoverSystem, // fail at 200, recover at 800: both checkpoints land mid-fault-epoch
-			alg:   core.AlgUGALL, pattern: core.PatternUR, load: 0.25,
+			alg:   core.AlgUGALL, wl: core.Workload{Traffic: "ur"}, load: 0.25,
 		},
 	}
 }
@@ -87,7 +87,7 @@ func TestRestoreEquivalenceGolden(t *testing.T) {
 	for _, sc := range restoreScenarios() {
 		for _, seed := range []uint64{1, 2, 3} {
 			want := resultHash(func() sim.Result {
-				res, err := sc.build(t, seed).Run(sc.alg, sc.pattern, sc.load, goldenRC())
+				res, err := sc.build(t, seed, 0).RunW(sc.alg, sc.wl, sc.load, goldenRC())
 				if err != nil {
 					t.Fatalf("%s seed %d: uninterrupted run: %v", sc.name, seed, err)
 				}
@@ -102,8 +102,7 @@ func TestRestoreEquivalenceGolden(t *testing.T) {
 				{4, 1, 700},
 			} {
 				var snap []byte
-				_, err := sc.build(t, seed).Run(sc.alg, sc.pattern, sc.load, goldenRC(),
-					core.WithShards(pair.snapShards),
+				_, err := sc.build(t, seed, pair.snapShards).RunW(sc.alg, sc.wl, sc.load, goldenRC(),
 					core.WithCheckpoint(pair.every, func(b []byte) error {
 						snap = append([]byte(nil), b...)
 						return errStopAfterSnapshot
@@ -115,8 +114,8 @@ func TestRestoreEquivalenceGolden(t *testing.T) {
 					t.Fatalf("%s seed %d %+v: no checkpoint captured", sc.name, seed, pair)
 				}
 
-				res, err := sc.build(t, seed).Run(sc.alg, sc.pattern, sc.load, goldenRC(),
-					core.WithShards(pair.resShards), core.WithResume(snap))
+				res, err := sc.build(t, seed, pair.resShards).RunW(sc.alg, sc.wl, sc.load, goldenRC(),
+					core.WithResume(snap))
 				if err != nil {
 					t.Fatalf("%s seed %d %+v: resumed run: %v", sc.name, seed, pair, err)
 				}
@@ -134,7 +133,7 @@ func TestRestoreEquivalenceGolden(t *testing.T) {
 func TestResumeRejectsMismatchedSystem(t *testing.T) {
 	sc := restoreScenarios()[0]
 	var snap []byte
-	_, err := sc.build(t, 1).Run(sc.alg, sc.pattern, sc.load, goldenRC(),
+	_, err := sc.build(t, 1, 0).RunW(sc.alg, sc.wl, sc.load, goldenRC(),
 		core.WithCheckpoint(300, func(b []byte) error {
 			snap = append([]byte(nil), b...)
 			return errStopAfterSnapshot
@@ -144,15 +143,15 @@ func TestResumeRejectsMismatchedSystem(t *testing.T) {
 	}
 
 	// Different seed → different RNG universe → different fingerprint.
-	if _, err := sc.build(t, 2).Run(sc.alg, sc.pattern, sc.load, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := sc.build(t, 2, 0).RunW(sc.alg, sc.wl, sc.load, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("resume on seed-2 system: %v, want sim.ErrBadSnapshot", err)
 	}
 	// Different fault plan → different liveness → different fingerprint.
-	if _, err := restoreScenarios()[1].build(t, 1).Run(sc.alg, sc.pattern, sc.load, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := restoreScenarios()[1].build(t, 1, 0).RunW(sc.alg, sc.wl, sc.load, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("resume on faulted system: %v, want sim.ErrBadSnapshot", err)
 	}
 	// Different algorithm → different routing name → different fingerprint.
-	if _, err := sc.build(t, 1).Run(core.AlgMIN, sc.pattern, sc.load, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := sc.build(t, 1, 0).RunW(core.AlgMIN, sc.wl, sc.load, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("resume under MIN: %v, want sim.ErrBadSnapshot", err)
 	}
 }
@@ -164,12 +163,12 @@ func TestSweepRejectsCheckpointOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	if _, err := sys.Sweep(core.AlgMIN, core.PatternUR, []float64{0.1}, goldenRC(), 0,
+	if _, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, []float64{0.1}, goldenRC(), 0,
 		core.WithCheckpoint(100, func([]byte) error { return nil })); err == nil {
-		t.Error("Sweep accepted WithCheckpoint")
+		t.Error("SweepW accepted WithCheckpoint")
 	}
-	if _, err := sys.Sweep(core.AlgMIN, core.PatternUR, []float64{0.1}, goldenRC(), 0,
+	if _, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, []float64{0.1}, goldenRC(), 0,
 		core.WithResume([]byte("x"))); err == nil {
-		t.Error("Sweep accepted WithResume")
+		t.Error("SweepW accepted WithResume")
 	}
 }

@@ -33,37 +33,38 @@ func shardCounts() []int {
 	return counts
 }
 
-// goldenHashSharded is goldenHash with a WithShards option: same
-// 72-node system, same scenario set, same result folding.
+// goldenHashSharded is goldenHash on a system partitioned into shards
+// engine shards: same 72-node machine, same scenario set, same result
+// folding.
 func goldenHashSharded(t *testing.T, seed uint64, failGlobals bool, shards int) string {
 	t.Helper()
-	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.3},
-		{core.AlgVAL, core.PatternWC, 0.2},
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgUGALLVCH, core.PatternWC, 0.25},
+		{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.2},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "wc"}, 0.25},
 	}
 	if failGlobals {
 		plan := fault.NewPlan(seed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 		sys = sys.WithFaults(plan)
 		runs = []goldenRun{
-			{core.AlgMIN, core.PatternUR, 0.2},
-			{core.AlgUGALL, core.PatternUR, 0.25},
-			{core.AlgVAL, core.PatternWC, 0.15},
+			{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.2},
+			{core.AlgUGALL, core.Workload{Traffic: "ur"}, 0.25},
+			{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.15},
 		}
 	}
 	h := fnv.New64a()
 	for _, r := range runs {
-		res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC(), core.WithShards(shards))
+		res, err := sys.RunW(r.alg, r.wl, r.load, goldenRC())
 		if err != nil {
-			t.Fatalf("seed %d shards %d %s/%s@%.2f: %v", seed, shards, r.alg, r.pattern, r.load, err)
+			t.Fatalf("seed %d shards %d %s: %v", seed, shards, r.tag(), err)
 		}
-		hashResult(h, fmt.Sprintf("%s/%s@%.2f", r.alg, r.pattern, r.load), res)
+		hashResult(h, r.tag(), res)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -100,22 +101,22 @@ func TestShardedMatchesFaultedGolden(t *testing.T) {
 // accounting must not depend on the shard count.
 func TestShardedTimelineMatchesSerial(t *testing.T) {
 	runs := []goldenRun{
-		{core.AlgUGALL, core.PatternUR, 0.25},
-		{core.AlgMIN, core.PatternUR, 0.2},
+		{core.AlgUGALL, core.Workload{Traffic: "ur"}, 0.25},
+		{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.2},
 	}
 	for _, seed := range []uint64{1, 2, 3} {
 		hash := func(shards int) string {
-			sys := failRecoverSystem(t, seed)
+			sys := failRecoverSystem(t, seed, shards)
 			h := fnv.New64a()
 			for _, r := range runs {
-				res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC(), core.WithShards(shards))
+				res, err := sys.RunW(r.alg, r.wl, r.load, goldenRC())
 				if err != nil {
 					t.Fatalf("seed %d shards %d: %v", seed, shards, err)
 				}
 				if shards == 1 && r.alg == core.AlgUGALL && res.KilledInFlight == 0 {
 					t.Errorf("seed %d: timeline killed nothing; the scenario is not exercising the fault path", seed)
 				}
-				hashResult(h, fmt.Sprintf("%s/%s@%.2f killed=%d rerouted=%d", r.alg, r.pattern, r.load, res.KilledInFlight, res.Rerouted), res)
+				hashResult(h, fmt.Sprintf("%s killed=%d rerouted=%d", r.tag(), res.KilledInFlight, res.Rerouted), res)
 			}
 			return fmt.Sprintf("%016x", h.Sum64())
 		}
@@ -141,25 +142,25 @@ func TestSharded1KNodeMatchesSerial(t *testing.T) {
 	rc := sim.RunConfig{WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
 	for _, seed := range seeds {
 		for _, withTimeline := range []bool{false, true} {
-			sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4, Seed: seed})
-			if err != nil {
-				t.Fatalf("NewSystem: %v", err)
-			}
-			if withTimeline {
-				tl := fault.NewTimeline(seed).
-					FailChannelsAt(150, topology.ClassGlobal, 20).
-					FailRouterAt(150, 7).
-					RecoverAllAt(450)
-				sched, err := tl.Compile(sys.Topo)
-				if err != nil {
-					t.Fatalf("Compile: %v", err)
-				}
-				if sys, err = sys.WithTimeline(sched); err != nil {
-					t.Fatalf("WithTimeline: %v", err)
-				}
-			}
 			hash := func(shards int) string {
-				res, err := sys.Run(core.AlgUGALLVCH, core.PatternUR, 0.3, rc, core.WithShards(shards))
+				sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4, Seed: seed, Shards: shards})
+				if err != nil {
+					t.Fatalf("NewSystem: %v", err)
+				}
+				if withTimeline {
+					tl := fault.NewTimeline(seed).
+						FailChannelsAt(150, topology.ClassGlobal, 20).
+						FailRouterAt(150, 7).
+						RecoverAllAt(450)
+					sched, err := tl.Compile(sys.Topo)
+					if err != nil {
+						t.Fatalf("Compile: %v", err)
+					}
+					if sys, err = sys.WithTimeline(sched); err != nil {
+						t.Fatalf("WithTimeline: %v", err)
+					}
+				}
+				res, err := sys.RunW(core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3, rc)
 				if err != nil {
 					t.Fatalf("seed %d timeline=%v shards %d: %v", seed, withTimeline, shards, err)
 				}

@@ -43,11 +43,11 @@ func timelineHash(t *testing.T, seed uint64, tl *fault.Timeline, runs []goldenRu
 	}
 	h := fnv.New64a()
 	for _, r := range runs {
-		res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC())
+		res, err := sys.RunW(r.alg, r.wl, r.load, goldenRC())
 		if err != nil {
-			t.Fatalf("seed %d %s/%s@%.2f: %v", seed, r.alg, r.pattern, r.load, err)
+			t.Fatalf("seed %d %s: %v", seed, r.tag(), err)
 		}
-		hashResult(h, fmt.Sprintf("%s/%s@%.2f", r.alg, r.pattern, r.load), res)
+		hashResult(h, r.tag(), res)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -57,10 +57,10 @@ func timelineHash(t *testing.T, seed uint64, tl *fault.Timeline, runs []goldenRu
 // nothing scheduled must not perturb a single bit of the results.
 func TestTimelineEmptyMatchesPristineGolden(t *testing.T) {
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.3},
-		{core.AlgVAL, core.PatternWC, 0.2},
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgUGALLVCH, core.PatternWC, 0.25},
+		{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.2},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "wc"}, 0.25},
 	}
 	for seed, want := range goldenPristine {
 		got := timelineHash(t, seed, fault.NewTimeline(seed), runs)
@@ -76,9 +76,9 @@ func TestTimelineEmptyMatchesPristineGolden(t *testing.T) {
 // equivalent standing Plan, so results must match bit for bit.
 func TestTimelineCycleZeroMatchesFaultedGolden(t *testing.T) {
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.2},
-		{core.AlgUGALL, core.PatternUR, 0.25},
-		{core.AlgVAL, core.PatternWC, 0.15},
+		{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.2},
+		{core.AlgUGALL, core.Workload{Traffic: "ur"}, 0.25},
+		{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.15},
 	}
 	for seed, want := range goldenFaulted {
 		tl := fault.NewTimeline(seed).FailFractionAt(0, topology.ClassGlobal, 0.10)
@@ -92,10 +92,11 @@ func TestTimelineCycleZeroMatchesFaultedGolden(t *testing.T) {
 // failRecoverSystem builds the golden network with a mid-run timeline:
 // six global channels and one router die at cycle 200, everything
 // recovers at cycle 800 — both event cycles land inside the golden
-// recipe's warm-up + measurement window.
-func failRecoverSystem(t *testing.T, seed uint64) *core.System {
+// recipe's warm-up + measurement window. shards is the engine shard
+// count (0 = serial).
+func failRecoverSystem(t *testing.T, seed uint64, shards int) *core.System {
 	t.Helper()
-	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -119,12 +120,12 @@ func failRecoverSystem(t *testing.T, seed uint64) *core.System {
 // epoch swaps consult only per-network state, so pool size must not
 // leak into results.
 func TestTimelineDeterministicAcrossPools(t *testing.T) {
-	sys := failRecoverSystem(t, 1)
+	sys := failRecoverSystem(t, 1, 0)
 	loads := []float64{0.1, 0.2, 0.3}
 	sweep := func(pool *parallel.Pool) []core.SweepPoint {
-		pts, err := sys.SweepPool(pool, core.AlgUGALL, core.PatternUR, loads, goldenRC(), 0)
+		pts, err := sys.SweepPoolW(pool, core.AlgUGALL, core.Workload{Traffic: "ur"}, loads, goldenRC(), 0)
 		if err != nil {
-			t.Fatalf("SweepPool: %v", err)
+			t.Fatalf("SweepPoolW: %v", err)
 		}
 		return pts
 	}
@@ -163,8 +164,8 @@ func TestTimelineDeterministicAcrossPools(t *testing.T) {
 // surviving link balanced, and the revival reconciliation must restore
 // the law on the retrained links.
 func TestTimelineInvariantsAcrossRevive(t *testing.T) {
-	sys := failRecoverSystem(t, 2)
-	net, err := sys.NewNetwork(core.AlgUGALL, core.PatternUR)
+	sys := failRecoverSystem(t, 2, 0)
+	net, err := sys.NewNetworkFor(core.AlgUGALL, core.Workload{Traffic: "ur"})
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -231,7 +232,7 @@ func TestOccupancyCountersAcrossRebuilds(t *testing.T) {
 	const mid, end = 200, 400 // mid: router and channel down
 	build := func(shards int) *sim.Network {
 		t.Helper()
-		net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+		net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 		if err != nil {
 			t.Fatalf("NewNetwork: %v", err)
 		}
@@ -345,7 +346,7 @@ func TestWithTimelineRejections(t *testing.T) {
 	if ts.Timeline() != sched {
 		t.Error("Timeline() does not return the attached schedule")
 	}
-	if _, err := ts.Run(core.AlgMIN, core.PatternUR, 0.1, sim.RunConfig{WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 10000}); err != nil {
+	if _, err := ts.RunW(core.AlgMIN, core.Workload{Traffic: "ur"}, 0.1, sim.RunConfig{WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 10000}); err != nil {
 		t.Errorf("timeline run failed: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dragonfly/internal/parallel"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
@@ -15,13 +14,12 @@ import (
 // name, integer parameters) pairs resolved through the traffic and
 // workload registries, the same shape SystemConfig uses for topologies,
 // so CLIs and the job service compose workloads without package-level
-// switches. The zero value is the legacy behaviour exactly: uniform
-// random traffic under Bernoulli injection.
+// switches. The zero value is uniform random traffic under Bernoulli
+// injection.
 type Workload struct {
 	// Traffic selects a traffic family (traffic.FamilyNames: "ur",
 	// "wc", "groupoffset", "tornado", "bitcomp", "transpose",
-	// "hotspot", "perm"; lookups fold case so the legacy enum
-	// spellings resolve). Empty means "ur".
+	// "hotspot", "perm"; lookups fold case). Empty means "ur".
 	Traffic string
 	// TrafficParams are the family's build parameters; omitted keys
 	// take the schema defaults.
@@ -36,29 +34,6 @@ type Workload struct {
 	// Trace is the parsed flow trace, required by (and only by) the
 	// "trace" source family.
 	Trace *workload.Trace
-}
-
-// patternFamilies maps the legacy Pattern enum spellings onto their
-// registry families. The registry builders call the exact constructors
-// the old enum switch called, so the mapping preserves every golden
-// hash (pinned by TestRegistryPatternEquivalence).
-var patternFamilies = map[Pattern]string{
-	PatternUR:            "ur",
-	PatternWC:            "wc",
-	PatternBitComplement: "bitcomp",
-	PatternTornado:       "tornado",
-	PatternPermutation:   "perm",
-}
-
-// PatternWorkload lifts a legacy Pattern enum value into the Workload
-// it denotes: the mapped traffic family under the default Bernoulli
-// source. Unknown patterns pass through as a (case-folded) family name
-// and fail at build time with the registry's error.
-func PatternWorkload(p Pattern) Workload {
-	if fam, ok := patternFamilies[p]; ok {
-		return Workload{Traffic: fam}
-	}
-	return Workload{Traffic: string(p)}
 }
 
 // family returns the traffic family name, defaulting the zero value.
@@ -79,8 +54,7 @@ func (w Workload) Label() string {
 }
 
 // TrafficFor constructs the workload's traffic pattern over this
-// topology through the registry. It replaces the pre-registry enum
-// switch; the constructed patterns are identical, bit for bit.
+// topology through the registry.
 func (s *System) TrafficFor(w Workload) (sim.Traffic, error) {
 	env := traffic.Env{
 		Terminals: s.Topo.Nodes(),
@@ -106,31 +80,4 @@ func (s *System) SourceFor(w Workload) (sim.Source, error) {
 		Trace:     w.Trace,
 	}
 	return workload.Build(w.Source, env, w.SourceParams)
-}
-
-// RunW is Run over a full Workload specification instead of a bare
-// Pattern enum: registry traffic with parameters, plus an arrival
-// process. The zero-value Workload reproduces Run(alg, PatternUR, ...)
-// bit for bit.
-func (s *System) RunW(alg Algorithm, w Workload, load float64, rc sim.RunConfig, opts ...RunOption) (sim.Result, error) {
-	o := applyOptions(opts)
-	res, err := s.runWith(alg, w, load, rc, &o)
-	if err != nil {
-		return res, err
-	}
-	if o.progress != nil {
-		o.progress(ProgressEvent{Algorithm: alg, Pattern: Pattern(w.Label()), Load: load, Index: 0, Total: 1, Result: res})
-	}
-	return res, nil
-}
-
-// SweepW is Sweep over a full Workload specification; see Sweep for
-// the early-stopping and pooling contract.
-func (s *System) SweepW(alg Algorithm, w Workload, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
-	return s.SweepPoolW(nil, alg, w, loads, rc, stopAfterSaturated, opts...)
-}
-
-// SweepPoolW is SweepPool over a full Workload specification.
-func (s *System) SweepPoolW(pool *parallel.Pool, alg Algorithm, w Workload, loads []float64, rc sim.RunConfig, stopAfterSaturated int, opts ...RunOption) ([]SweepPoint, error) {
-	return s.sweepPool(pool, alg, w, Pattern(w.Label()), loads, rc, stopAfterSaturated, opts...)
 }

@@ -2,9 +2,9 @@ package core_test
 
 // Workload API equivalence and determinism tests — the PR 10 headline
 // invariants. The registry-unified Workload path must (a) reproduce the
-// legacy enum path bit for bit when it spells out the same computation
-// (registry "UR" traffic + explicit bernoulli arrivals ≡ core.PatternUR
-// through Run), pinned transitively to the pre-refactor engine by the
+// default path bit for bit when it spells out the same computation
+// (upper-case "UR" traffic + explicit bernoulli arrivals ≡
+// core.Workload{Traffic: "ur"}), pinned transitively to the pre-refactor engine by the
 // frozen golden constants; (b) keep the serial ≡ sharded promise for
 // every stateful arrival process; and (c) keep the resume-from-snapshot
 // ≡ uninterrupted promise with source state riding in dfly-snap/1,
@@ -24,46 +24,42 @@ import (
 	"dragonfly/internal/workload"
 )
 
-// goldenHashW mirrors goldenHash, but maps every scenario through the
-// registry spelling — uppercase traffic family (canonicalisation is
-// case-folded) plus an explicit "bernoulli" source — and runs it with
-// RunW at the given shard count. Any draw-order difference between the
+// goldenHashW mirrors goldenHash, but spells every scenario's workload
+// out — uppercase traffic family (canonicalisation is case-folded) plus
+// an explicit "bernoulli" source — and runs it at the given shard
+// count. Any draw-order difference between the
 // registry bernoulli source and the engine's built-in Bernoulli gate
 // shows up as a golden-hash mismatch.
 func goldenHashW(t *testing.T, seed uint64, failGlobals bool, shards int) string {
 	t.Helper()
-	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	runs := []goldenRun{
-		{core.AlgMIN, core.PatternUR, 0.3},
-		{core.AlgVAL, core.PatternWC, 0.2},
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgUGALLVCH, core.PatternWC, 0.25},
+		{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.2},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "wc"}, 0.25},
 	}
 	if failGlobals {
 		plan := fault.NewPlan(seed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 		sys = sys.WithFaults(plan)
 		runs = []goldenRun{
-			{core.AlgMIN, core.PatternUR, 0.2},
-			{core.AlgUGALL, core.PatternUR, 0.25},
-			{core.AlgVAL, core.PatternWC, 0.15},
+			{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.2},
+			{core.AlgUGALL, core.Workload{Traffic: "ur"}, 0.25},
+			{core.AlgVAL, core.Workload{Traffic: "wc"}, 0.15},
 		}
 	}
 	h := fnv.New64a()
 	for _, r := range runs {
-		wl := core.Workload{Traffic: string(r.pattern), Source: "bernoulli"}
-		var opts []core.RunOption
-		if shards > 0 {
-			opts = append(opts, core.WithShards(shards))
-		}
-		res, err := sys.RunW(r.alg, wl, r.load, goldenRC(), opts...)
+		wl := core.Workload{Traffic: strings.ToUpper(r.wl.Traffic), Source: "bernoulli"}
+		res, err := sys.RunW(r.alg, wl, r.load, goldenRC())
 		if err != nil {
-			t.Fatalf("seed %d %s/%s@%.2f: %v", seed, r.alg, r.pattern, r.load, err)
+			t.Fatalf("seed %d %s: %v", seed, r.tag(), err)
 		}
-		hashResult(h, fmt.Sprintf("%s/%s@%.2f", r.alg, r.pattern, r.load), res)
+		hashResult(h, r.tag(), res)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -143,15 +139,18 @@ func workloadScenarios(t *testing.T) []workloadScenario {
 // under which CI runs this).
 func TestShardedWorkloadMatchesSerial(t *testing.T) {
 	for _, sc := range workloadScenarios(t) {
-		sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: 1})
-		if err != nil {
-			t.Fatalf("NewSystem: %v", err)
+		run := func(shards int) (sim.Result, error) {
+			sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: 1, Shards: shards})
+			if err != nil {
+				t.Fatalf("NewSystem: %v", err)
+			}
+			return sys.RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
 		}
-		serial, err := sys.RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
+		serial, err := run(0)
 		if err != nil {
 			t.Fatalf("%s: serial run: %v", sc.name, err)
 		}
-		sharded, err := sys.RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(), core.WithShards(4))
+		sharded, err := run(4)
 		if err != nil {
 			t.Fatalf("%s: sharded run: %v", sc.name, err)
 		}
@@ -174,8 +173,8 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 			SourceParams: map[string]int{"on": 40, "off": 120}}},
 		{"trace", core.Workload{Traffic: "ur", Source: "trace", Trace: testTrace(t)}},
 	}
-	build := func(seed uint64) *core.System {
-		sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed})
+	build := func(seed uint64, shards int) *core.System {
+		sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: seed, Shards: shards})
 		if err != nil {
 			t.Fatalf("NewSystem: %v", err)
 		}
@@ -183,7 +182,7 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		for _, seed := range []uint64{1, 2} {
-			res, err := build(seed).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
+			res, err := build(seed, 0).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC())
 			if err != nil {
 				t.Fatalf("%s seed %d: uninterrupted run: %v", sc.name, seed, err)
 			}
@@ -197,8 +196,7 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 				{4, 1, 700},
 			} {
 				var snap []byte
-				_, err := build(seed).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
-					core.WithShards(pair.snapShards),
+				_, err := build(seed, pair.snapShards).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
 					core.WithCheckpoint(pair.every, func(b []byte) error {
 						snap = append([]byte(nil), b...)
 						return errStopAfterSnapshot
@@ -206,8 +204,8 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 				if !errors.Is(err, errStopAfterSnapshot) {
 					t.Fatalf("%s seed %d %+v: capture run: %v, want the sink's sentinel", sc.name, seed, pair, err)
 				}
-				res, err := build(seed).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
-					core.WithShards(pair.resShards), core.WithResume(snap))
+				res, err := build(seed, pair.resShards).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
+					core.WithResume(snap))
 				if err != nil {
 					t.Fatalf("%s seed %d %+v: resumed run: %v", sc.name, seed, pair, err)
 				}
@@ -249,7 +247,7 @@ func TestWorkloadSnapshotRejectsDifferentSource(t *testing.T) {
 		t.Errorf("resume with retuned dwell: %v, want sim.ErrBadSnapshot", err)
 	}
 	// Built-in engine Bernoulli (no source) → different fingerprint.
-	if _, err := sys.Run(core.AlgUGALLVCH, core.PatternUR, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := sys.RunW(core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3, goldenRC(), core.WithResume(snap)); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("resume without a source: %v, want sim.ErrBadSnapshot", err)
 	}
 }

@@ -46,19 +46,19 @@ func zooHash(t *testing.T, family string, params map[string]int, shards int) str
 	t.Helper()
 	h := fnv.New64a()
 
-	sys, err := core.NewSystem(core.SystemConfig{Topology: family, TopoParams: params, Seed: 1})
+	sys, err := core.NewSystem(core.SystemConfig{Topology: family, TopoParams: params, Seed: 1, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewSystem(%s): %v", family, err)
 	}
 	for _, r := range []goldenRun{
-		{core.AlgUGALLVCH, core.PatternUR, 0.3},
-		{core.AlgMIN, core.PatternUR, 0.2},
+		{core.AlgUGALLVCH, core.Workload{Traffic: "ur"}, 0.3},
+		{core.AlgMIN, core.Workload{Traffic: "ur"}, 0.2},
 	} {
-		res, err := sys.Run(r.alg, r.pattern, r.load, goldenRC(), core.WithShards(shards))
+		res, err := sys.RunW(r.alg, r.wl, r.load, goldenRC())
 		if err != nil {
-			t.Fatalf("%s shards %d %s/%s@%.2f: %v", family, shards, r.alg, r.pattern, r.load, err)
+			t.Fatalf("%s shards %d %s: %v", family, shards, r.tag(), err)
 		}
-		hashResult(h, fmt.Sprintf("%s/%s@%.2f", r.alg, r.pattern, r.load), res)
+		hashResult(h, r.tag(), res)
 	}
 
 	tl := fault.NewTimeline(1).
@@ -72,7 +72,7 @@ func zooHash(t *testing.T, family string, params map[string]int, shards int) str
 	if err != nil {
 		t.Fatalf("%s: WithTimeline: %v", family, err)
 	}
-	res, err := tsys.Run(core.AlgUGALL, core.PatternUR, 0.25, goldenRC(), core.WithShards(shards))
+	res, err := tsys.RunW(core.AlgUGALL, core.Workload{Traffic: "ur"}, 0.25, goldenRC())
 	if err != nil {
 		t.Fatalf("%s shards %d timeline run: %v", family, shards, err)
 	}

@@ -62,7 +62,7 @@ func Resilience(s Scale) ([]*Figure, error) {
 		plan := fault.NewPlan(resilienceFaultSeed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, frac)
 		fsys := sys.WithFaults(plan)
-		points, err := fsys.SweepPool(s.Pool(), alg, core.PatternUR, s.urLoads(), s.runCfg(), 2)
+		points, err := fsys.SweepPoolW(s.Pool(), alg, ur, s.urLoads(), s.runCfg(), 2)
 		if err != nil {
 			return fmt.Errorf("%s at %.0f%% failed: %w", alg, 100*frac, err)
 		}

@@ -28,12 +28,12 @@ func (s Scale) runCfg() sim.RunConfig {
 	}
 }
 
-// sweep runs a latency-load curve for one algorithm/pattern pair,
+// sweep runs a latency-load curve for one algorithm/workload pair,
 // stopping two points after saturation like the paper's plots. The load
 // points run on the scale's worker pool.
-func (s Scale) sweep(sys *core.System, alg core.Algorithm, pattern core.Pattern, loads []float64) (Series, error) {
+func (s Scale) sweep(sys *core.System, alg core.Algorithm, wl core.Workload, loads []float64) (Series, error) {
 	ser := Series{Name: string(alg)}
-	points, err := sys.SweepPool(s.Pool(), alg, pattern, loads, s.runCfg(), 2)
+	points, err := sys.SweepPoolW(s.Pool(), alg, wl, loads, s.runCfg(), 2)
 	if err != nil {
 		return ser, err
 	}
@@ -45,21 +45,28 @@ func (s Scale) sweep(sys *core.System, alg core.Algorithm, pattern core.Pattern,
 	return ser, nil
 }
 
+// ur and wc are the paper's two evaluation workloads: uniform random
+// and worst-case traffic under Bernoulli injection.
+var (
+	ur = core.Workload{Traffic: "ur"}
+	wc = core.Workload{Traffic: "wc"}
+)
+
 // urLoads and wcLoads are the sweep ranges of Figures 8, 10 and 16.
 func (s Scale) urLoads() []float64 { return s.loads(0.1, 0.95, 0.1) }
 func (s Scale) wcLoads() []float64 { return s.loads(0.05, 0.5, 0.05) }
 
 // patternCases are the UR/WC halves shared by Figures 8 and 10.
 func (s Scale) patternCases() []struct {
-	pattern core.Pattern
-	loads   []float64
+	wl    core.Workload
+	loads []float64
 } {
 	return []struct {
-		pattern core.Pattern
-		loads   []float64
+		wl    core.Workload
+		loads []float64
 	}{
-		{core.PatternUR, s.urLoads()},
-		{core.PatternWC, s.wcLoads()},
+		{ur, s.urLoads()},
+		{wc, s.wcLoads()},
 	}
 }
 
@@ -82,9 +89,9 @@ func (s Scale) routingComparison(sys *core.System, algs []core.Algorithm, out []
 	sers := make([]Series, len(jobs))
 	err := s.Pool().ForEach(len(jobs), func(k int) error {
 		j := jobs[k]
-		ser, err := s.sweep(sys, j.alg, cases[j.fig].pattern, cases[j.fig].loads)
+		ser, err := s.sweep(sys, j.alg, cases[j.fig].wl, cases[j.fig].loads)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", j.alg, cases[j.fig].pattern, err)
+			return fmt.Errorf("%s/%s: %w", j.alg, cases[j.fig].wl.Label(), err)
 		}
 		sers[k] = ser
 		return nil
@@ -139,7 +146,7 @@ func Fig09(s Scale) (*Figure, error) {
 	sers := make([]Series, len(algs))
 	err = s.Pool().ForEach(len(algs), func(ai int) error {
 		alg := algs[ai]
-		net, err := sys.NewNetwork(alg, core.PatternWC)
+		net, err := sys.NewNetworkFor(alg, wc)
 		if err != nil {
 			return err
 		}
@@ -219,7 +226,7 @@ func Fig11(s Scale) ([]*Figure, error) {
 		if err != nil {
 			return err
 		}
-		pts, err := sys.SweepPool(s.Pool(), core.AlgUGALL, core.PatternWC, s.wcLoads(), s.runCfg(), 1)
+		pts, err := sys.SweepPoolW(s.Pool(), core.AlgUGALL, wc, s.wcLoads(), s.runCfg(), 1)
 		if err != nil {
 			return err
 		}
@@ -273,7 +280,7 @@ func Fig12(s Scale) ([]*Figure, error) {
 		var res sim.Result
 		var rerr error
 		s.Pool().Work(func() {
-			res, rerr = sys.Run(core.AlgUGALL, core.PatternWC, 0.25, rc)
+			res, rerr = sys.RunW(core.AlgUGALL, wc, 0.25, rc)
 		})
 		if rerr != nil {
 			return rerr
@@ -329,7 +336,7 @@ func Fig14(s Scale) (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		ser, err := s.sweep(sys, core.AlgUGALL, core.PatternWC, s.wcLoads())
+		ser, err := s.sweep(sys, core.AlgUGALL, wc, s.wcLoads())
 		if err != nil {
 			return err
 		}
@@ -353,14 +360,15 @@ func Fig14(s Scale) (*Figure, error) {
 func Fig16(s Scale) ([]*Figure, error) {
 	algs := []core.Algorithm{core.AlgUGALLVCH, core.AlgUGALLCR, core.AlgUGALG}
 	cases := []struct {
-		pattern core.Pattern
+		pattern string
+		wl      core.Workload
 		buf     int
 		loads   []float64
 	}{
-		{core.PatternWC, 16, s.wcLoads()},
-		{core.PatternWC, 256, s.wcLoads()},
-		{core.PatternUR, 16, s.urLoads()},
-		{core.PatternUR, 256, s.urLoads()},
+		{"WC", wc, 16, s.wcLoads()},
+		{"WC", wc, 256, s.wcLoads()},
+		{"UR", ur, 16, s.urLoads()},
+		{"UR", ur, 256, s.urLoads()},
 	}
 	out := make([]*Figure, len(cases))
 	systems := make([]*core.System, len(cases))
@@ -376,7 +384,7 @@ func Fig16(s Scale) ([]*Figure, error) {
 			XLabel: "offered load",
 			YLabel: "avg latency (cycles), * = saturated",
 		}
-		if tc.pattern == core.PatternWC {
+		if tc.pattern == "WC" {
 			out[i].Notes = append(out[i].Notes,
 				"expected shape: UGAL-L_CR cuts the minimal-packet latency hump and is buffer-size independent")
 		}
@@ -395,7 +403,7 @@ func Fig16(s Scale) ([]*Figure, error) {
 	err := s.Pool().ForEach(len(jobs), func(k int) error {
 		j := jobs[k]
 		tc := cases[j.fig]
-		ser, err := s.sweep(systems[j.fig], j.alg, tc.pattern, tc.loads)
+		ser, err := s.sweep(systems[j.fig], j.alg, tc.wl, tc.loads)
 		if err != nil {
 			return fmt.Errorf("%s/%s/buf%d: %w", j.alg, tc.pattern, tc.buf, err)
 		}
@@ -409,32 +417,4 @@ func Fig16(s Scale) ([]*Figure, error) {
 		out[j.fig].Series = append(out[j.fig].Series, sers[k])
 	}
 	return out, nil
-}
-
-// MinLatencyComparison distils the Figure 16 headline into two numbers:
-// the minimally-routed packet latency of UGAL-L_VCH versus UGAL-L_CR at
-// WC load 0.3. The two runs execute concurrently.
-func MinLatencyComparison(s Scale, buf int) (vch, cr float64, err error) {
-	sys, err := s.evalSystem(buf)
-	if err != nil {
-		return 0, 0, err
-	}
-	algs := []core.Algorithm{core.AlgUGALLVCH, core.AlgUGALLCR}
-	lat := make([]float64, len(algs))
-	err = s.Pool().ForEach(len(algs), func(i int) error {
-		var res sim.Result
-		var rerr error
-		s.Pool().Work(func() {
-			res, rerr = sys.Run(algs[i], core.PatternWC, 0.3, s.runCfg())
-		})
-		if rerr != nil {
-			return rerr
-		}
-		lat[i] = res.MinLatency.Mean()
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return lat[0], lat[1], nil
 }

@@ -84,7 +84,7 @@ func TopoZoo(s Scale) (*Table, error) {
 		r.perNode = bd.PerNode()
 
 		// Pristine UR sweep: saturation throughput and low-load latency.
-		points, err := sys.SweepPool(s.Pool(), core.AlgUGALL, core.PatternUR, s.urLoads(), s.runCfg(), 2)
+		points, err := sys.SweepPoolW(s.Pool(), core.AlgUGALL, ur, s.urLoads(), s.runCfg(), 2)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.family, err)
 		}
@@ -102,7 +102,7 @@ func TopoZoo(s Scale) (*Table, error) {
 		plan := fault.NewPlan(topoZooFaultSeed)
 		plan.FailFraction(sys.Topo, topology.ClassGlobal, 0.10)
 		fsys := sys.WithFaults(plan)
-		dpoints, err := fsys.SweepPool(s.Pool(), core.AlgUGALL, core.PatternUR, s.urLoads(), s.runCfg(), 2)
+		dpoints, err := fsys.SweepPoolW(s.Pool(), core.AlgUGALL, ur, s.urLoads(), s.runCfg(), 2)
 		if err != nil {
 			return fmt.Errorf("%s degraded: %w", e.family, err)
 		}

@@ -122,7 +122,7 @@ func (s Scale) transientRun(alg core.Algorithm, fail, recov, end, window int64) 
 	if err != nil {
 		return series, err
 	}
-	net, err := sys.NewNetwork(alg, core.PatternUR)
+	net, err := sys.NewNetworkFor(alg, ur)
 	if err != nil {
 		return series, err
 	}

@@ -270,104 +270,6 @@ func (u *ChannelUtil) Utilization(link int) float64 {
 	return float64(u.busy[link]) / float64(alive)
 }
 
-// Full aggregates every event the engine emits: channel counters, an
-// input-buffer VC occupancy histogram, credit round-trip statistics,
-// drop/stall counts and (via the extension interfaces) the fault
-// events. It is the "turn everything on" collector used by
-// diagnostics; sweeps that only need one signal should attach the
-// narrower collector instead.
-type Full struct {
-	// Channels is the per-link flit counter (nil until the first event
-	// if constructed with zero links — use NewFull).
-	Channels *ChannelUtil
-	// VCHist[occ] counts deliveries that found their input VC at
-	// occupancy occ (post-increment); the histogram of the paper's
-	// buffer-depth discussion. Grows on demand.
-	VCHist []int64
-	// RTT aggregates credit round-trip samples.
-	RTTCount, RTTSum, RTTMax int64
-	// Drops counts packets dropped as unroutable; Stalls counts
-	// deadlock-detector trips.
-	Drops, Stalls int64
-	// Kills counts packets destroyed in flight by fault-timeline epoch
-	// swaps; Reroutes counts queued packets re-pointed after a swap.
-	Kills, Reroutes int64
-	// Epochs counts fault-timeline epoch activations (the pristine
-	// starting epoch included when a timeline is installed).
-	Epochs int64
-	// LastEpoch is the most recently activated epoch index, -1 before
-	// any EpochSwitch event.
-	LastEpoch int
-}
-
-// NewFull returns a Full collector for a network with the given number
-// of links.
-func NewFull(links int) *Full {
-	return &Full{Channels: NewChannelUtil(links), LastEpoch: -1}
-}
-
-// ChannelFlit implements Collector.
-func (f *Full) ChannelFlit(link int) { f.Channels.busy[link]++ }
-
-// VCOccupancy implements Collector.
-func (f *Full) VCOccupancy(_, _, _, occupancy int) {
-	for occupancy >= len(f.VCHist) {
-		f.VCHist = append(f.VCHist, 0)
-	}
-	f.VCHist[occupancy]++
-}
-
-// CreditRTT implements Collector.
-func (f *Full) CreditRTT(_, _ int, rtt int64) {
-	f.RTTCount++
-	f.RTTSum += rtt
-	if rtt > f.RTTMax {
-		f.RTTMax = rtt
-	}
-}
-
-// Drop implements Collector.
-func (f *Full) Drop(int) { f.Drops++ }
-
-// Stall implements Collector.
-func (f *Full) Stall(int64) { f.Stalls++ }
-
-// Kill implements FaultObserver.
-func (f *Full) Kill(int) { f.Kills++ }
-
-// Reroute implements FaultObserver.
-func (f *Full) Reroute(int) { f.Reroutes++ }
-
-// EpochSwitch implements EpochObserver.
-func (f *Full) EpochSwitch(_ int64, epoch int) {
-	f.Epochs++
-	f.LastEpoch = epoch
-}
-
-// LinkState implements LinkStateObserver by forwarding to the channel
-// counters' dead-time accounting.
-func (f *Full) LinkState(link int, alive bool, cycle int64) {
-	if f.Channels != nil {
-		f.Channels.LinkState(link, alive, cycle)
-	}
-}
-
-// CycleEnd implements CycleObserver by forwarding to the channel
-// counters' dead-time accounting.
-func (f *Full) CycleEnd(cycle int64) {
-	if f.Channels != nil {
-		f.Channels.CycleEnd(cycle)
-	}
-}
-
-// RTTMean returns the average credit round-trip sample, 0 if none.
-func (f *Full) RTTMean() float64 {
-	if f.RTTCount == 0 {
-		return 0
-	}
-	return float64(f.RTTSum) / float64(f.RTTCount)
-}
-
 // Multi fans every event out to all collectors in order. Core events
 // reach every element; extension events reach the elements that
 // implement the matching extension interface. Multi itself implements

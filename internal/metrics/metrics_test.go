@@ -7,16 +7,12 @@ import "testing"
 var (
 	_ Collector = Nop{}
 	_ Collector = (*ChannelUtil)(nil)
-	_ Collector = (*Full)(nil)
 	_ Collector = Multi(nil)
 
 	_ LinkStateObserver = (*ChannelUtil)(nil)
 	_ CycleObserver     = (*ChannelUtil)(nil)
 
-	_ FaultObserver     = (*Full)(nil)
-	_ EpochObserver     = (*Full)(nil)
-	_ LinkStateObserver = (*Full)(nil)
-	_ CycleObserver     = (*Full)(nil)
+	_ FaultObserver = (*faultCounter)(nil)
 
 	_ FaultObserver     = Multi(nil)
 	_ EpochObserver     = Multi(nil)
@@ -143,68 +139,6 @@ func TestChannelUtilResetKeepsLiveness(t *testing.T) {
 	}
 }
 
-func TestFullCollector(t *testing.T) {
-	f := NewFull(2)
-	f.ChannelFlit(0)
-	f.VCOccupancy(1, 2, 0, 3)
-	f.VCOccupancy(1, 2, 0, 1)
-	f.CreditRTT(0, 1, 10)
-	f.CreditRTT(0, 1, 30)
-	f.Drop(5)
-	f.Stall(100)
-	f.Kill(3)
-	f.Kill(4)
-	f.Reroute(3)
-	f.EpochSwitch(0, 0)
-	f.EpochSwitch(200, 1)
-	if f.Channels.Busy(0) != 1 {
-		t.Error("channel count not recorded")
-	}
-	if len(f.VCHist) != 4 || f.VCHist[3] != 1 || f.VCHist[1] != 1 {
-		t.Errorf("VC histogram wrong: %v", f.VCHist)
-	}
-	if f.RTTCount != 2 || f.RTTSum != 40 || f.RTTMax != 30 {
-		t.Errorf("RTT aggregates wrong: n=%d sum=%d max=%d", f.RTTCount, f.RTTSum, f.RTTMax)
-	}
-	if f.RTTMean() != 20 {
-		t.Errorf("RTTMean = %v, want 20", f.RTTMean())
-	}
-	if f.Drops != 1 || f.Stalls != 1 {
-		t.Errorf("drop/stall counters wrong: %d %d", f.Drops, f.Stalls)
-	}
-	if f.Kills != 2 || f.Reroutes != 1 {
-		t.Errorf("kill/reroute counters wrong: %d %d", f.Kills, f.Reroutes)
-	}
-	if f.Epochs != 2 || f.LastEpoch != 1 {
-		t.Errorf("epoch counters wrong: %d last %d", f.Epochs, f.LastEpoch)
-	}
-}
-
-// TestFullForwardsLiveness: Full's link-state and cycle events feed its
-// channel counters' dead-time accounting.
-func TestFullForwardsLiveness(t *testing.T) {
-	f := NewFull(2)
-	f.LinkState(1, false, 0)
-	f.CycleEnd(1)
-	f.CycleEnd(2)
-	if got := f.Channels.DeadCycles(1); got != 2 {
-		t.Errorf("DeadCycles(1) = %d, want 2", got)
-	}
-}
-
-func TestFullLastEpochStartsUnset(t *testing.T) {
-	if f := NewFull(1); f.LastEpoch != -1 {
-		t.Errorf("LastEpoch = %d before any EpochSwitch, want -1", f.LastEpoch)
-	}
-}
-
-func TestRTTMeanEmpty(t *testing.T) {
-	var f Full
-	if f.RTTMean() != 0 {
-		t.Error("RTTMean on empty collector should be 0")
-	}
-}
-
 // recorder implements every core and extension event and counts them.
 type recorder struct {
 	Nop
@@ -277,16 +211,25 @@ func TestMultiFansOut(t *testing.T) {
 	}
 }
 
+// faultCounter subscribes to the fault extension and nothing else.
+type faultCounter struct {
+	Nop
+	kills int
+}
+
+func (f *faultCounter) Kill(int)    { f.kills++ }
+func (f *faultCounter) Reroute(int) {}
+
 // TestMultiSelectiveDispatch: extension events reach only the children
 // that implement the matching interface, in order.
 func TestMultiSelectiveDispatch(t *testing.T) {
-	full := NewFull(1)
+	fc := &faultCounter{}
 	r := &recorder{}
-	m := Multi{full, Nop{}, r}
+	m := Multi{fc, Nop{}, r}
 	m.Kill(0)
 	m.PacketHop(Hop{Packet: 1})
-	if full.Kills != 1 {
-		t.Error("Full missed the Kill dispatch")
+	if fc.kills != 1 {
+		t.Error("fault observer missed the Kill dispatch")
 	}
 	if r.kills != 1 || r.hops != 1 {
 		t.Error("recorder missed extension dispatch")

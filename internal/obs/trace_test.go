@@ -68,7 +68,7 @@ func TestTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+	net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTracerSamplesSubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := sys.NewNetwork(core.AlgUGALLVCH, core.PatternUR)
+		net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 		if err != nil {
 			t.Fatal(err)
 		}

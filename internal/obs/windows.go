@@ -66,7 +66,7 @@ type Window struct {
 // A window closes on the CycleEnd event of its last cycle, so a run of
 // k*Width cycles yields exactly k full windows. A trailing partial
 // window (cycles past the last Width boundary) is closed by Flush —
-// called automatically by core.Run and friends when the run finishes,
+// called automatically by core.RunW and friends when the run finishes,
 // or by hand — as a final short window covering (Start, End] with
 // End − Start < Width; without a Flush it is discarded.
 type Windows struct {
@@ -166,7 +166,7 @@ func (w *Windows) CycleEnd(cycle int64) {
 // span End − Start may be shorter than Width — packets ejected after
 // the last full-window boundary land here instead of vanishing. Flush
 // is idempotent for the same cycle (a no-op when no cycles elapsed
-// since the last close), so core.Run's automatic finish flush and an
+// since the last close), so core.RunW's automatic finish flush and an
 // explicit caller flush compose safely.
 func (w *Windows) Flush(cycle int64) {
 	if cycle > w.winStart {

@@ -19,7 +19,7 @@ func TestSingleGroupFallsBackToMinimal(t *testing.T) {
 	}
 	rc := sim.RunConfig{WarmupCycles: 200, MeasureCycles: 200, DrainCycles: 5000}
 	for _, alg := range []core.Algorithm{core.AlgVAL, core.AlgUGALL, core.AlgUGALG, core.AlgUGALLVC, core.AlgUGALLVCH, core.AlgUGALLCR} {
-		res, err := sys.Run(alg, core.PatternUR, 0.3, rc)
+		res, err := sys.RunW(alg, core.Workload{Traffic: "ur"}, 0.3, rc)
 		if err != nil {
 			t.Errorf("%s on 1-group dragonfly: %v", alg, err)
 			continue
@@ -44,7 +44,7 @@ func TestSingleGroupWorstCaseTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := sim.RunConfig{WarmupCycles: 200, MeasureCycles: 200, DrainCycles: 5000}
-	if _, err := sys.Run(core.AlgVAL, core.PatternWC, 0.2, rc); err != nil {
+	if _, err := sys.RunW(core.AlgVAL, core.Workload{Traffic: "wc"}, 0.2, rc); err != nil {
 		t.Errorf("VAL/WC on 1-group dragonfly: %v", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"dragonfly/internal/fault"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/sim"
+	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -208,7 +209,7 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 		}
 
 	case KindSweep:
-		// SweepPool is a coordinator — it wraps its own leaf work in
+		// SweepPoolW is a coordinator — it wraps its own leaf work in
 		// pool.Work — so it must not itself run under a pool slot.
 		// Completed points stream out as "point" events in load order.
 		pts, err := sys.SweepPoolW(s.pool, alg, wl, spec.Loads, rc, 2,
@@ -233,15 +234,12 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 
 // specWorkload rebuilds the run's Workload from a canonical JobSpec.
 // Specs journaled before the workload redesign carry only the legacy
-// Pattern spelling (empty Traffic); they map through core.PatternWorkload
-// exactly as Normalize would have mapped them.
+// Pattern spelling (empty Traffic); they resolve through
+// traffic.LegacyFamily exactly as Normalize would have resolved them.
 func specWorkload(spec JobSpec, terminals int) (core.Workload, error) {
 	if spec.Traffic == "" {
-		pat, err := core.ParsePattern(spec.Pattern)
-		if err != nil {
-			return core.Workload{}, err
-		}
-		return core.PatternWorkload(pat), nil
+		fam, err := traffic.LegacyFamily(spec.Pattern)
+		return core.Workload{Traffic: fam}, err
 	}
 	wl := core.Workload{
 		Traffic:       spec.Traffic,

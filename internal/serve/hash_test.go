@@ -233,6 +233,38 @@ func TestHashWorkloadSpellingsCancelOut(t *testing.T) {
 	}
 }
 
+// TestHashLegacyPatternSpellings pins the legacy "pattern" front door
+// to the registry: each spelling shares the cache entry of the family
+// it has always meant (and no other), keeps the submitted spelling for
+// display, and registry names are not accepted as pattern spellings.
+func TestHashLegacyPatternSpellings(t *testing.T) {
+	pairs := []struct{ pattern, traffic string }{
+		{"UR", "ur"}, {"WC", "wc"}, {"BitComplement", "bitcomp"}, {"Tornado", "tornado"}, {"Permutation", "perm"},
+	}
+	for i, p := range pairs {
+		legacy := Submission{Kind: KindRun, Algorithm: "MIN", Pattern: p.pattern, Load: 0.1}
+		spec, err := legacy.Normalize(Limits{})
+		if err != nil {
+			t.Fatalf("pattern %s: %v", p.pattern, err)
+		}
+		if spec.Pattern != p.pattern || spec.Traffic != p.traffic {
+			t.Errorf("pattern %s: spec shows %q and runs %q, want %q and %q", p.pattern, spec.Pattern, spec.Traffic, p.pattern, p.traffic)
+		}
+		for j, q := range pairs {
+			reg := Submission{Kind: KindRun, Algorithm: "MIN", Traffic: q.traffic, Load: 0.1}
+			if same := mustHash(t, legacy) == mustHash(t, reg); same != (i == j) {
+				t.Errorf("pattern %s vs traffic %s: hashes equal = %v, want %v", p.pattern, q.traffic, same, i == j)
+			}
+		}
+	}
+	for _, bad := range []string{"", "ur", "bitcomp", "hotspot"} {
+		sub := Submission{Kind: KindRun, Algorithm: "MIN", Pattern: bad, Load: 0.1}
+		if _, err := sub.Normalize(Limits{}); err == nil {
+			t.Errorf("pattern %q accepted, want a rejection", bad)
+		}
+	}
+}
+
 // TestNormalizeWorkloadRejections: the workload stanza is validated as
 // deeply as the topology one.
 func TestNormalizeWorkloadRejections(t *testing.T) {

@@ -29,8 +29,9 @@ type Submission struct {
 	Kind string `json:"kind"`
 	// Topology is the dragonfly under test.
 	Topology TopologySpec `json:"topology"`
-	// Algorithm and Pattern name a routing algorithm and traffic
-	// pattern (core.Algorithms / core.Patterns).
+	// Algorithm and Pattern name a routing algorithm and a legacy
+	// traffic pattern spelling (core.Algorithms; UR, WC, BitComplement,
+	// Tornado or Permutation — see traffic.LegacyFamily).
 	Algorithm string `json:"algorithm"`
 	Pattern   string `json:"pattern,omitempty"`
 	// Traffic selects a registry traffic family with parameters
@@ -228,43 +229,36 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	}
 	s.Shards = sub.Shards
 
-	// Traffic: the legacy pattern enum and the registry spelling both
-	// canonicalise to family + fully-defaulted params, so the hash is
-	// canonical over meaning here too. Building the pattern against the
-	// real machine is the validation.
-	tenv := traffic.Env{Terminals: topo.Nodes(), Grouped: topo, Seed: s.Seed}
+	// Traffic: a legacy pattern spelling first resolves to its registry
+	// family; either spelling then canonicalises to family +
+	// fully-defaulted params, so the hash is canonical over meaning here
+	// too. Building the pattern against the real machine is the
+	// validation. Pattern keeps the submitted legacy spelling for display.
+	fam := sub.Traffic
 	switch {
-	case sub.Traffic != "":
-		if sub.Pattern != "" {
-			return s, badRequest("pattern %q and traffic %q are mutually exclusive; set one", sub.Pattern, sub.Traffic)
-		}
-		fam, params, err := canonFamily("traffic", sub.Traffic, sub.TrafficParams, traffic.FamilyNames(), trafficSchema)
+	case sub.Traffic != "" && sub.Pattern != "":
+		return s, badRequest("pattern %q and traffic %q are mutually exclusive; set one", sub.Pattern, sub.Traffic)
+	case sub.Traffic == "" && len(sub.TrafficParams) > 0:
+		return s, badRequest(`"traffic_params" needs a "traffic" family`)
+	case sub.Traffic == "":
+		legacy, err := traffic.LegacyFamily(sub.Pattern)
 		if err != nil {
 			return s, badRequest("%v", err)
 		}
-		if _, err := traffic.Build(fam, tenv, params); err != nil {
-			return s, badRequest("%v", err)
-		}
-		s.Traffic, s.TrafficParams = fam, params
+		fam = legacy
+	}
+	fam, params, err := canonFamily("traffic", fam, sub.TrafficParams, traffic.FamilyNames(), trafficSchema)
+	if err != nil {
+		return s, badRequest("%v", err)
+	}
+	tenv := traffic.Env{Terminals: topo.Nodes(), Grouped: topo, Seed: s.Seed}
+	if _, err := traffic.Build(fam, tenv, params); err != nil {
+		return s, badRequest("%v", err)
+	}
+	s.Traffic, s.TrafficParams = fam, params
+	s.Pattern = sub.Pattern
+	if s.Pattern == "" {
 		s.Pattern = fam
-	default:
-		if len(sub.TrafficParams) > 0 {
-			return s, badRequest(`"traffic_params" needs a "traffic" family`)
-		}
-		pat, err := core.ParsePattern(sub.Pattern)
-		if err != nil {
-			return s, badRequest("%v", err)
-		}
-		w := core.PatternWorkload(pat)
-		fam, params, err := canonFamily("traffic", w.Traffic, nil, traffic.FamilyNames(), trafficSchema)
-		if err != nil {
-			return s, badRequest("%v", err)
-		}
-		if _, err := traffic.Build(fam, tenv, params); err != nil {
-			return s, badRequest("%v", err)
-		}
-		s.Traffic, s.TrafficParams = fam, params
-		s.Pattern = sub.Pattern
 	}
 
 	// Workload: canonicalise the arrival process. An explicit

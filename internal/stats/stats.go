@@ -1,13 +1,12 @@
 // Package stats provides the measurement machinery used by the
-// simulator and the experiment harness: online latency accumulators,
-// latency histograms (Figure 12), and per-channel utilisation counters
-// (Figure 9). It is dependency-free so every other package can use it.
+// simulator and the experiment harness: online latency accumulators
+// and latency histograms (Figure 12). It is dependency-free so every
+// other package can use it.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator tracks count, mean, min, max and variance of a stream of
@@ -153,38 +152,6 @@ func (h *Histogram) String() string {
 		h.total, len(h.count), h.Width, h.Percentile(0.5), h.Percentile(0.99))
 }
 
-// ChannelUtil accumulates per-channel busy-cycle counts over a
-// measurement window, producing the utilisation series of Figure 9.
-type ChannelUtil struct {
-	busy   []int64
-	cycles int64
-}
-
-// NewChannelUtil creates counters for n channels.
-func NewChannelUtil(n int) *ChannelUtil {
-	return &ChannelUtil{busy: make([]int64, n)}
-}
-
-// Record adds one busy cycle (one flit traversal) to channel i.
-func (u *ChannelUtil) Record(i int) { u.busy[i]++ }
-
-// SetWindow records the number of cycles the counters cover.
-func (u *ChannelUtil) SetWindow(cycles int64) { u.cycles = cycles }
-
-// Channels returns the number of channels tracked.
-func (u *ChannelUtil) Channels() int { return len(u.busy) }
-
-// Utilization returns channel i's busy fraction over the window.
-func (u *ChannelUtil) Utilization(i int) float64 {
-	if u.cycles == 0 {
-		return 0
-	}
-	return float64(u.busy[i]) / float64(u.cycles)
-}
-
-// Busy returns the raw busy-cycle count of channel i.
-func (u *ChannelUtil) Busy(i int) int64 { return u.busy[i] }
-
 // Summary holds the aggregate results every experiment reports.
 type Summary struct {
 	// Offered is the injection rate in flits/cycle/terminal.
@@ -201,17 +168,4 @@ type Summary struct {
 	// Saturated reports that the network could not sustain the offered
 	// load (the drain phase timed out or accepted lagged offered).
 	Saturated bool
-}
-
-// Median returns the median of a slice (copied, not modified).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if len(c)%2 == 1 {
-		return c[len(c)/2]
-	}
-	return (c[len(c)/2-1] + c[len(c)/2]) / 2
 }

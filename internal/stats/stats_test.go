@@ -167,45 +167,3 @@ func TestHistogramWidthClamped(t *testing.T) {
 		t.Errorf("width 0 should clamp to 1, got %d", h.Width)
 	}
 }
-
-func TestChannelUtil(t *testing.T) {
-	u := NewChannelUtil(4)
-	u.Record(0)
-	u.Record(0)
-	u.Record(3)
-	u.SetWindow(10)
-	if u.Channels() != 4 {
-		t.Errorf("Channels = %d", u.Channels())
-	}
-	if u.Utilization(0) != 0.2 {
-		t.Errorf("Utilization(0) = %v, want 0.2", u.Utilization(0))
-	}
-	if u.Utilization(1) != 0 {
-		t.Errorf("Utilization(1) = %v, want 0", u.Utilization(1))
-	}
-	if u.Busy(3) != 1 {
-		t.Errorf("Busy(3) = %d, want 1", u.Busy(3))
-	}
-	empty := NewChannelUtil(1)
-	if empty.Utilization(0) != 0 {
-		t.Error("zero-window utilization should be 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("Median odd = %v, want 2", m)
-	}
-	if m := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Errorf("Median even = %v, want 2.5", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Errorf("Median empty = %v, want 0", m)
-	}
-	// Median must not reorder the input.
-	in := []float64{9, 1, 5}
-	Median(in)
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Error("Median mutated its input")
-	}
-}

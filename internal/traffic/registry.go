@@ -173,6 +173,32 @@ func FamilyByName(name string) (Family, bool) {
 	return Family{}, false
 }
 
+// legacyNames are the pattern spellings of the paper-era front doors
+// (dfly-sim -pattern, the job service's "pattern" field), in listing
+// order, each with the registry family it denotes.
+var legacyNames = []struct{ spelling, family string }{
+	{"UR", "ur"},
+	{"WC", "wc"},
+	{"BitComplement", "bitcomp"},
+	{"Tornado", "tornado"},
+	{"Permutation", "perm"},
+}
+
+// LegacyFamily resolves a legacy pattern spelling ("UR", "WC",
+// "BitComplement", "Tornado", "Permutation"; matched case-sensitively)
+// to its registry family name. Family names themselves are not legacy
+// spellings and are rejected.
+func LegacyFamily(spelling string) (string, error) {
+	names := make([]string, len(legacyNames))
+	for i, l := range legacyNames {
+		if l.spelling == spelling {
+			return l.family, nil
+		}
+		names[i] = l.spelling
+	}
+	return "", fmt.Errorf("traffic: unknown traffic pattern %q (supported: %v)", spelling, names)
+}
+
 // Build constructs a pattern of the named family from a (possibly
 // partial) parameter map: omitted keys take the schema defaults,
 // unknown keys are rejected with the valid set in the error. A nil map

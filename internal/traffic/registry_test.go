@@ -74,6 +74,31 @@ func TestRegistryLookupFoldsCase(t *testing.T) {
 	}
 }
 
+func TestLegacyFamily(t *testing.T) {
+	for spelling, want := range map[string]string{
+		"UR":            "ur",
+		"WC":            "wc",
+		"BitComplement": "bitcomp",
+		"Tornado":       "tornado",
+		"Permutation":   "perm",
+	} {
+		got, err := LegacyFamily(spelling)
+		if err != nil || got != want {
+			t.Errorf("LegacyFamily(%q) = %q, %v; want %q", spelling, got, err, want)
+		}
+		if _, ok := FamilyByName(got); !ok {
+			t.Errorf("LegacyFamily(%q) = %q, which is not a registered family", spelling, got)
+		}
+	}
+	// Only the legacy spellings resolve, case-sensitively: registry
+	// names, other case forms and the empty string are rejected.
+	for _, spelling := range []string{"ur", "bitcomp", "hotspot", "", "wc", "Ur", "bitcomplement"} {
+		if got, err := LegacyFamily(spelling); err == nil {
+			t.Errorf("LegacyFamily(%q) = %q, want an error", spelling, got)
+		}
+	}
+}
+
 func TestRegistryRejectsUnknownParams(t *testing.T) {
 	d := testDF(t)
 	env := Env{Terminals: d.Nodes(), Grouped: d}
