@@ -210,7 +210,10 @@ func (n *Network) applyEpoch(v *topology.Degraded) error {
 		n.mcEpoch.EpochSwitch(n.now, n.epochIdx)
 	}
 	// The passes above rewrite queues wholesale, bypassing the
-	// occupancy counters the cycle pipeline skips on; rebuild them.
+	// occupancy counters the cycle pipeline skips on and UGAL's queue
+	// estimates (Router.PendingOut) read; rebuild them before the next
+	// cycle routes anything. (Rescue itself only calls NextHop, which
+	// reads no queue.)
 	n.recount()
 	if arenaDebug {
 		if err := n.CheckFlowInvariants(); err != nil {

@@ -160,11 +160,13 @@ func (r *Router) init(id int, topo Topology, cfg Config, counts []int32) {
 		r.inLink[p] = nilLink
 		r.isTerm[p] = topo.Port(id, p).Class == topology.ClassTerminal
 	}
-	// Pre-size every ring to its steady-state bound so the hot loop
-	// never allocates: waitQ backs the input buffer (depth flits per
-	// VC), outQ is bounded by outDepth, and a port's credit queue holds
-	// at most one credit per downstream buffer slot. Source queues are
-	// unbounded but start at the buffer depth and amortize from there.
+	// Pre-size the rings so the hot loop rarely allocates: outQ is
+	// bounded by outDepth, and a port's credit queue holds at most one
+	// credit per downstream buffer slot. waitQ is not bounded by the
+	// buffer depth — it collects flits from every input port, up to
+	// radix × VCs × depth (TestVOQGrowsPastBufDepth) — so, like the
+	// unbounded source queues, it starts at the buffer depth and
+	// amortizes from there.
 	for p := 0; p < radix; p++ {
 		r.srcQ[p].reserve(cfg.BufDepth)
 		r.ctq[p].reserve(cfg.VCs * cfg.BufDepth)
@@ -230,14 +232,13 @@ func (r *Router) DownstreamQueue(port int) int {
 }
 
 // PendingOut returns the number of packets queued at this router for
-// output `port`, in the output buffer or still waiting to cross.
+// output `port`, in the output buffer or still waiting to cross. It
+// reads the per-port occupancy counters, which are exact wherever
+// routing runs: every push and pop keeps them current, and the bulk
+// queue rewrites (epoch swaps, snapshot restore) recount them before
+// the next routing decision.
 func (r *Router) PendingOut(port int) int {
-	n := 0
-	base := port * r.vcs
-	for vc := 0; vc < r.vcs; vc++ {
-		n += r.waitQ[base+vc].len() + r.outQ[base+vc].len()
-	}
-	return n
+	return int(r.waitPort[port] + r.outPort[port])
 }
 
 // PendingOutVC returns the queued count for (port, vc).

@@ -333,6 +333,9 @@ func (n *Network) checkCounters() error {
 			if w != r.waitPort[p] || o != r.outPort[p] {
 				return &InvariantError{Kind: "port occupancy counter", Router: i, Port: p, Cycle: n.now}
 			}
+			if r.PendingOut(p) != int(w+o) {
+				return &InvariantError{Kind: "pending-out estimate", Router: i, Port: p, Cycle: n.now}
+			}
 			wait += w
 			out += o
 		}
