@@ -23,8 +23,8 @@ func severPair(t *testing.T, d *topology.Dragonfly, ga, gb int) *topology.Degrad
 		}
 	}
 	dg := topology.NewDegraded(d, plan)
-	if dg.LiveChannels(ga, gb) != 0 {
-		t.Fatalf("severPair left %d live channels between %d and %d", dg.LiveChannels(ga, gb), ga, gb)
+	if n := dg.LiveSlots().Count(ga, gb); n != 0 {
+		t.Fatalf("severPair left %d live channels between %d and %d", n, ga, gb)
 	}
 	return dg
 }

@@ -43,20 +43,21 @@ func TestDegradedEmptyPlanIsPristine(t *testing.T) {
 	if r+g+l+tm != 0 {
 		t.Errorf("FaultCounts = (%d,%d,%d,%d), want zeros", r, g, l, tm)
 	}
-	// LiveGlobalSlot must match GlobalSlot exactly: routing with an empty
-	// fault plan stays bit-identical to pristine routing.
+	// The live slot lists must match GlobalSlot exactly: routing with an
+	// empty fault plan stays bit-identical to pristine routing.
+	live := dg.LiveSlots()
 	for ga := 0; ga < d.G; ga++ {
 		for gb := 0; gb < d.G; gb++ {
 			if ga == gb {
 				continue
 			}
 			n := d.ChannelsBetween(ga, gb)
-			if dg.LiveChannels(ga, gb) != n {
-				t.Fatalf("LiveChannels(%d,%d) = %d, want %d", ga, gb, dg.LiveChannels(ga, gb), n)
+			if live.Count(ga, gb) != n {
+				t.Fatalf("live slots (%d,%d): %d, want %d", ga, gb, live.Count(ga, gb), n)
 			}
-			for m := 0; m < n; m++ {
-				if got, want := dg.LiveGlobalSlot(ga, gb, m), d.GlobalSlot(ga, gb, m); got != want {
-					t.Fatalf("LiveGlobalSlot(%d,%d,%d) = %d, want GlobalSlot %d", ga, gb, m, got, want)
+			for m, got := range live.Pair(ga, gb) {
+				if want := d.GlobalSlot(ga, gb, m); int(got) != want {
+					t.Fatalf("live slot (%d,%d,%d) = %d, want GlobalSlot %d", ga, gb, m, got, want)
 				}
 			}
 			if !dg.GroupsReachable(ga, gb) {
@@ -89,8 +90,8 @@ func TestDegradedChannelDeadBothEnds(t *testing.T) {
 		t.Errorf("dead global channels = %d, want 1", g)
 	}
 	ga, gb := d.RouterGroup(0), d.RouterGroup(pt.PeerRouter)
-	if dg.LiveChannels(ga, gb) != d.ChannelsBetween(ga, gb)-1 {
-		t.Errorf("LiveChannels(%d,%d) = %d, want %d", ga, gb, dg.LiveChannels(ga, gb), d.ChannelsBetween(ga, gb)-1)
+	if n := dg.LiveSlots().Count(ga, gb); n != d.ChannelsBetween(ga, gb)-1 {
+		t.Errorf("live slots (%d,%d): %d, want %d", ga, gb, n, d.ChannelsBetween(ga, gb)-1)
 	}
 	if !dg.Connected() {
 		t.Error("one dead channel disconnected the network")
@@ -147,11 +148,8 @@ func TestDegradedDisconnection(t *testing.T) {
 		if dg.GroupsReachable(0, gb) {
 			t.Errorf("group 0 still reaches group %d with all its cables cut", gb)
 		}
-		if dg.LiveChannels(0, gb) != 0 {
-			t.Errorf("LiveChannels(0,%d) = %d, want 0", gb, dg.LiveChannels(0, gb))
-		}
-		if dg.LiveGlobalSlot(0, gb, 0) != -1 {
-			t.Errorf("LiveGlobalSlot(0,%d,0) != -1", gb)
+		if n := dg.LiveSlots().Count(0, gb); n != 0 {
+			t.Errorf("live slots (0,%d): %d, want 0", gb, n)
 		}
 	}
 	if !dg.GroupsReachable(1, 2) {
