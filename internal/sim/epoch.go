@@ -34,9 +34,11 @@ import (
 // Determinism: the swap iterates routers, ports, VCs and links in index
 // order and consults only per-network state, so a timeline run is
 // bit-identical across hosts and worker counts. With a sharded engine
-// the swap still runs serially, on the coordinator, at the per-cycle
-// barrier after the mailbox drain — every mailbox is provably empty, so
-// the kill/rescue passes see exactly the state the serial engine would.
+// the swap still runs serially, on the coordinator, before the cycle's
+// parallel phase: the coordinator first drains every shard's mailboxes
+// (the drain each shard's phase would open with), so every mailbox is
+// provably empty and the kill/rescue passes see exactly the state the
+// serial engine would.
 
 // Epoch is one interval of a fault timeline as the simulator consumes
 // it: View governs the network from cycle Start until the next epoch's
@@ -114,12 +116,18 @@ func (n *Network) KilledInFlight() int64 { return n.killedInFlight }
 // a new epoch because their queued output died.
 func (n *Network) Rerouted() int64 { return n.rerouted }
 
+// epochDue reports whether an epoch's Start has been reached this
+// cycle, so Step must apply it before the cycle's pipeline runs.
+func (n *Network) epochDue() bool {
+	return n.epochIdx+1 < len(n.epochs) && n.epochs[n.epochIdx+1].Start <= n.now
+}
+
 // advanceEpochs applies every epoch whose Start has been reached. Run
 // from Step after the cycle counter advances, before delivery: flits
 // that would have completed a dead link exactly at the event cycle are
 // killed, not delivered.
 func (n *Network) advanceEpochs() error {
-	for n.epochIdx+1 < len(n.epochs) && n.epochs[n.epochIdx+1].Start <= n.now {
+	for n.epochDue() {
 		n.epochIdx++
 		if err := n.applyEpoch(n.epochs[n.epochIdx].View); err != nil {
 			return err
@@ -387,14 +395,16 @@ func (n *Network) CheckFlowInvariants() error {
 		transit = make(map[int64]int)
 		for s := range n.shards {
 			sh := &n.shards[s]
-			for _, out := range sh.flitOut {
-				for i := range out {
-					transit[int64(out[i].link)<<8|int64(out[i].vc)]++
+			for p := range sh.flitOut {
+				for _, out := range sh.flitOut[p] {
+					for i := range out {
+						transit[int64(out[i].link)<<8|int64(out[i].vc)]++
+					}
 				}
-			}
-			for _, out := range sh.credOut {
-				for i := range out {
-					transit[int64(out[i].link)<<8|int64(out[i].vc)]++
+				for _, out := range sh.credOut[p] {
+					for i := range out {
+						transit[int64(out[i].link)<<8|int64(out[i].vc)]++
+					}
 				}
 			}
 		}

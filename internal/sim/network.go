@@ -49,13 +49,12 @@ type Network struct {
 	// Engine shards: the partition of routers/terminals/arena state
 	// (always at least one), the router→shard map, the prebuilt phase
 	// closures and their barrier. inPhase is true only while the
-	// parallel main phase runs, and gates event buffering and mailbox
+	// parallel phase runs, and gates event buffering and mailbox
 	// routing; it is written exclusively by the coordinator between
 	// barriers.
 	shards      []shard
 	routerShard []int32
-	drainFns    []func()
-	mainFns     []func()
+	phaseFns    []func()
 	wg          sync.WaitGroup
 	inPhase     bool
 
@@ -411,8 +410,9 @@ func (n *Network) nextHop(sh *shard, r *Router, ref int32) error {
 // network state can no longer be trusted; unroutable packets are dropped
 // and counted, not errors.
 //
-// With more than one shard the cycle runs as drain → epoch swap →
-// parallel main phase → event fold (see shard.go); with one shard it
+// With more than one shard the cycle runs as epoch swap (if due) → one
+// parallel phase, in which each shard drains its inbound mailboxes and
+// then runs the pipeline → event fold (see shard.go); with one shard it
 // runs inline on the calling goroutine.
 func (n *Network) Step() error {
 	// Cancellation checkpoint: observed between cycles, before anything
@@ -441,7 +441,7 @@ func (n *Network) Step() error {
 
 // stepSerial is Step's single-shard body, run inline.
 func (n *Network) stepSerial() error {
-	if n.epochs != nil {
+	if n.epochDue() {
 		if err := n.advanceEpochs(); err != nil {
 			return err
 		}
@@ -860,7 +860,8 @@ func (n *Network) allocate(sh *shard, r *Router) {
 			}
 			if ds := n.routerShard[l.dst]; int(ds) != sh.idx {
 				fl := sh.ar.flags[ref]
-				sh.flitOut[ds] = append(sh.flitOut[ds], flitXfer{
+				out := &sh.flitOut[n.now&1][ds]
+				*out = append(*out, flitXfer{
 					at:       n.now + l.latency,
 					create:   sh.ar.create[ref],
 					inject:   sh.ar.inject[ref],

@@ -19,9 +19,13 @@ import (
 // endpoints live in different shards: flits leaving the sender's last
 // router and credits returning upstream. Those are posted into
 // per-(sender, receiver) mailboxes during the cycle and drained by the
-// receiving shard at the start of the next cycle, before delivery — the
-// same cycle the serial engine would pop them off the wire, because
-// every channel latency is at least one cycle. Per link there is a
+// receiving shard at the start of its next cycle's phase, before
+// delivery — the same cycle the serial engine would pop them off the
+// wire, because every channel latency is at least one cycle. A cycle is
+// therefore one parallel phase behind one barrier. The outboxes are
+// double-buffered by cycle parity: cycle t appends to parity t&1 and
+// drains parity (t-1)&1, so no shard reads a slice another shard is
+// appending to. Per link there is a
 // single producer (flits: the shard of the link's source router;
 // credits: the shard of its destination router) and a single consumer,
 // and at most one flit enters a link per cycle, so queue order — and
@@ -39,9 +43,10 @@ import (
 // of ejections, are identical.
 //
 // Fault timelines compose with sharding because epoch swaps land on
-// the barrier: advanceEpochs runs serially on the coordinator between
-// the mailbox drain and the parallel phase, when every mailbox is
-// empty and no shard is running.
+// the barrier: on a cycle where an epoch is due, the coordinator drains
+// every shard's mailboxes serially and then runs advanceEpochs before
+// the parallel phase, when every mailbox is empty and no shard is
+// running; the phase's own drain then finds nothing.
 
 // shardLink is one entry of a shard's per-cycle link walk. A shard
 // handles the flit side of the links it owns the destination router of
@@ -130,11 +135,12 @@ type shard struct {
 	injectedWindow int64
 	ejectedWindow  int64
 
-	// Outboxes, indexed by receiving shard (the self slot stays nil):
-	// appended during the parallel phase, drained — and reset — by the
-	// receiver at the start of the next cycle.
-	flitOut [][]flitXfer
-	credOut [][]credXfer
+	// Outboxes, indexed by cycle parity and then by receiving shard
+	// (the self slot stays nil): cycle t's phase appends to parity t&1;
+	// the receiver drains — and resets — them at the start of its phase
+	// in cycle t+1.
+	flitOut [2][][]flitXfer
+	credOut [2][][]credXfer
 
 	// Buffered collector/OnEject events, replayed in shard order.
 	ev []evRec
@@ -218,8 +224,10 @@ func (n *Network) buildShards(k int) {
 			sh.g0, sh.g1 = s*g/k, (s+1)*g/k
 		}
 		sh.r0, sh.r1 = -1, -1
-		sh.flitOut = make([][]flitXfer, k)
-		sh.credOut = make([][]credXfer, k)
+		for p := range sh.flitOut {
+			sh.flitOut[p] = make([][]flitXfer, k)
+			sh.credOut[p] = make([][]credXfer, k)
+		}
 	}
 	for r := 0; r < nR; r++ {
 		sh := &n.shards[n.routerShard[r]]
@@ -269,16 +277,13 @@ func (n *Network) buildShards(k int) {
 	n.recountLinks() // router counters do not depend on the partition
 	// Prebuilt phase closures: Step runs these verbatim every cycle
 	// (shard 0's on the coordinator, the rest on fresh goroutines), so
-	// the steady state allocates nothing.
-	n.drainFns = make([]func(), k)
-	n.mainFns = make([]func(), k)
+	// the steady state allocates nothing. Each drains the mailboxes the
+	// previous cycle posted to its shard, then runs the pipeline.
+	n.phaseFns = make([]func(), k)
 	for s := range n.shards {
 		sh := &n.shards[s]
-		n.drainFns[s] = func() {
-			n.drainShard(sh)
-			n.wg.Done()
-		}
-		n.mainFns[s] = func() {
+		n.phaseFns[s] = func() {
+			n.drainShard(sh, (n.now-1)&1)
 			sh.err = n.mainShard(sh)
 			n.wg.Done()
 		}
@@ -343,12 +348,21 @@ func (n *Network) checkCounters() error {
 			return &InvariantError{Kind: "router occupancy counter", Router: i, Port: -1, Cycle: n.now}
 		}
 	}
+	drained := (n.now - 1) & 1
 	for s := range n.shards {
 		sh := &n.shards[s]
 		for i, sl := range sh.linkOrder {
 			if sh.linkPend[i] != n.linkQueued(sl) {
 				l := &n.links[sl.id]
 				return &InvariantError{Kind: "link occupancy counter", Router: l.src, Port: l.srcPort, Cycle: n.now}
+			}
+		}
+		// The parity the last phase drained must be empty: a non-empty
+		// one means a receiver read the wrong parity and its traffic
+		// would be delivered a cycle late, or never.
+		for d := range sh.flitOut[drained] {
+			if len(sh.flitOut[drained][d]) != 0 || len(sh.credOut[drained][d]) != 0 {
+				return &InvariantError{Kind: "undrained mailbox", Router: sh.r0, Port: -1, Cycle: n.now}
 			}
 		}
 	}
@@ -358,8 +372,8 @@ func (n *Network) checkCounters() error {
 // shardForRouter returns the shard owning router r.
 func (n *Network) shardForRouter(r int) *shard { return &n.shards[n.routerShard[r]] }
 
-// runPhase runs one per-shard phase to completion on all shards:
-// shards 1..k-1 on goroutines of their own, shard 0 on the calling one.
+// runPhase runs the cycle's phase to completion on all shards: shards
+// 1..k-1 on goroutines of their own, shard 0 on the calling one.
 //
 // The caller yields once before running shard 0. The goroutine spawned
 // last sits in this P's runnext slot, which an idle P steals only
@@ -368,7 +382,8 @@ func (n *Network) shardForRouter(r int) *shard { return &n.shards[n.routerShard[
 // of one shard. Yielding hands runnext to this P at once and moves the
 // caller to the global run queue, where any woken P picks it up
 // without the back-off.
-func (n *Network) runPhase(fns []func()) {
+func (n *Network) runPhase() {
+	fns := n.phaseFns
 	n.wg.Add(len(fns))
 	for i := 1; i < len(fns); i++ {
 		go fns[i]()
@@ -378,18 +393,22 @@ func (n *Network) runPhase(fns []func()) {
 	n.wg.Wait()
 }
 
-// stepSharded is Step's parallel body: drain the mailboxes filled last
-// cycle, apply any epoch swap on the (empty-mailbox) barrier, run the
-// main pipeline phase, then fold the buffered events in shard order.
+// stepSharded is Step's parallel body: apply any epoch swap that is
+// due (after draining every mailbox serially, so the swap sees them
+// empty), run the one parallel phase — each shard drains its inbound
+// mailboxes, then runs the pipeline — and fold the buffered events in
+// shard order.
 func (n *Network) stepSharded() error {
-	n.runPhase(n.drainFns)
-	if n.epochs != nil {
+	if n.epochDue() {
+		for i := range n.shards {
+			n.drainShard(&n.shards[i], (n.now-1)&1)
+		}
 		if err := n.advanceEpochs(); err != nil {
 			return err
 		}
 	}
 	n.inPhase = true
-	n.runPhase(n.mainFns)
+	n.runPhase()
 	n.inPhase = false
 	for i := range n.shards {
 		if err := n.shards[i].err; err != nil {
@@ -405,15 +424,16 @@ func (n *Network) stepSharded() error {
 	return nil
 }
 
-// drainShard moves last cycle's inbound mailbox traffic onto this
+// drainShard moves the inbound mailbox traffic of one parity onto this
 // shard's links: flits are re-homed into the shard's arena, credits
 // pushed into the upstream delay lines. Every delivery time in a
 // mailbox is at least the current cycle (channel latencies are >= 1),
 // so draining before deliver reproduces the serial pop timing exactly.
-func (n *Network) drainShard(sh *shard) {
+// The phase, the epoch-swap cycle and Snapshot all drain through here.
+func (n *Network) drainShard(sh *shard, parity int64) {
 	for si := range n.shards {
 		src := &n.shards[si]
-		in := src.flitOut[sh.idx]
+		in := src.flitOut[parity][sh.idx]
 		for i := range in {
 			x := &in[i]
 			ref := sh.ar.alloc()
@@ -436,15 +456,15 @@ func (n *Network) drainShard(sh *shard) {
 			l.flits.push(flitEntry{at: x.at, ref: ref, vc: x.vc})
 			sh.linkPend[l.flitSlot]++
 		}
-		src.flitOut[sh.idx] = in[:0]
-		cin := src.credOut[sh.idx]
+		src.flitOut[parity][sh.idx] = in[:0]
+		cin := src.credOut[parity][sh.idx]
 		for i := range cin {
 			c := &cin[i]
 			l := &n.links[c.link]
 			l.credits.push(c.vc, c.at)
 			sh.linkPend[l.credSlot]++
 		}
-		src.credOut[sh.idx] = cin[:0]
+		src.credOut[parity][sh.idx] = cin[:0]
 	}
 }
 
@@ -528,7 +548,8 @@ func (n *Network) replayShard(sh *shard) {
 func (n *Network) pushCredit(sh *shard, l *link, vc uint8, at int64) {
 	if ss := n.routerShard[l.src]; int(ss) != sh.idx {
 		if n.inPhase {
-			sh.credOut[ss] = append(sh.credOut[ss], credXfer{link: int32(l.id), at: at, vc: vc})
+			out := &sh.credOut[n.now&1][ss]
+			*out = append(*out, credXfer{link: int32(l.id), at: at, vc: vc})
 			return
 		}
 		sh = &n.shards[ss] // the credit side's counter lives with l.src
@@ -552,15 +573,18 @@ func (n *Network) emitDrop(sh *shard, router int) {
 
 // Totals: Network-level counters are the sum of the per-shard counters
 // plus the packets sitting in mailboxes between the allocate that
-// posted them and the drain that re-homes them.
+// posted them and the drain that re-homes them. Both parities are
+// counted; between Steps at most one is non-empty.
 
 func (n *Network) totalInFlight() int {
 	t := 0
 	for i := range n.shards {
 		sh := &n.shards[i]
 		t += sh.inFlight
-		for _, out := range sh.flitOut {
-			t += len(out)
+		for p := range sh.flitOut {
+			for _, out := range sh.flitOut[p] {
+				t += len(out)
+			}
 		}
 	}
 	return t
@@ -571,10 +595,12 @@ func (n *Network) totalOutstanding() int {
 	for i := range n.shards {
 		sh := &n.shards[i]
 		t += sh.outstanding
-		for _, out := range sh.flitOut {
-			for j := range out {
-				if out[j].flags&pfMeasured != 0 {
-					t++
+		for p := range sh.flitOut {
+			for _, out := range sh.flitOut[p] {
+				for j := range out {
+					if out[j].flags&pfMeasured != 0 {
+						t++
+					}
 				}
 			}
 		}

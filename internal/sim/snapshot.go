@@ -26,10 +26,11 @@ import (
 // (which is behaviourally irrelevant) is free to differ.
 //
 // Before encoding, any in-transit mailbox traffic of the sharded engine
-// is drained serially — exactly the drain the next Step would perform
-// first, so the canonical form is also a bit-identical continuation
-// point. Collector state (AttachMetrics, hop tracers) is NOT part of a
-// snapshot: observers re-attach after Restore.
+// is drained serially — exactly the drain each shard's phase in the
+// next Step would open with, so the canonical form is also a
+// bit-identical continuation point. Collector state (AttachMetrics,
+// hop tracers) is NOT part of a snapshot: observers re-attach after
+// Restore.
 //
 // Layout (all integers little-endian, fixed width; floats as IEEE-754
 // bits):
@@ -76,7 +77,7 @@ func (n *Network) Snapshot() ([]byte, error) {
 
 func (n *Network) snapshot(rs *runState) ([]byte, error) {
 	for i := range n.shards {
-		n.drainShard(&n.shards[i])
+		n.drainShard(&n.shards[i], n.now&1)
 	}
 	b := make([]byte, 0, n.snapshotSizeHint())
 	b = append(b, snapMagic...)
