@@ -55,11 +55,11 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 // TestSteadyStateZeroAllocSharded extends the gate to the sharded
 // engine: per-shard arenas, mailboxes and event buffers are warmed the
-// same way, and the barrier machinery reuses its prebuilt closures and
-// WaitGroup — so a sharded Step with collectors detached must stay
-// allocation-free per cycle too. AllocsPerRun reads the global malloc
-// counter, so an allocation on any shard goroutine fails the gate, not
-// just one on the caller.
+// same way, and the phase dispatch reuses its prebuilt closures and
+// the network's persistent worker crew — so a sharded Step with
+// collectors detached must stay allocation-free per cycle too.
+// AllocsPerRun reads the global malloc counter, so an allocation on
+// any shard goroutine fails the gate, not just one on the caller.
 func TestSteadyStateZeroAllocSharded(t *testing.T) {
 	net := steadyNet(t, 4)
 	var stepErr error

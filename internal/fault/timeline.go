@@ -29,14 +29,14 @@ type Timeline struct {
 type opKind uint8
 
 const (
-	opFailChannels opKind = iota // k random channels of a class
-	opFailFraction               // fraction of a class
-	opFailRouter                 // a specific router id
-	opFailRouters                // k random routers
-	opRecoverChannels            // k random failed channels of a class
-	opRecoverRouter              // a specific router id
-	opRecoverRouters             // k random failed routers
-	opRecoverAll                 // clear every failure
+	opFailChannels    opKind = iota // k random channels of a class
+	opFailFraction                  // fraction of a class
+	opFailRouter                    // a specific router id
+	opFailRouters                   // k random routers
+	opRecoverChannels               // k random failed channels of a class
+	opRecoverRouter                 // a specific router id
+	opRecoverRouters                // k random failed routers
+	opRecoverAll                    // clear every failure
 )
 
 // tevent is one scheduled event. Events at the same cycle apply in

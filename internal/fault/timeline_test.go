@@ -260,19 +260,19 @@ func TestParseTimeline(t *testing.T) {
 	}
 
 	bad := []string{
-		"fail global=1",            // missing @CYCLE
-		"@x fail global=1",         // bad cycle
-		"@-5 fail global=1",        // negative cycle
-		"@10 explode global=1",     // bad verb
-		"@10 fail",                 // nothing to fail
-		"@10 fail all",             // all is recover-only
-		"@10 fail widgets=1",       // unknown key
-		"@10 fail router=0.5",      // router id as fraction
-		"@10 recover global=0.5",   // recover fraction
-		"@10 fail global",          // missing =value
-		"@10 fail global=banana",   // unparseable amount
-		"@10 fail routers=0.25",    // router count as fraction
-		"@10 fail global=-2",       // negative amount
+		"fail global=1",          // missing @CYCLE
+		"@x fail global=1",       // bad cycle
+		"@-5 fail global=1",      // negative cycle
+		"@10 explode global=1",   // bad verb
+		"@10 fail",               // nothing to fail
+		"@10 fail all",           // all is recover-only
+		"@10 fail widgets=1",     // unknown key
+		"@10 fail router=0.5",    // router id as fraction
+		"@10 recover global=0.5", // recover fraction
+		"@10 fail global",        // missing =value
+		"@10 fail global=banana", // unparseable amount
+		"@10 fail routers=0.25",  // router count as fraction
+		"@10 fail global=-2",     // negative amount
 	}
 	for _, spec := range bad {
 		if _, err := ParseTimeline(spec, 1); err == nil {

@@ -81,10 +81,10 @@ type Windows struct {
 	// Current-window accumulators. latScratch is the p99 sort buffer:
 	// percentiles must not reorder lats itself, which callers may be
 	// reading interleaved with window closes.
-	ejected    int64
-	latSum     int64
-	lats       []int64
-	latScratch []int64
+	ejected     int64
+	latSum      int64
+	lats        []int64
+	latScratch  []int64
 	localFlits  int64
 	globalFlits int64
 	vcOcc       []int64

@@ -92,11 +92,11 @@ func TestHashFamiliesDistinct(t *testing.T) {
 // deeply as the legacy one.
 func TestNormalizeTopologyRejections(t *testing.T) {
 	for name, topo := range map[string]TopologySpec{
-		"unknown family":  {Family: "hypercube"},
-		"unknown param":   {Family: "swapped", Params: map[string]int{"p": 2, "q": 4}},
-		"mixed spellings": {Family: "swapped", P: 2},
+		"unknown family":    {Family: "hypercube"},
+		"unknown param":     {Family: "swapped", Params: map[string]int{"p": 2, "q": 4}},
+		"mixed spellings":   {Family: "swapped", P: 2},
 		"params w/o family": {Params: map[string]int{"p": 2}},
-		"invalid build":   {Family: "swapped", Params: map[string]int{"p": 2, "k": 4, "m": 9}},
+		"invalid build":     {Family: "swapped", Params: map[string]int{"p": 2, "k": 4, "m": 9}},
 	} {
 		sub := Submission{Kind: KindRun, Algorithm: "MIN", Pattern: "UR", Load: 0.1, Topology: topo}
 		if _, err := sub.Normalize(Limits{}); err == nil {
@@ -269,10 +269,13 @@ func TestHashLegacyPatternSpellings(t *testing.T) {
 // deeply as the topology one.
 func TestNormalizeWorkloadRejections(t *testing.T) {
 	for name, mutate := range map[string]func(*Submission){
-		"pattern and traffic":      func(s *Submission) { s.Traffic = "ur" },
-		"unknown traffic":          func(s *Submission) { s.Pattern, s.Traffic = "", "chaos" },
-		"unknown traffic param":    func(s *Submission) { s.Pattern, s.Traffic = "", "hotspot"; s.TrafficParams = map[string]int{"heat": 3} },
-		"bad traffic param":        func(s *Submission) { s.Pattern, s.Traffic = "", "hotspot"; s.TrafficParams = map[string]int{"pct": 200} },
+		"pattern and traffic":   func(s *Submission) { s.Traffic = "ur" },
+		"unknown traffic":       func(s *Submission) { s.Pattern, s.Traffic = "", "chaos" },
+		"unknown traffic param": func(s *Submission) { s.Pattern, s.Traffic = "", "hotspot"; s.TrafficParams = map[string]int{"heat": 3} },
+		"bad traffic param": func(s *Submission) {
+			s.Pattern, s.Traffic = "", "hotspot"
+			s.TrafficParams = map[string]int{"pct": 200}
+		},
 		"traffic params w/o fam":   func(s *Submission) { s.TrafficParams = map[string]int{"hot": 1} },
 		"unknown workload":         func(s *Submission) { s.Workload = "burst" },
 		"unknown workload param":   func(s *Submission) { s.Workload = "onoff"; s.WorkloadParams = map[string]int{"dwell": 5} },

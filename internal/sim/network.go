@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"dragonfly/internal/metrics"
 	"dragonfly/internal/topology"
@@ -48,14 +47,14 @@ type Network struct {
 
 	// Engine shards: the partition of routers/terminals/arena state
 	// (always at least one), the router→shard map, the prebuilt phase
-	// closures and their barrier. inPhase is true only while the
-	// parallel phase runs, and gates event buffering and mailbox
-	// routing; it is written exclusively by the coordinator between
-	// barriers.
+	// closures and the crew that runs them (nil on the serial engine).
+	// inPhase is true only while the parallel phase runs, and gates
+	// event buffering and mailbox routing; it is written exclusively by
+	// the coordinator between barriers.
 	shards      []shard
 	routerShard []int32
 	phaseFns    []func()
-	wg          sync.WaitGroup
+	crew        *crewHandle
 	inPhase     bool
 
 	// Fault state, populated when the topology implements

@@ -15,10 +15,10 @@ const nilRef int32 = -1
 
 // Packet flag bits (arena.flags column).
 const (
-	pfMinimal uint8 = 1 << iota // source decision was minimal
-	pfPhase1                    // heading for the final destination group
-	pfDecided                   // source-router decision made
-	pfMeasured                  // injected inside the measurement window
+	pfMinimal  uint8 = 1 << iota // source decision was minimal
+	pfPhase1                     // heading for the final destination group
+	pfDecided                    // source-router decision made
+	pfMeasured                   // injected inside the measurement window
 )
 
 // arena is the struct-of-arrays packet store. Every column has the same

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"dragonfly/internal/metrics"
 )
@@ -10,10 +9,11 @@ import (
 // The sharded engine partitions the network into contiguous ranges of
 // groups (or of routers, when the topology has no group structure) and
 // advances the ranges in parallel: shard 0 on the stepping goroutine,
-// every other shard on a goroutine of its own. Every shard owns the
-// full per-cycle pipeline — deliver, inject, admit, eject, transfer,
-// allocate — for its routers, its terminals and its packet arena, so
-// the hot loop stays allocation-free and lock-free within a shard.
+// every other shard on a persistent worker of the network's crew
+// (crew.go). Every shard owns the full per-cycle pipeline — deliver,
+// inject, admit, eject, transfer, allocate — for its routers, its
+// terminals and its packet arena, so the hot loop stays
+// allocation-free and lock-free within a shard.
 //
 // The only state crossing a shard boundary is what crosses a link whose
 // endpoints live in different shards: flits leaving the sender's last
@@ -276,17 +276,25 @@ func (n *Network) buildShards(k int) {
 	}
 	n.recountLinks() // router counters do not depend on the partition
 	// Prebuilt phase closures: Step runs these verbatim every cycle
-	// (shard 0's on the coordinator, the rest on fresh goroutines), so
-	// the steady state allocates nothing. Each drains the mailboxes the
-	// previous cycle posted to its shard, then runs the pipeline.
+	// (shard 0's on the coordinator, the rest on the crew's workers),
+	// so the steady state allocates nothing. Each drains the mailboxes
+	// the previous cycle posted to its shard, then runs the pipeline.
 	n.phaseFns = make([]func(), k)
 	for s := range n.shards {
 		sh := &n.shards[s]
 		n.phaseFns[s] = func() {
 			n.drainShard(sh, (n.now-1)&1)
 			sh.err = n.mainShard(sh)
-			n.wg.Done()
 		}
+	}
+	// The crew follows the partition: the one a re-partition replaces
+	// is stopped, and the serial engine has none.
+	if n.crew != nil {
+		n.crew.c.stop()
+		n.crew = nil
+	}
+	if k > 1 {
+		n.crew = newCrewHandle(k)
 	}
 }
 
@@ -372,27 +380,6 @@ func (n *Network) checkCounters() error {
 // shardForRouter returns the shard owning router r.
 func (n *Network) shardForRouter(r int) *shard { return &n.shards[n.routerShard[r]] }
 
-// runPhase runs the cycle's phase to completion on all shards: shards
-// 1..k-1 on goroutines of their own, shard 0 on the calling one.
-//
-// The caller yields once before running shard 0. The goroutine spawned
-// last sits in this P's runnext slot, which an idle P steals only
-// after a short sleep while this P is busy — tens of microseconds once
-// the kernel's timer slack applies, longer than a whole low-load phase
-// of one shard. Yielding hands runnext to this P at once and moves the
-// caller to the global run queue, where any woken P picks it up
-// without the back-off.
-func (n *Network) runPhase() {
-	fns := n.phaseFns
-	n.wg.Add(len(fns))
-	for i := 1; i < len(fns); i++ {
-		go fns[i]()
-	}
-	runtime.Gosched()
-	fns[0]()
-	n.wg.Wait()
-}
-
 // stepSharded is Step's parallel body: apply any epoch swap that is
 // due (after draining every mailbox serially, so the swap sees them
 // empty), run the one parallel phase — each shard drains its inbound
@@ -408,7 +395,7 @@ func (n *Network) stepSharded() error {
 		}
 	}
 	n.inPhase = true
-	n.runPhase()
+	n.crew.c.run(n.phaseFns) // shard 0 here, the rest on the crew
 	n.inPhase = false
 	for i := range n.shards {
 		if err := n.shards[i].err; err != nil {

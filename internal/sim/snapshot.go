@@ -95,16 +95,31 @@ func (n *Network) snapshot(rs *runState) ([]byte, error) {
 	return b, nil
 }
 
-// snapshotSizeHint estimates the encoded size so the encoder allocates
-// once in the common case.
+// snapshotSizeHint bounds the encoded size of the header, the network
+// section and the CRC from above, so the encoder allocates once (a
+// checkpoint's run section may still grow the buffer). It walks the
+// same shapes appendNetwork does, counting every credit-queue entry,
+// and charges each in-flight packet the larger on-wire encoding.
 func (n *Network) snapshotSizeHint() int {
-	perRouter := 0
-	if len(n.routers) > 0 {
-		r := &n.routers[0]
-		perRouter = r.radix*(4+8+8+12) + r.radix*r.vcs*(8+3*4)
+	const (
+		creditHead = 4 + 8 // a credit queue's count and clamp
+		creditWire = 1 + 8 // one credit-queue entry
+	)
+	size := 256 + (17+8*n.source.StateWords())*len(n.termRNG)
+	for i := range n.routers {
+		r := &n.routers[i]
+		size += 1 + r.radix*(4+8+8+creditHead) + r.radix*r.vcs*(8+2*4)
+		for p := 0; p < r.radix; p++ {
+			size += creditWire * r.ctq[p].n
+			if r.isTerm[p] {
+				size += 4
+			}
+		}
 	}
-	return 256 + (17+8*n.source.StateWords())*len(n.termRNG) + perRouter*len(n.routers) +
-		24*len(n.links) + (packetWire+4)*n.totalInFlight()
+	for i := range n.links {
+		size += 1 + 4 + creditHead + creditWire*n.links[i].credits.n
+	}
+	return size + (8+1+packetWire)*n.totalInFlight()
 }
 
 // Restore rebuilds the engine state from a dfly-snap/1 snapshot. The

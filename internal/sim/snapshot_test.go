@@ -97,6 +97,46 @@ func TestSnapshotRoundTripAcrossShards(t *testing.T) {
 	}
 }
 
+// TestSnapshotSizeHintBound checks that the encoder's preallocation is
+// an upper bound on the snapshot it sizes, so Snapshot allocates its
+// buffer once: on the 1K machine under UGAL-L_VCH at low load and at
+// saturation, where credit queues and wires are full, serial and
+// sharded.
+func TestSnapshotSizeHintBound(t *testing.T) {
+	d, err := topology.NewDragonfly(4, 8, 4, 0)
+	if err != nil {
+		t.Fatalf("NewDragonfly: %v", err)
+	}
+	for _, tc := range []struct {
+		pattern string
+		load    float64
+	}{{"UR", 0.1}, {"WC", 0.5}} {
+		for _, shards := range []int{1, 2} {
+			var tr sim.Traffic = traffic.NewUniformRandom(d.Nodes())
+			if tc.pattern == "WC" {
+				tr = traffic.NewWorstCase(d)
+			}
+			net := newNet(t, d, testConfig(), routing.NewUGAL(d, routing.UGALLocalVCH), tr)
+			if err := net.SetShards(shards); err != nil {
+				t.Fatalf("SetShards(%d): %v", shards, err)
+			}
+			net.SetLoad(tc.load)
+			for i := 0; i < 300; i++ {
+				if err := net.Step(); err != nil {
+					t.Fatalf("%s %v shards=%d: Step %d: %v", tc.pattern, tc.load, shards, i, err)
+				}
+			}
+			snap, err := net.Snapshot()
+			if err != nil {
+				t.Fatalf("%s %v shards=%d: Snapshot: %v", tc.pattern, tc.load, shards, err)
+			}
+			if hint := net.SnapshotSizeHint(); hint < len(snap) {
+				t.Errorf("%s %v shards=%d: size hint %d below the %d-byte snapshot", tc.pattern, tc.load, shards, hint, len(snap))
+			}
+		}
+	}
+}
+
 // TestSnapshotTypedErrors drives the decoder over the rejection cases:
 // every one must be a *SnapshotError wrapping ErrBadSnapshot, never a
 // panic, and never a silent success.

@@ -47,7 +47,7 @@ func conformanceMachines(t *testing.T) map[string]Machine {
 // change any structural answer.
 type emptyFaultView struct{}
 
-func (emptyFaultView) RouterDown(int) bool  { return false }
+func (emptyFaultView) RouterDown(int) bool    { return false }
 func (emptyFaultView) PortDown(int, int) bool { return false }
 
 func TestConformance(t *testing.T) {

@@ -87,7 +87,7 @@ func TestOnOffBurstsAreBursty(t *testing.T) {
 	for _, c := range fired {
 		window[c/500]++
 	}
-	lo, hi := 1 << 30, 0
+	lo, hi := 1<<30, 0
 	for w := int64(0); w < 200; w++ {
 		n := window[w]
 		if n < lo {
