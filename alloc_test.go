@@ -9,6 +9,7 @@ package dragonfly_test
 // instead of quietly eroding BENCH_sim.json.
 
 import (
+	"runtime"
 	"testing"
 
 	"dragonfly/internal/core"
@@ -192,5 +193,32 @@ func TestSteadyStateZeroAllocZoo(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: steady-state Step allocated %.4f objects/cycle with collectors disabled, want 0", tc.family, allocs)
 		}
+	}
+}
+
+// TestNetworkBuildBytes bounds what building the 1K machine's network
+// allocates. Most of it is queue rings, and the credit lines dominate
+// unless they are sized by what they hold: with 8-byte entries in rings
+// that start at one cache line, NewNetworkFor allocates 6.2 MB (MB =
+// 10^6 bytes); rings of 16-byte entries pre-sized to their bound took
+// 12.85 MB.
+func TestNetworkBuildBytes(t *testing.T) {
+	sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(net)
+	const limit = 7_500_000
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("NewNetworkFor allocated %.2f MB on the 1K machine, want at most %.1f MB", float64(got)/1e6, float64(limit)/1e6)
+	} else {
+		t.Logf("NewNetworkFor allocated %.2f MB", float64(got)/1e6)
 	}
 }

@@ -165,10 +165,13 @@ func New(topo Topology, cfg Config, routing Routing, traffic Traffic) (*Network,
 			})
 			l := &n.links[id]
 			// One flit enters per cycle and rides for `latency` cycles,
-			// so the delay line never holds more than latency+1 flits;
-			// credits are 1:1 with downstream buffer slots.
+			// so the delay line never holds more than latency+1 flits.
+			// The credit line holds about as many unless the round-trip
+			// mechanism delays credits; it starts at one cache line and
+			// doubles on demand, up to one entry per downstream buffer
+			// slot (VCs×BufDepth).
 			l.flits.reserve(int(lat) + 1)
-			l.credits.reserve(cfg.VCs * cfg.BufDepth)
+			l.credits.reserve()
 			rt.outLink[p] = int32(id)
 			rt.tcrt0[p] = 2 * lat
 			// Credits for router-to-router outputs start full.
@@ -514,23 +517,22 @@ func (n *Network) deliver(sh *shard) error {
 		}
 		if sl.cred {
 			for {
-				c := l.credits.peek()
-				if c == nil || c.at > n.now {
+				if at, ok := l.credits.peekAt(); !ok || at > n.now {
 					break
 				}
-				e := l.credits.pop()
+				vc, _ := l.credits.pop()
 				sh.linkPend[i]--
 				rt := &n.routers[l.src]
-				cr := &rt.credits[rt.pv(l.srcPort, int(e.vc))]
+				cr := &rt.credits[rt.pv(l.srcPort, int(vc))]
 				*cr++
 				if *cr > int32(rt.depth) {
-					return &InvariantError{Kind: "credit overflow", Router: l.src, Port: l.srcPort, VC: int(e.vc), Cycle: n.now}
+					return &InvariantError{Kind: "credit overflow", Router: l.src, Port: l.srcPort, VC: int(vc), Cycle: n.now}
 				}
 				// Credit round-trip measurement (Figure 17(b)): pop the send
 				// timestamp and refresh t_d for this output.
-				if ts := rt.ctq[l.srcPort].peek(); ts != nil {
-					sent := rt.ctq[l.srcPort].pop()
-					tcrt := n.now - sent.at
+				if rt.ctq[l.srcPort].len() > 0 {
+					_, sent := rt.ctq[l.srcPort].pop()
+					tcrt := n.now - sent
 					if n.mc != nil {
 						if n.inPhase {
 							sh.ev = append(sh.ev, evRec{kind: evRTT, hop: metrics.Hop{

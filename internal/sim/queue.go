@@ -144,23 +144,34 @@ func (q *flitQueue) countVC(vc uint8) int {
 	return c
 }
 
-// creditEntry is a credit on its way back upstream.
-type creditEntry struct {
-	vc uint8
-	at int64
-}
-
-// creditQueue is the upstream delay line for credits. The credit
-// round-trip mechanism can delay individual credits, so delivery times
-// are forced monotone on push: flits and credits are 1:1 and keep
-// ordering (Section 4.3.2), meaning a delayed credit holds back the ones
-// behind it.
+// creditQueue is the upstream delay line for credits, and the
+// per-output send-timestamp FIFO of the credit round-trip sensor
+// (Router.ctq, which leaves the VC at 0). The credit round-trip
+// mechanism can delay individual credits, so delivery times are forced
+// monotone on push: flits and credits are 1:1 and keep ordering
+// (Section 4.3.2), meaning a delayed credit holds back the ones behind
+// it.
+//
+// Each entry is one uint64: the delivery cycle in the high 56 bits, the
+// VC in the low 8, so eight entries share a cache line. A ring's head
+// walks its whole buffer, so its cache footprint is its capacity, not
+// its occupancy; the rings therefore start at creditRing entries and
+// double on demand. Credit conservation caps a line at VCs×BufDepth
+// entries, so a ring grows at most a few times in its life.
 type creditQueue struct {
-	buf    []creditEntry
+	buf    []uint64
 	head   int
 	n      int
 	lastAt int64
 }
+
+// creditRing is the starting capacity of a credit line: one 64-byte
+// cache line of packed entries.
+const creditRing = 8
+
+// maxCreditAt bounds the delivery cycles a packed entry can hold
+// (exclusive): 56 bits, with the sign bit clear.
+const maxCreditAt = int64(1) << 55
 
 func (q *creditQueue) len() int { return q.n }
 
@@ -172,26 +183,35 @@ func (q *creditQueue) push(vc uint8, at int64) {
 	if q.n == len(q.buf) {
 		q.grow(len(q.buf) * 2)
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = creditEntry{vc: vc, at: at}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = uint64(at)<<8 | uint64(vc)
 	q.n++
 }
 
-func (q *creditQueue) peek() *creditEntry {
+// peekAt returns the head entry's delivery cycle; ok is false when the
+// queue is empty.
+func (q *creditQueue) peekAt() (at int64, ok bool) {
 	if q.n == 0 {
-		return nil
+		return 0, false
 	}
-	return &q.buf[q.head]
+	return int64(q.buf[q.head]) >> 8, true
 }
 
-func (q *creditQueue) pop() creditEntry {
+func (q *creditQueue) pop() (vc uint8, at int64) {
 	e := q.buf[q.head]
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return e
+	return uint8(e), int64(e) >> 8
+}
+
+// entry returns the VC and delivery cycle of the i-th entry from the
+// head.
+func (q *creditQueue) entry(i int) (vc uint8, at int64) {
+	e := q.buf[(q.head+i)&(len(q.buf)-1)]
+	return uint8(e), int64(e) >> 8
 }
 
 func (q *creditQueue) grow(want int) {
-	nb := make([]creditEntry, pow2(want))
+	nb := make([]uint64, pow2(want))
 	mask := len(q.buf) - 1
 	for i := 0; i < q.n; i++ {
 		nb[i] = q.buf[(q.head+i)&mask]
@@ -200,10 +220,10 @@ func (q *creditQueue) grow(want int) {
 	q.head = 0
 }
 
-// reserve pre-sizes an empty ring so steady-state pushes never allocate.
-func (q *creditQueue) reserve(n int) {
+// reserve sizes an empty ring to its starting cache line.
+func (q *creditQueue) reserve() {
 	if len(q.buf) == 0 {
-		q.buf = make([]creditEntry, pow2(n))
+		q.buf = make([]uint64, creditRing)
 	}
 }
 
@@ -215,12 +235,29 @@ func (q *creditQueue) clear() {
 	q.lastAt = 0
 }
 
+// wellFormed reports whether the line holds at most limit entries, in
+// non-decreasing delivery order, none past the clamp, and the clamp
+// inside the packed range (invariant checks).
+func (q *creditQueue) wellFormed(limit int) bool {
+	if q.n > limit || q.lastAt < 0 || q.lastAt >= maxCreditAt {
+		return false
+	}
+	prev := int64(0)
+	for i := 0; i < q.n; i++ {
+		_, at := q.entry(i)
+		if at < prev || at > q.lastAt {
+			return false
+		}
+		prev = at
+	}
+	return true
+}
+
 // countVC counts the queued credits for vc (invariant checks).
 func (q *creditQueue) countVC(vc uint8) int {
 	c := 0
-	mask := len(q.buf) - 1
 	for i := 0; i < q.n; i++ {
-		if q.buf[(q.head+i)&mask].vc == vc {
+		if v, _ := q.entry(i); v == vc {
 			c++
 		}
 	}

@@ -104,11 +104,72 @@ func TestCreditQueueMonotoneDelivery(t *testing.T) {
 	q.push(2, 150)
 	wants := []int64{100, 100, 150}
 	for i, want := range wants {
-		e := q.peek()
-		if e == nil || e.at != want {
-			t.Fatalf("credit %d: at=%v, want %d", i, e, want)
+		at, ok := q.peekAt()
+		if !ok || at != want {
+			t.Fatalf("credit %d: at=%d ok=%v, want %d", i, at, ok, want)
 		}
+		if vc, got := q.pop(); int(vc) != i || got != want {
+			t.Fatalf("credit %d: popped (vc %d, at %d), want (%d, %d)", i, vc, got, i, want)
+		}
+	}
+	if _, ok := q.peekAt(); ok {
+		t.Fatal("drained queue still peeks an entry")
+	}
+}
+
+func TestCreditQueuePackedRoundTrip(t *testing.T) {
+	// The extremes of both packed fields survive the 56/8-bit split.
+	top := maxCreditAt - 1
+	in := []struct {
+		vc uint8
+		at int64
+	}{{0, 0}, {255, 0}, {0, top}, {255, top}}
+	var q creditQueue
+	q.reserve()
+	for _, e := range in {
+		q.push(e.vc, e.at)
+	}
+	for i, e := range in {
+		if vc, at := q.entry(i); vc != e.vc || at != e.at {
+			t.Errorf("entry %d = (vc %d, at %d), want (%d, %d)", i, vc, at, e.vc, e.at)
+		}
+	}
+	for i, e := range in {
+		if at, _ := q.peekAt(); at != e.at {
+			t.Errorf("peek %d = %d, want %d", i, at, e.at)
+		}
+		if vc, at := q.pop(); vc != e.vc || at != e.at {
+			t.Errorf("pop %d = (vc %d, at %d), want (%d, %d)", i, vc, at, e.vc, e.at)
+		}
+	}
+}
+
+func TestCreditQueueGrowsMidRing(t *testing.T) {
+	// A ring starts at one cache line; growing it with the head in the
+	// middle of the buffer must keep FIFO order across the wrap.
+	var q creditQueue
+	q.reserve()
+	if len(q.buf) != creditRing {
+		t.Fatalf("reserved %d entries, want %d", len(q.buf), creditRing)
+	}
+	for i := 0; i < 5; i++ {
+		q.push(uint8(i), int64(i))
 		q.pop()
+	}
+	const n = 21
+	for i := 0; i < n; i++ {
+		q.push(uint8(i%7), int64(10+i))
+	}
+	if len(q.buf) != 32 {
+		t.Fatalf("ring holds %d entries after %d pushes, want 32", len(q.buf), n)
+	}
+	for i := 0; i < n; i++ {
+		if vc, at := q.pop(); int(vc) != i%7 || at != int64(10+i) {
+			t.Fatalf("pop %d = (vc %d, at %d), want (%d, %d)", i, vc, at, i%7, 10+i)
+		}
+	}
+	if q.len() != 0 {
+		t.Fatal("not drained")
 	}
 }
 
@@ -121,11 +182,11 @@ func TestCreditQueuePropertyFIFOCount(t *testing.T) {
 		n := 0
 		last := int64(-1 << 62)
 		for q.len() > 0 {
-			e := q.pop()
-			if e.at < last {
+			vc, at := q.pop()
+			if at < last || int(vc) != n%3 {
 				return false
 			}
-			last = e.at
+			last = at
 			n++
 		}
 		return n == len(ats)

@@ -108,7 +108,7 @@ type Router struct {
 	// each output — the component of the credit round-trip an upstream
 	// router would attribute to this router. Their sum is the congestion
 	// estimate the delayed-credit mechanism uses.
-	ctq     []creditQueue // timestamp FIFO (vc field unused)
+	ctq     []creditQueue // send cycles, VC 0; no ring on terminal ports
 	td      []int64
 	crossTd []int64
 	tcrt0   []int64
@@ -161,15 +161,20 @@ func (r *Router) init(id int, topo Topology, cfg Config, counts []int32) {
 		r.isTerm[p] = topo.Port(id, p).Class == topology.ClassTerminal
 	}
 	// Pre-size the rings so the hot loop rarely allocates: outQ is
-	// bounded by outDepth, and a port's credit queue holds at most one
-	// credit per downstream buffer slot. waitQ is not bounded by the
-	// buffer depth — it collects flits from every input port, up to
-	// radix × VCs × depth (TestVOQGrowsPastBufDepth) — so, like the
-	// unbounded source queues, it starts at the buffer depth and
-	// amortizes from there.
+	// bounded by outDepth. A port's timestamp FIFO holds one entry per
+	// flit in flight to the downstream buffer, at most VCs × depth, but
+	// at short channel latencies only a few; like the link's credit
+	// line it starts at one cache line and doubles on demand. Terminal
+	// ports send no flits over a channel and get no FIFO at all. waitQ
+	// is not bounded by the buffer depth — it collects flits from every
+	// input port, up to radix × VCs × depth (TestVOQGrowsPastBufDepth) —
+	// so, like the unbounded source queues, it starts at the buffer
+	// depth and amortizes from there.
 	for p := 0; p < radix; p++ {
 		r.srcQ[p].reserve(cfg.BufDepth)
-		r.ctq[p].reserve(cfg.VCs * cfg.BufDepth)
+		if !r.isTerm[p] {
+			r.ctq[p].reserve()
+		}
 		for vc := 0; vc < cfg.VCs; vc++ {
 			r.waitQ[r.pv(p, vc)].reserve(cfg.BufDepth)
 			r.outQ[r.pv(p, vc)].reserve(out)

@@ -355,6 +355,30 @@ func (n *Network) checkCounters() error {
 		if src != r.srcN || wait != r.waitN || out != r.outN {
 			return &InvariantError{Kind: "router occupancy counter", Router: i, Port: -1, Cycle: n.now}
 		}
+		// Send timestamps: one per flit still owed a credit, none on
+		// terminal ports (which get no ring at all).
+		for p := 0; p < r.radix; p++ {
+			q := &r.ctq[p]
+			if r.isTerm[p] {
+				if q.len() != 0 || q.buf != nil {
+					return &InvariantError{Kind: "terminal send-timestamp ring", Router: i, Port: p, Cycle: n.now}
+				}
+				continue
+			}
+			owed := 0
+			for vc := 0; vc < r.vcs; vc++ {
+				owed += r.depth - int(r.credits[r.pv(p, vc)])
+			}
+			if q.len() > owed || !q.wellFormed(r.vcs*r.depth) {
+				return &InvariantError{Kind: "send-timestamp ring", Router: i, Port: p, Cycle: n.now}
+			}
+		}
+	}
+	for i := range n.links {
+		l := &n.links[i]
+		if !l.credits.wellFormed(n.cfg.VCs * n.cfg.BufDepth) {
+			return &InvariantError{Kind: "credit line", Router: l.src, Port: l.srcPort, Cycle: n.now}
+		}
 	}
 	drained := (n.now - 1) & 1
 	for s := range n.shards {

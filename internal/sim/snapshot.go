@@ -489,6 +489,10 @@ func (n *Network) decodeNetwork(d *snapDec) error {
 			if err := d.creditQueue(&r.ctq[p], r.vcs); err != nil {
 				return err
 			}
+			if r.isTerm[p] && r.ctq[p].len() > 0 {
+				d.fail("router %d terminal port %d holds send timestamps", ri, p)
+				return d.err
+			}
 		}
 		for i := 0; i < r.radix*r.vcs; i++ {
 			occ := int32(d.u32())
@@ -536,12 +540,17 @@ func (n *Network) decodeNetwork(d *snapDec) error {
 		if d.err != nil {
 			return d.err
 		}
+		prev := int64(0)
 		for i := 0; i < cnt; i++ {
 			at := d.i64()
 			vc := d.u8()
 			if d.err == nil && int(vc) >= n.cfg.VCs {
 				d.fail("link %d flit VC %d out of range", li, vc)
 			}
+			if d.err == nil && at < prev {
+				d.fail("link %d flit %d at cycle %d, before %d", li, i, at, prev)
+			}
+			prev = at
 			if d.err != nil {
 				return d.err
 			}
@@ -713,35 +722,43 @@ func (d *snapDec) pktQueue(n *Network, sh *shard, r *Router, q *pktQueue) error 
 func appendCreditQueue(b []byte, q *creditQueue) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(q.n))
 	b = binary.LittleEndian.AppendUint64(b, uint64(q.lastAt))
-	mask := len(q.buf) - 1
 	for i := 0; i < q.n; i++ {
-		e := &q.buf[(q.head+i)&mask]
-		b = append(b, e.vc)
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.at))
+		vc, at := q.entry(i)
+		b = append(b, vc)
+		b = binary.LittleEndian.AppendUint64(b, uint64(at))
 	}
 	return b
 }
 
-// creditQueue decodes a credit delay line into q.
+// creditQueue decodes a credit delay line into q. The queue is fresh,
+// so push would silently clamp a negative or out-of-order entry and
+// wrap one past the packed range; such lines are rejected instead: every
+// entry lies in [0, maxCreditAt), no lower than the one before it and
+// no higher than the decoded clamp.
 func (d *snapDec) creditQueue(q *creditQueue, vcs int) error {
 	cnt := d.count(1+8, "queued credit")
 	lastAt := d.i64()
-	if d.err == nil && lastAt < 0 {
-		d.fail("negative credit clamp %d", lastAt)
+	if d.err == nil && (lastAt < 0 || lastAt >= maxCreditAt) {
+		d.fail("credit clamp %d outside [0, 2^55)", lastAt)
 	}
 	if d.err != nil {
 		return d.err
 	}
+	prev := int64(0)
 	for i := 0; i < cnt; i++ {
 		vc := d.u8()
 		at := d.i64()
 		if d.err == nil && int(vc) >= vcs {
 			d.fail("credit VC %d out of range", vc)
 		}
+		if d.err == nil && (at < prev || at > lastAt) {
+			d.fail("credit %d at cycle %d outside [%d, %d]", i, at, prev, lastAt)
+		}
 		if d.err != nil {
 			return d.err
 		}
 		q.push(vc, at)
+		prev = at
 	}
 	// The clamp outlives the entries (a drained queue still holds back
 	// earlier delivery times), so it is restored explicitly, after the

@@ -2,7 +2,9 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -212,6 +214,97 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		Load: 0.3, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000,
 	}, snap); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("ResumeCtx from a runless snapshot: %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestSnapshotRejectsMalformedLines patches single entries of the delay
+// lines in a real snapshot (re-sealing its CRC) and expects each to be
+// refused: a credit entry outside [0, 2^55), below the entry before it
+// or above the line's clamp, and a flit line whose delivery cycles are
+// negative or decreasing. Restore pushes onto fresh queues, so without
+// these checks the entries would be clamped (or wrapped) into a network
+// the bytes do not describe.
+func TestSnapshotRejectsMalformedLines(t *testing.T) {
+	orig := snapNet(t, 1)
+	orig.SetLoad(0.3)
+	credLink, flitLink := -1, -1
+	var flits, credits []int
+	for cyc := 0; cyc < 5000 && (credLink < 0 || flitLink < 0); cyc++ {
+		if err := orig.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		flits, credits = orig.LinkLines()
+		credLink, flitLink = -1, -1
+		for i := range flits {
+			if credits[i] >= 2 && credLink < 0 {
+				credLink = i
+			}
+			if flits[i] >= 2 && flitLink < 0 {
+				flitLink = i
+			}
+		}
+	}
+	if credLink < 0 || flitLink < 0 {
+		t.Fatal("no link held two credits and two flits at once")
+	}
+	snap, err := orig.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+
+	// The link section closes a bare snapshot, just before the CRC; walk
+	// it backwards to each link's first byte. A link encodes as dead
+	// (1), flit count (4), flits (at 8, vc 1, packet), credit count (4),
+	// clamp (8), credits (vc 1, at 8).
+	const flitWire = 8 + 1 + sim.PacketWire
+	start := make([]int, len(flits))
+	off := len(snap) - 4
+	for i := len(flits) - 1; i >= 0; i-- {
+		off -= 1 + 4 + flitWire*flits[i] + 4 + 8 + 9*credits[i]
+		start[i] = off
+	}
+	flitAt := func(i int) int { return start[flitLink] + 5 + flitWire*i }
+	clampAt := start[credLink] + 5 + flitWire*flits[credLink] + 4
+	creditAt := func(i int) int { return clampAt + 8 + 9*i + 1 }
+	get := func(off int) int64 { return int64(binary.LittleEndian.Uint64(snap[off:])) }
+	lastCredit := credits[credLink] - 1
+	if c0, c1, clamp := get(creditAt(0)), get(creditAt(lastCredit)), get(clampAt); c0 < 1 || c1 < c0 || clamp < c1 {
+		t.Fatalf("credit line not located: entries %d..%d, clamp %d", c0, c1, clamp)
+	}
+	if f0, f1 := get(flitAt(0)), get(flitAt(1)); f0 < 1 || f1 < f0 {
+		t.Fatalf("flit line not located: entries %d, %d", f0, f1)
+	}
+
+	patch := func(edits map[int]int64) []byte {
+		b := bytes.Clone(snap)
+		for off, v := range edits {
+			binary.LittleEndian.PutUint64(b[off:], uint64(v))
+		}
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
+		return b
+	}
+	if err := snapNet(t, 1).Restore(patch(nil)); err != nil {
+		t.Fatalf("re-sealed unpatched snapshot: %v", err)
+	}
+	const packed = int64(1) << 55
+	cases := []struct {
+		name  string
+		edits map[int]int64
+	}{
+		{"negative credit", map[int]int64{creditAt(0): -1}},
+		{"credit below its predecessor", map[int]int64{creditAt(1): get(creditAt(0)) - 1}},
+		{"credit above the clamp", map[int]int64{creditAt(lastCredit): get(clampAt) + 1}},
+		{"credit past the packed range", map[int]int64{creditAt(lastCredit): packed}},
+		{"clamp past the packed range", map[int]int64{creditAt(lastCredit): packed, clampAt: packed}},
+		{"negative flit", map[int]int64{flitAt(0): -1}},
+		{"flit below its predecessor", map[int]int64{flitAt(1): get(flitAt(0)) - 1}},
+	}
+	for _, tc := range cases {
+		err := snapNet(t, 1).Restore(patch(tc.edits))
+		var se *sim.SnapshotError
+		if !errors.As(err, &se) || !errors.Is(err, sim.ErrBadSnapshot) {
+			t.Errorf("%s: Restore = %v, want a *SnapshotError", tc.name, err)
+		}
 	}
 }
 
