@@ -199,9 +199,9 @@ func TestSteadyStateZeroAllocZoo(t *testing.T) {
 // TestNetworkBuildBytes bounds what building the 1K machine's network
 // allocates. Most of it is queue rings, and the credit lines dominate
 // unless they are sized by what they hold: with 8-byte entries in rings
-// that start at one cache line, NewNetworkFor allocates 6.2 MB (MB =
-// 10^6 bytes); rings of 16-byte entries pre-sized to their bound took
-// 12.85 MB.
+// that start at one cache line, and source-queue rings on terminal
+// ports only, NewNetworkFor allocates 5.96 MB (MB = 10^6 bytes); rings
+// of 16-byte entries pre-sized to their bound took 12.85 MB.
 func TestNetworkBuildBytes(t *testing.T) {
 	sys, err := core.NewSystem(core.SystemConfig{P: 4, A: 8, H: 4})
 	if err != nil {

@@ -49,7 +49,7 @@ func main() {
 		}
 		g, name, descr = d.Graph, "dragonflyFB", d.String()
 		if *wiring {
-			dumpWiring(d.G, d.A**h, d.SlotTarget)
+			dumpWiring(d)
 		}
 	} else {
 		d, err := topology.NewDragonfly(*p, *a, *h, *groups)
@@ -58,7 +58,7 @@ func main() {
 		}
 		g, name, descr = d.Graph, "dragonfly", d.String()
 		if *wiring {
-			dumpWiring(d.G, d.A*d.H, d.SlotTarget)
+			dumpWiring(d)
 		}
 	}
 
@@ -81,14 +81,23 @@ func main() {
 	fmt.Printf("diameter: %d hops, average: %.2f hops (router-to-router)\n", diam, avg)
 }
 
-func dumpWiring(groups, slots int, target func(grp, c int) int) {
+// dumpWiring prints, per group, the group each global port leads to,
+// in slot order: by in-group router index, then port.
+func dumpWiring(m topology.Machine) {
+	a := m.Paths().RoutersPerGroup()
 	fmt.Println("global wiring (group: slot->group ...):")
-	for grp := 0; grp < groups; grp++ {
-		fmt.Printf("  g%-3d:", grp)
-		for c := 0; c < slots; c++ {
-			fmt.Printf(" %d", target(grp, c))
+	for r := 0; r < m.Routers(); r++ {
+		if r%a == 0 {
+			fmt.Printf("  g%-3d:", r/a)
 		}
-		fmt.Println()
+		for p := 0; p < m.Radix(r); p++ {
+			if pt := m.Port(r, p); pt.Class == topology.ClassGlobal {
+				fmt.Printf(" %d", pt.PeerRouter/a)
+			}
+		}
+		if r%a == a-1 {
+			fmt.Println()
+		}
 	}
 }
 

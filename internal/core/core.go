@@ -189,7 +189,7 @@ func (s *System) Degraded() *topology.Degraded { return s.deg }
 
 // routingTopo returns the structural view handed to the routing
 // algorithms: the degraded one when a fault plan is attached.
-func (s *System) routingTopo() routing.Topo {
+func (s *System) routingTopo() topology.Machine {
 	if s.deg != nil {
 		return s.deg
 	}
@@ -228,7 +228,7 @@ func (s *System) Routing(alg Algorithm) (sim.Routing, error) {
 // routingOver constructs alg over an explicit structural view — the
 // timeline path hands the per-network Switched view in here so routing
 // liveness queries follow the epoch swaps.
-func routingOver(alg Algorithm, t routing.Topo) (sim.Routing, error) {
+func routingOver(alg Algorithm, t topology.Machine) (sim.Routing, error) {
 	switch alg {
 	case AlgMIN:
 		return routing.NewMIN(t), nil

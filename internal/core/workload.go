@@ -58,7 +58,7 @@ func (w Workload) Label() string {
 func (s *System) TrafficFor(w Workload) (sim.Traffic, error) {
 	env := traffic.Env{
 		Terminals: s.Topo.Nodes(),
-		Grouped:   s.Topo,
+		Machine:   s.Topo,
 		Seed:      s.cfg.Seed,
 	}
 	return traffic.Build(w.family(), env, w.TrafficParams)

@@ -165,12 +165,12 @@ func Fig09(s Scale) (*Figure, error) {
 			// Slot c of every group leads to group (g+1+c mod (g-1)); slot 0
 			// is the minimal channel for the WC pattern. Average per slot
 			// across groups.
-			slots := d.A * d.H
-			for c := 0; c < slots; c++ {
+			tab := d.Paths()
+			for c := 0; c < d.A*d.H; c++ {
 				var busy int64
 				for grp := 0; grp < d.G; grp++ {
-					r := d.GroupRouter(grp, d.SlotRouterIndex(c))
-					busy += util.Busy(net.LinkID(r, d.GlobalPort(c)))
+					s := tab.Slot(grp, c)
+					busy += util.Busy(net.LinkID(grp*d.A+int(s.Owner), int(s.Port)))
 				}
 				ser.X = append(ser.X, float64(c))
 				ser.Y = append(ser.Y, float64(busy)/float64(d.G)/float64(s.Measure))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dragonfly/internal/sim"
+	"dragonfly/internal/topology"
 )
 
 // MIN is minimal routing (Section 4.1): at most one local hop in the
@@ -12,7 +13,7 @@ import (
 type MIN struct{ base }
 
 // NewMIN returns minimal routing over d.
-func NewMIN(d Topo) *MIN { return &MIN{newBase(d)} }
+func NewMIN(d topology.Machine) *MIN { return &MIN{newBase(d)} }
 
 // Name implements sim.Routing.
 func (*MIN) Name() string { return "MIN" }
@@ -37,14 +38,13 @@ func (m *MIN) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 // through a live intermediate group otherwise. forceDetour skips the
 // minimal preference (VAL's behaviour).
 func (b *base) decideWithFaults(r *sim.Router, hs *sim.HopState, forceDetour bool) error {
-	tb := &b.tab
 	if b.deg.TerminalDown(hs.Dst) {
 		return &sim.UnroutableError{Src: hs.Src, Dst: hs.Dst, Router: r.ID}
 	}
 	ps := b.deg.LiveSlots()
-	dst, dstR := tb.dest(hs.Dst)
+	dst, dstR := b.dest(hs.Dst)
 	atDst := dstR == r.ID
-	gs, gd := int(tb.routers[r.ID].grp), int(dst.grp)
+	gs, gd := int(b.tab.Router(r.ID).Grp), int(dst.Grp)
 	minFeasible := atDst || gs == gd || ps.Count(gs, gd) > 0
 	if minFeasible && (!forceDetour || atDst) {
 		hs.Minimal = true
@@ -74,7 +74,7 @@ func (b *base) decideWithFaults(r *sim.Router, hs *sim.HopState, forceDetour boo
 type VAL struct{ base }
 
 // NewVAL returns Valiant routing over d.
-func NewVAL(d Topo) *VAL { return &VAL{newBase(d)} }
+func NewVAL(d topology.Machine) *VAL { return &VAL{newBase(d)} }
 
 // Name implements sim.Routing.
 func (*VAL) Name() string { return "VAL" }
@@ -86,8 +86,8 @@ func (v *VAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 	if v.deg != nil {
 		return v.decideWithFaults(r, hs, true)
 	}
-	gs := int(v.tab.routers[r.ID].grp)
-	if _, dstR := v.tab.dest(hs.Dst); dstR == r.ID {
+	gs := int(v.tab.Router(r.ID).Grp)
+	if _, dstR := v.dest(hs.Dst); dstR == r.ID {
 		hs.Minimal = true
 		hs.InterGroup = -1
 		return nil
@@ -153,14 +153,14 @@ type UGAL struct {
 }
 
 // NewUGAL returns a UGAL router over d with the given mode.
-func NewUGAL(d Topo, mode UGALMode) *UGAL {
+func NewUGAL(d topology.Machine, mode UGALMode) *UGAL {
 	return &UGAL{base: newBase(d), Mode: mode}
 }
 
 // NewUGALCR returns the UGAL-L_CR configuration: UGAL-L_VCH decisions
 // designed to run with the credit round-trip latency mechanism enabled
 // (sim.Config.DelayCredits = true; see NeedsCreditDelay).
-func NewUGALCR(d Topo) *UGAL {
+func NewUGALCR(d topology.Machine) *UGAL {
 	return &UGAL{base: newBase(d), Mode: UGALLocalVCH, CreditRT: true}
 }
 
@@ -183,18 +183,17 @@ func (u *UGAL) NeedsCreditDelay() bool { return u.CreditRT }
 // only one candidate survives it is taken without a queue comparison,
 // and when neither does the packet is unroutable.
 func (u *UGAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
-	tb := &u.tab
 	if u.deg != nil && u.deg.TerminalDown(hs.Dst) {
 		return &sim.UnroutableError{Src: hs.Src, Dst: hs.Dst, Router: r.ID}
 	}
-	dst, dstR := tb.dest(hs.Dst)
+	dst, dstR := u.dest(hs.Dst)
 	if dstR == r.ID {
 		hs.Minimal = true
 		hs.InterGroup = -1
 		return nil
 	}
-	src := tb.at(r.ID)
-	gs, gd, dIdx := src.grp, int(dst.grp), int(dst.idx)
+	src := u.at(r.ID)
+	gs, gd, dIdx := src.grp, int(dst.Grp), int(dst.Idx)
 	ps := u.pairSlots()
 
 	var gi int
@@ -279,12 +278,12 @@ func (u *UGAL) Decide(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
 // globalQueue implements the UGAL-G oracle for one candidate path: its
 // congestion is read at the router that actually sources its global
 // channel slot s in source group gs, wherever in the group that router
-// is. For an intra-group path (noSlot: no global channel) the local
+// is. For an intra-group path (NoSlot: no global channel) the local
 // output queue of its first hop port stands in.
-func (u *UGAL) globalQueue(net *sim.Network, r *sim.Router, gs int, s slotInfo, port int) int {
-	if s.owner < 0 {
+func (u *UGAL) globalQueue(net *sim.Network, r *sim.Router, gs int, s topology.SlotInfo, port int) int {
+	if s.Owner < 0 {
 		return r.OutputQueue(port)
 	}
-	owner := net.RouterAt(gs*u.tab.a + int(s.owner))
-	return owner.OutputQueue(int(s.port))
+	owner := net.RouterAt(gs*u.tab.RoutersPerGroup() + int(s.Owner))
+	return owner.OutputQueue(int(s.Port))
 }

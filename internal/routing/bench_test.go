@@ -3,8 +3,8 @@ package routing
 // Routing micro-benchmarks: source decisions and per-hop requests on the
 // paper's 1K machine (p=4 a=8 h=4) and the 16K machine (p=8 a=16 h=8),
 // pristine and with 10% of the global channels failed, over a fixed
-// pre-built packet set. BenchmarkPathTableBuild times what a routing
-// algorithm's construction costs on the same machines.
+// pre-built packet set. The path table these read is built with the
+// machine; internal/topology's BenchmarkPathTableBuild times it.
 //
 //	go test -run '^$' -bench . -benchtime 2s ./internal/routing/
 
@@ -28,7 +28,7 @@ const benchPackets = 4096
 type benchMachine struct {
 	name string
 	d    *topology.Dragonfly
-	topo Topo
+	topo topology.Machine
 	net  *sim.Network
 }
 
@@ -48,10 +48,7 @@ func benchMachines(b *testing.B) []benchMachine {
 		plan.FailFraction(d, topology.ClassGlobal, 0.10)
 		for _, v := range []struct {
 			name string
-			topo interface {
-				Topo
-				sim.Topology
-			}
+			topo topology.Machine
 		}{{"pristine", d}, {"degraded10", topology.NewDegraded(d, plan)}} {
 			net, err := sim.New(v.topo, testCfg(), NewMIN(v.topo), traffic.NewUniformRandom(d.Nodes()))
 			if err != nil {
@@ -159,22 +156,6 @@ func BenchmarkNextHop(b *testing.B) {
 				if err := rt.NextHop(m.net, p.r, &hs); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// baseSink keeps BenchmarkPathTableBuild's result live.
-var baseSink base
-
-// BenchmarkPathTableBuild times newBase, which compiles the machine's
-// path table.
-func BenchmarkPathTableBuild(b *testing.B) {
-	for _, m := range benchMachines(b) {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				baseSink = newBase(m.topo)
 			}
 		})
 	}

@@ -14,10 +14,10 @@ func severPair(t *testing.T, d *topology.Dragonfly, ga, gb int) *topology.Degrad
 	t.Helper()
 	plan := fault.NewPlan(1)
 	for idx := 0; idx < d.A; idx++ {
-		r := d.GroupRouter(ga, idx)
+		r := ga*d.A + idx
 		for p := 0; p < d.Radix(r); p++ {
 			pt := d.Port(r, p)
-			if pt.Class == topology.ClassGlobal && d.RouterGroup(pt.PeerRouter) == gb {
+			if pt.Class == topology.ClassGlobal && pt.PeerRouter/d.A == gb {
 				plan.FailChannel(d, r, p)
 			}
 		}
@@ -34,7 +34,7 @@ func isolateGroup(t *testing.T, d *topology.Dragonfly, g int) *topology.Degraded
 	t.Helper()
 	plan := fault.NewPlan(1)
 	for idx := 0; idx < d.A; idx++ {
-		r := d.GroupRouter(g, idx)
+		r := g*d.A + idx
 		for p := 0; p < d.Radix(r); p++ {
 			if d.Port(r, p).Class == topology.ClassGlobal {
 				plan.FailChannel(d, r, p)
@@ -55,7 +55,7 @@ type nextGroupTraffic struct{ d *topology.Dragonfly }
 
 func (nextGroupTraffic) Name() string { return "nextgroup" }
 func (tr nextGroupTraffic) Dest(src int, _ uint64) int {
-	return (src + tr.d.TerminalsPerGroup()) % tr.d.Nodes()
+	return (src + tr.d.A*tr.d.P) % tr.d.Nodes()
 }
 
 // TestMINDetoursAroundSeveredPair: killing the only minimal global
@@ -72,7 +72,7 @@ func TestMINDetoursAroundSeveredPair(t *testing.T) {
 	}
 	crossDelivered, detours := 0, 0
 	net.OnEject = func(p *sim.Packet, now int64) {
-		if d.TerminalGroup(p.Src) == 0 && d.TerminalGroup(p.Dst) == 1 {
+		if per := d.A * d.P; p.Src/per == 0 && p.Dst/per == 1 {
 			crossDelivered++
 			if !p.Minimal {
 				detours++

@@ -41,51 +41,14 @@ const (
 	vcDestHop = 2 // the final local hop inside the destination group
 )
 
-// Topo is the structural view of a dragonfly-family machine the
-// routing algorithms are built from: a structural subset of
-// topology.Machine, so every registered topology — *topology.Dragonfly,
-// *DragonflyFB, *DragonflyPlus, *Swapped, *Aries — implements it, as do
-// the fault-aware Degraded/Switched wrappers. The algorithms query it
-// only once, when newBase compiles it into a pathTable. The one
-// structural invariant the algorithms assume is the dragonfly family's:
-// any two groups are connected by at least one direct global channel,
-// so minimal paths take exactly one global hop and Valiant paths two.
-type Topo interface {
-	// Groups and RoutersPerGroup size the machine; router ids are
-	// group-major. Terminals counts the terminals.
-	Groups() int
-	RoutersPerGroup() int
-	Terminals() int
-	// TerminalRouter and TerminalPort locate a terminal.
-	TerminalRouter(t int) int
-	TerminalPort(t int) int
-	// RouterGroup, RouterIndex and GroupRouter convert between router
-	// ids and (group, in-group index) pairs.
-	RouterGroup(r int) int
-	RouterIndex(r int) int
-	GroupRouter(grp, idx int) int
-	// LocalRoute returns the next-hop local port from in-group index
-	// `from` towards `to`; LocalHops the intra-group distance.
-	LocalRoute(from, to int) int
-	LocalHops(from, to int) int
-	// GlobalPort and SlotRouterIndex locate a global-channel slot;
-	// ChannelsBetween, GlobalSlot and GlobalEntryRouter describe the
-	// inter-group wiring.
-	GlobalPort(slot int) int
-	SlotRouterIndex(slot int) int
-	ChannelsBetween(ga, gb int) int
-	GlobalSlot(grp, dst, m int) int
-	GlobalEntryRouter(grp, dst, slot int) int
-}
-
-// DegradedTopo is the fault-aware structural view the algorithms need
-// on top of Topo. *topology.Degraded and *topology.Switched implement
-// it; when a topology handed to a constructor satisfies it, the
-// algorithm routes around the dead channels it describes. Unlike Topo
-// it is queried on every decision, because a Switched view changes
-// under the algorithm at every fault epoch.
+// DegradedTopo is the fault-aware view the algorithms need on top of
+// topology.Machine. *topology.Degraded and *topology.Switched implement
+// it; when a machine handed to a constructor satisfies it, the
+// algorithm routes around the dead channels it describes. Unlike the
+// path table it is queried on every decision, because a Switched view
+// changes under the algorithm at every fault epoch.
 type DegradedTopo interface {
-	Topo
+	topology.Machine
 	// Alive reports whether the channel attached at (router, port) can
 	// carry flits.
 	Alive(router, port int) bool
@@ -94,42 +57,50 @@ type DegradedTopo interface {
 	// TerminalDown reports that terminal t is unreachable.
 	TerminalDown(t int) bool
 	// LiveSlots returns the surviving global-channel slots of every
-	// ordered group pair, in GlobalSlot order.
+	// ordered group pair, in the path table's order.
 	LiveSlots() *topology.PairSlots
 }
 
-// SeededTopo is the optional bundle-spreading capability of topologies
-// with parallel local links (topology.SeededLocal): LocalRouteSeeded is
-// LocalRoute with a deterministic per-packet choice among the parallel
-// cables of a local hop. Detected by type assertion in newBase; direct
-// local hops then spread over the bundle while hop counts and detours
-// keep using the compiled LocalRoute/LocalHops grids (every cable of a
-// bundle is one hop).
-type SeededTopo interface {
-	LocalRouteSeeded(from, to int, seed uint64) int
-}
-
 // base carries the dragonfly structure all algorithms share: the
-// compiled path table, plus deg when the topology is a fault-aware
-// degraded view (every structural query then consults channel
-// liveness) and sl when it spreads parallel local links per packet.
+// machine's path table, held by value so a hop reads its arrays without
+// a pointer hop, plus deg when the machine is a fault-aware degraded
+// view (every structural query then consults channel liveness) and sl
+// when it spreads parallel local links per packet. Direct local hops
+// then spread over the bundle, while hop counts and detours keep using
+// the table's Route/Hops grids (every cable of a bundle is one hop).
 type base struct {
-	tab pathTable
+	tab topology.PathTable
 	deg DegradedTopo
-	sl  SeededTopo
+	sl  topology.SeededLocal
 }
 
-// newBase compiles t into a path table, detecting a degraded
-// (fault-aware) topology and the optional local-bundle capability.
-func newBase(t Topo) base {
-	b := base{tab: newPathTable(t)}
-	if d, ok := t.(DegradedTopo); ok {
+// newBase copies m's path table, detecting a degraded (fault-aware)
+// machine and the optional local-bundle capability.
+func newBase(m topology.Machine) base {
+	b := base{tab: *m.Paths()}
+	if d, ok := m.(DegradedTopo); ok {
 		b.deg = d
 	}
-	if s, ok := t.(SeededTopo); ok {
+	if s, ok := m.(topology.SeededLocal); ok {
 		b.sl = s
 	}
 	return b
+}
+
+// pos is a router resolved through the path table: its id, group and
+// in-group index.
+type pos struct{ id, grp, idx int }
+
+// at resolves router r.
+func (b *base) at(r int) pos {
+	l := b.tab.Router(r)
+	return pos{r, int(l.Grp), int(l.Idx)}
+}
+
+// dest resolves terminal term: its location and its router's id.
+func (b *base) dest(term int) (topology.TermLoc, int) {
+	l := b.tab.Terminal(term)
+	return l, int(l.Grp)*b.tab.RoutersPerGroup() + int(l.Idx)
 }
 
 // pairSlots returns the slot lists global-channel choices draw from:
@@ -139,7 +110,7 @@ func (b *base) pairSlots() *topology.PairSlots {
 	if b.deg != nil {
 		return b.deg.LiveSlots()
 	}
-	return &b.tab.pairs
+	return b.tab.Pairs()
 }
 
 // errNoLivePath is the internal marker hop helpers return when the
@@ -156,28 +127,28 @@ func (*internalNoPathError) Error() string { return "routing: no live channel fo
 // in-group index dIdx. phase1 reports whether tg is the packet's final
 // destination group. seed drives the deterministic choice among
 // parallel global channels, so Decide-time congestion queries inspect
-// exactly the channel NextHop will use; s is that choice (noSlot when
+// exactly the channel NextHop will use; s is that choice (NoSlot when
 // tg is the packet's current group). It returns errNoLivePath when no
 // live channel can make progress.
-func (b *base) hop(ps *topology.PairSlots, at pos, dIdx, tg int, phase1 bool, seed uint64) (port, vc int, s slotInfo, err error) {
+func (b *base) hop(ps *topology.PairSlots, at pos, dIdx, tg int, phase1 bool, seed uint64) (port, vc int, s topology.SlotInfo, err error) {
 	if at.grp == tg {
 		// Local hop(s) inside the destination group (dimension-order for
 		// flattened-butterfly groups, direct otherwise).
 		port, err = b.localPort(at, dIdx, seed)
-		return port, vcDestHop, noSlot, err
+		return port, vcDestHop, topology.NoSlot, err
 	}
 	s = b.chooseSlot(ps, at.grp, tg, seed)
-	if s.owner < 0 {
-		return 0, 0, noSlot, errNoLivePath
+	if s.Owner < 0 {
+		return 0, 0, topology.NoSlot, errNoLivePath
 	}
 	vc = vcPhase0
 	if phase1 {
 		vc = vcPhase1
 	}
-	if int(s.owner) == at.idx {
-		return int(s.port), vc, s, nil
+	if int(s.Owner) == at.idx {
+		return int(s.Port), vc, s, nil
 	}
-	port, err = b.localPort(at, int(s.owner), seed)
+	port, err = b.localPort(at, int(s.Owner), seed)
 	return port, vc, s, err
 }
 
@@ -192,14 +163,14 @@ func (b *base) hop(ps *topology.PairSlots, at pos, dIdx, tg int, phase1 bool, se
 // the stall detector's diagnostic snapshot exists to expose.
 func (b *base) localPort(at pos, toIdx int, seed uint64) (int, error) {
 	tb := &b.tab
-	direct := tb.route(at.idx, toIdx)
+	direct := tb.Route(at.idx, toIdx)
 	if b.sl != nil {
 		direct = b.sl.LocalRouteSeeded(at.idx, toIdx, seed)
 	}
 	if b.deg == nil || b.deg.Alive(at.id, direct) {
 		return direct, nil
 	}
-	a := tb.a
+	a := tb.RoutersPerGroup()
 	start := int(sim.Mix(seed^0x94d049bb133111eb) % uint64(a))
 	for i := 0; i < a; i++ {
 		w := start + i
@@ -209,11 +180,11 @@ func (b *base) localPort(at pos, toIdx int, seed uint64) (int, error) {
 		if w == at.idx || w == toIdx {
 			continue
 		}
-		first := tb.route(at.idx, w)
+		first := tb.Route(at.idx, w)
 		if !b.deg.Alive(at.id, first) {
 			continue
 		}
-		if !b.deg.Alive(at.grp*a+w, tb.route(w, toIdx)) {
+		if !b.deg.Alive(at.grp*a+w, tb.Route(w, toIdx)) {
 			continue
 		}
 		return first, nil
@@ -224,21 +195,21 @@ func (b *base) localPort(at pos, toIdx int, seed uint64) (int, error) {
 // chooseSlot picks the global-channel slot from group cur to group tg
 // out of ps, deterministically per packet, uniformly among the pair's
 // parallel channels — on a degraded topology, among its surviving
-// channels (noSlot when none survive). With an empty fault plan the
+// channels (NoSlot when none survive). With an empty fault plan the
 // live slot lists equal the pristine ones, so the choice is
 // bit-identical to the pristine one.
-func (b *base) chooseSlot(ps *topology.PairSlots, cur, tg int, seed uint64) slotInfo {
+func (b *base) chooseSlot(ps *topology.PairSlots, cur, tg int, seed uint64) topology.SlotInfo {
 	i := cur*ps.Groups + tg
 	lo := ps.Start[i]
 	n := ps.Start[i+1] - lo
 	if n == 0 {
-		return noSlot
+		return topology.NoSlot
 	}
 	k := lo
 	if n > 1 {
 		k += int32(sim.Mix(seed+uint64(cur)*0x9e37) % uint64(n))
 	}
-	return b.tab.slot(cur, int(ps.Slots[k]))
+	return b.tab.Slot(cur, int(ps.Slots[k]))
 }
 
 // NextHop resolves the packet's phase and target group, then computes
@@ -247,24 +218,23 @@ func (b *base) chooseSlot(ps *topology.PairSlots, cur, tg int, seed uint64) slot
 // plan severed every channel the hop could use; the simulator drops the
 // packet and counts it.
 func (b *base) NextHop(net *sim.Network, r *sim.Router, hs *sim.HopState) error {
-	tb := &b.tab
-	dst, dstR := tb.dest(hs.Dst)
+	dst, dstR := b.dest(hs.Dst)
 	if r.ID == dstR {
-		hs.Port = int(dst.port)
+		hs.Port = int(dst.Port)
 		hs.VC = 0
 		return nil
 	}
-	at := tb.at(r.ID)
+	at := b.at(r.ID)
 	if !hs.Phase1 && at.grp == hs.InterGroup {
 		// Reached the intermediate group (or it was the source group):
 		// the rest of the path is minimal.
 		hs.Phase1 = true
 	}
-	tg := int(dst.grp)
+	tg := int(dst.Grp)
 	if !hs.Phase1 {
 		tg = hs.InterGroup
 	}
-	port, vc, _, err := b.hop(b.pairSlots(), at, int(dst.idx), tg, hs.Phase1, hs.Seed)
+	port, vc, _, err := b.hop(b.pairSlots(), at, int(dst.Idx), tg, hs.Phase1, hs.Seed)
 	if err != nil {
 		return &sim.UnroutableError{Src: hs.Src, Dst: hs.Dst, Router: r.ID}
 	}
@@ -279,24 +249,24 @@ func (b *base) NextHop(net *sim.Network, r *sim.Router, hs *sim.HopState) error 
 // intermediate group tg otherwise. It follows the same deterministic
 // slot choices NextHop will make: the intra-group hops to the global
 // channel, the global channel, and so on to the destination router.
-func (b *base) pathHops(ps *topology.PairSlots, src pos, s slotInfo, gd, dIdx, tg int, seed uint64) int {
+func (b *base) pathHops(ps *topology.PairSlots, src pos, s topology.SlotInfo, gd, dIdx, tg int, seed uint64) int {
 	tb := &b.tab
 	if src.grp == tg {
-		return tb.hops(src.idx, dIdx)
+		return tb.Hops(src.idx, dIdx)
 	}
-	if s.owner < 0 {
+	if s.Owner < 0 {
 		return infeasibleHops // no surviving channel: never preferable
 	}
-	hops := tb.hops(src.idx, int(s.owner)) + 1
+	hops := tb.Hops(src.idx, int(s.Owner)) + 1
 	if tg == gd {
-		return hops + tb.hops(int(s.entry), dIdx)
+		return hops + tb.Hops(int(s.Entry), dIdx)
 	}
 	s2 := b.chooseSlot(ps, tg, gd, seed)
-	if s2.owner < 0 {
+	if s2.Owner < 0 {
 		return infeasibleHops
 	}
-	hops += tb.hops(int(s.entry), int(s2.owner)) + 1
-	return hops + tb.hops(int(s2.entry), dIdx)
+	hops += tb.Hops(int(s.Entry), int(s2.Owner)) + 1
+	return hops + tb.Hops(int(s2.Entry), dIdx)
 }
 
 // infeasibleHops is the hop count reported for a path with no surviving
@@ -309,7 +279,7 @@ const infeasibleHops = 1 << 20
 // topology there is no other group to draw, so it returns gs itself —
 // callers treat that as "route minimally" — instead of dividing by zero.
 func (b *base) pickInterGroup(gs int, seed uint64) int {
-	g := b.tab.groups
+	g := b.tab.Groups()
 	if g <= 1 {
 		return gs
 	}
@@ -338,7 +308,7 @@ func liveInter(ps *topology.PairSlots, gs, gd, gi int) bool {
 // pickInterGroup. ok is false when no usable intermediate group exists
 // (single-group machine, or the faults severed them all).
 func (b *base) pickLiveInterGroup(ps *topology.PairSlots, gs, gd int, seed uint64) (gi int, ok bool) {
-	g := b.tab.groups
+	g := b.tab.Groups()
 	count := 0
 	for c := 0; c < g; c++ {
 		if liveInter(ps, gs, gd, c) {

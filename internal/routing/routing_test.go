@@ -29,10 +29,7 @@ func testCfg() sim.Config {
 // NextHop wrapper.
 type hopRecorder struct {
 	inner sim.Routing
-	topo  *topology.Dragonfly
-	// class overrides the port classifier (set for the DragonflyFB
-	// variant; defaults to topo.PortClass).
-	class func(port int) topology.Class
+	topo  topology.Machine
 	bad   func(format string, args ...any)
 	// lastVC tracks the last VC assigned per packet id, to check
 	// monotonicity per hop class.
@@ -64,11 +61,7 @@ func (h *hopRecorder) NextHop(net *sim.Network, r *sim.Router, hs *sim.HopState)
 	if err := h.inner.NextHop(net, r, hs); err != nil {
 		return err
 	}
-	classify := h.class
-	if classify == nil {
-		classify = h.topo.PortClass
-	}
-	cls := classify(hs.Port)
+	cls := h.topo.Port(r.ID, hs.Port).Class
 	if cls == topology.ClassTerminal {
 		delete(h.lastVC, hs.ID)
 		return nil
@@ -213,17 +206,17 @@ func TestHopCountsMatchPaths(t *testing.T) {
 		if rs == rd {
 			return true
 		}
-		gd, dIdx := d.RouterGroup(rd), d.RouterIndex(rd)
-		_, _, slot, err := b.hop(ps, b.tab.at(rs), dIdx, gd, true, seed)
+		gd, dIdx := rd/d.A, rd%d.A
+		_, _, slot, err := b.hop(ps, b.at(rs), dIdx, gd, true, seed)
 		if err != nil {
 			return false
 		}
-		hm := b.pathHops(ps, b.tab.at(rs), slot, gd, dIdx, gd, seed)
+		hm := b.pathHops(ps, b.at(rs), slot, gd, dIdx, gd, seed)
 		// Walk the minimal path manually using hop().
 		hops := 0
 		cur := rs
 		for cur != rd {
-			port, _, _, err := b.hop(ps, b.tab.at(cur), dIdx, gd, true, seed)
+			port, _, _, err := b.hop(ps, b.at(cur), dIdx, gd, true, seed)
 			if err != nil {
 				return false
 			}
@@ -255,8 +248,8 @@ func TestNonminimalHopsWithinBounds(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		at := b.tab.at(src)
-		gd, dIdx := d.RouterGroup(dst), d.RouterIndex(dst)
+		at := b.at(src)
+		gd, dIdx := dst/d.A, dst%d.A
 		tg, phase1 := gi, false
 		if gi == at.grp {
 			// An intermediate group equal to the source group degenerates
@@ -309,11 +302,11 @@ func TestChooseSlotDeterministicPerPacket(t *testing.T) {
 	}
 	b := newBase(d)
 	for seed := uint64(0); seed < 200; seed++ {
-		a := int(b.chooseSlot(b.pairSlots(), 1, 3, seed).slot)
-		if int(b.chooseSlot(b.pairSlots(), 1, 3, seed).slot) != a {
+		a := int(b.chooseSlot(b.pairSlots(), 1, 3, seed).Slot)
+		if int(b.chooseSlot(b.pairSlots(), 1, 3, seed).Slot) != a {
 			t.Fatal("chooseSlot not deterministic")
 		}
-		if d.SlotTarget(1, a) != 3 {
+		if s := b.tab.Slot(1, a); d.Port(d.A+int(s.Owner), int(s.Port)).PeerRouter/d.A != 3 {
 			t.Fatalf("chooseSlot returned slot %d not leading to group 3", a)
 		}
 	}
@@ -325,13 +318,13 @@ func TestChooseSlotSpreadsOverParallelChannels(t *testing.T) {
 		t.Fatalf("NewDragonfly: %v", err)
 	}
 	b := newBase(d)
-	n := d.ChannelsBetween(0, 1)
+	n := b.pairSlots().Count(0, 1)
 	if n < 2 {
 		t.Fatalf("expected parallel channels, got %d", n)
 	}
 	counts := map[int]int{}
 	for s := uint64(0); s < 4000; s++ {
-		counts[int(b.chooseSlot(b.pairSlots(), 0, 1, sim.Mix(s)).slot)]++
+		counts[int(b.chooseSlot(b.pairSlots(), 0, 1, sim.Mix(s)).Slot)]++
 	}
 	if len(counts) != n {
 		t.Errorf("slot choice covered %d of %d parallel channels", len(counts), n)

@@ -10,7 +10,7 @@ import (
 
 // The Figure 6(b) variant — flattened-butterfly intra-group networks —
 // must work end-to-end with every routing algorithm through the same
-// Topo interface.
+// path table.
 
 func fbTopo(t *testing.T) *topology.DragonflyFB {
 	t.Helper()
@@ -105,8 +105,7 @@ func TestDragonflyFBVCLevelsMonotone(t *testing.T) {
 	// The deadlock-freedom ladder must hold on the variant: dimension-
 	// order local hops stay within one VC class per group visit.
 	d := fbTopo(t)
-	rec := &hopRecorder{inner: NewUGAL(d, UGALLocalVCH), topo: nil, bad: t.Errorf, lastVC: map[uint64]vcState{}}
-	rec.class = d.PortClass
+	rec := &hopRecorder{inner: NewUGAL(d, UGALLocalVCH), topo: d, bad: t.Errorf, lastVC: map[uint64]vcState{}}
 	net, err := sim.New(d, testCfg(), rec, traffic.NewWorstCase(d))
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)

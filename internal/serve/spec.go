@@ -251,7 +251,7 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	if err != nil {
 		return s, badRequest("%v", err)
 	}
-	tenv := traffic.Env{Terminals: topo.Nodes(), Grouped: topo, Seed: s.Seed}
+	tenv := traffic.Env{Terminals: topo.Nodes(), Machine: topo, Seed: s.Seed}
 	if _, err := traffic.Build(fam, tenv, params); err != nil {
 		return s, badRequest("%v", err)
 	}

@@ -165,14 +165,16 @@ func (r *Router) init(id int, topo Topology, cfg Config, counts []int32) {
 	// flit in flight to the downstream buffer, at most VCs × depth, but
 	// at short channel latencies only a few; like the link's credit
 	// line it starts at one cache line and doubles on demand. Terminal
-	// ports send no flits over a channel and get no FIFO at all. waitQ
-	// is not bounded by the buffer depth — it collects flits from every
-	// input port, up to radix × VCs × depth (TestVOQGrowsPastBufDepth) —
-	// so, like the unbounded source queues, it starts at the buffer
-	// depth and amortizes from there.
+	// ports send no flits over a channel and get no FIFO at all; only
+	// they inject, so only they get a source-queue ring. waitQ is not
+	// bounded by the buffer depth — it collects flits from every input
+	// port, up to radix × VCs × depth (TestVOQGrowsPastBufDepth) — so,
+	// like the unbounded source queues, it starts at the buffer depth
+	// and amortizes from there.
 	for p := 0; p < radix; p++ {
-		r.srcQ[p].reserve(cfg.BufDepth)
-		if !r.isTerm[p] {
+		if r.isTerm[p] {
+			r.srcQ[p].reserve(cfg.BufDepth)
+		} else {
 			r.ctq[p].reserve()
 		}
 		for vc := 0; vc < cfg.VCs; vc++ {

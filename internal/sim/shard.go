@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dragonfly/internal/metrics"
+	"dragonfly/internal/topology"
 )
 
 // The sharded engine partitions the network into contiguous ranges of
@@ -112,7 +113,6 @@ type evRec struct {
 type shard struct {
 	idx    int
 	r0, r1 int     // owned routers: [r0, r1)
-	g0, g1 int     // owned groups: [g0, g1), -1 when ungrouped
 	terms  []int32 // owned terminals, ascending
 
 	linkOrder []shardLink
@@ -149,16 +149,6 @@ type shard struct {
 	err error
 }
 
-// groupedTopology is the optional structural view that lets the
-// partition align with group boundaries; every dragonfly view
-// (pristine, Degraded, Switched) implements it by embedding. Group
-// alignment matters for UGAL-G, whose congestion oracle reads sibling
-// routers of the packet's source group.
-type groupedTopology interface {
-	Groups() int
-	RouterGroup(router int) int
-}
-
 // Shards returns the number of engine shards (1 = serial engine).
 func (n *Network) Shards() int { return len(n.shards) }
 
@@ -187,59 +177,31 @@ func (n *Network) buildShards(k int) {
 	if k > nR {
 		k = nR
 	}
-	grouped, isGrouped := n.topo.(groupedTopology)
-	var groupShard []int32
-	if isGrouped {
-		g := grouped.Groups()
-		if k > g {
-			k = g
-		}
-		groupShard = make([]int32, g)
-		for s := 0; s < k; s++ {
-			for gi := s * g / k; gi < (s+1)*g/k; gi++ {
-				groupShard[gi] = int32(s)
-			}
-		}
+	// A topology.Machine (pristine, Degraded or Switched) numbers its
+	// routers group-major, so shard s takes whole groups: the routers
+	// of groups [s*g/k, (s+1)*g/k). Group alignment matters for UGAL-G,
+	// whose congestion oracle reads sibling routers of the packet's
+	// source group. Other topologies split into contiguous router
+	// ranges.
+	groups := nR
+	if m, ok := n.topo.(topology.Machine); ok {
+		groups = m.Paths().Groups()
+		k = min(k, groups)
 	}
+	perGroup := nR / groups
 	n.routerShard = make([]int32, nR)
-	if isGrouped {
-		for r := 0; r < nR; r++ {
-			n.routerShard[r] = groupShard[grouped.RouterGroup(r)]
-		}
-	} else {
-		// Ungrouped fallback: contiguous router ranges.
-		for s := 0; s < k; s++ {
-			for r := s * nR / k; r < (s+1)*nR/k; r++ {
-				n.routerShard[r] = int32(s)
-			}
-		}
-	}
 	n.shards = make([]shard, k)
 	for s := range n.shards {
 		sh := &n.shards[s]
 		sh.idx = s
-		sh.g0, sh.g1 = -1, -1
-		if isGrouped {
-			g := grouped.Groups()
-			sh.g0, sh.g1 = s*g/k, (s+1)*g/k
+		sh.r0, sh.r1 = s*groups/k*perGroup, (s+1)*groups/k*perGroup
+		for r := sh.r0; r < sh.r1; r++ {
+			n.routerShard[r] = int32(s)
 		}
-		sh.r0, sh.r1 = -1, -1
 		for p := range sh.flitOut {
 			sh.flitOut[p] = make([][]flitXfer, k)
 			sh.credOut[p] = make([][]credXfer, k)
 		}
-	}
-	for r := 0; r < nR; r++ {
-		sh := &n.shards[n.routerShard[r]]
-		if sh.r0 < 0 {
-			sh.r0 = r
-		} else if r != sh.r1 {
-			// The walk below assumes each shard's routers are contiguous
-			// and ascending; grouped topologies number routers
-			// group-major, so this cannot trip. Guard it anyway.
-			panic("sim: shard router range not contiguous")
-		}
-		sh.r1 = r + 1
 	}
 	for t := 0; t < n.topo.Terminals(); t++ {
 		sh := &n.shards[n.routerShard[n.topo.TerminalRouter(t)]]

@@ -488,8 +488,8 @@ func TestCreditRTTSensing(t *testing.T) {
 	}
 	// Group 1's minimal channel to group 2 is slot 0, owned by the first
 	// router of the group.
-	owner := net.RouterAt(d.GroupRouter(1, 0))
-	hot := owner.TD(d.GlobalPort(0))
+	owner := net.RouterAt(d.A)
+	hot := owner.TD(d.P + d.A - 1)
 	if hot <= 0 {
 		t.Errorf("congested global channel has TD=%d, want > 0", hot)
 	}

@@ -44,8 +44,8 @@ type Aries struct {
 	// G is the number of groups.
 	G int
 
-	wire  gwire
 	gBase int // first global port
+	paths *PathTable
 }
 
 // NewAries builds the cascade machine. groups must be at least 1 and at
@@ -64,16 +64,14 @@ func NewAries(p, blades, chassis, mult, h, groups int) (*Aries, error) {
 		return nil, fmt.Errorf("topology: aries with %d routers/group and h=%d supports at most %d groups (got %d)", a, h, maxGroups, groups)
 	}
 	var wire gwire
+	var err error
 	if groups > 1 {
-		var err error
-		wire, err = newGwire(groups, a*h)
-		if err != nil {
+		if wire, err = newGwire(groups, a*h); err != nil {
 			return nil, err
 		}
 	}
 	d := &Aries{
 		P: p, B: blades, C: chassis, Mult: mult, H: h, G: groups,
-		wire:  wire,
 		gBase: p + (blades - 1) + (chassis-1)*mult,
 	}
 
@@ -127,7 +125,7 @@ func NewAries(p, blades, chassis, mult, h, groups int) (*Aries, error) {
 		g.ports[r] = ports
 	}
 	d.Graph = g
-	if err := g.Validate(); err != nil {
+	if d.paths, err = newPathTable(g, groups, a, d.LocalRoute); err != nil {
 		return nil, fmt.Errorf("topology: aries construction bug: %w", err)
 	}
 	return d, nil
@@ -152,29 +150,8 @@ func (d *Aries) chassisPort(own, peer, k int) int {
 	return d.P + d.B - 1 + vi*d.Mult + k
 }
 
-// Groups returns the group count.
-func (d *Aries) Groups() int { return d.G }
-
 // Nodes returns the terminal count N = g·B·C·p.
 func (d *Aries) Nodes() int { return d.G * d.B * d.C * d.P }
-
-// RoutersPerGroup returns B·C.
-func (d *Aries) RoutersPerGroup() int { return d.B * d.C }
-
-// TerminalsPerGroup returns B·C·p.
-func (d *Aries) TerminalsPerGroup() int { return d.B * d.C * d.P }
-
-// RouterGroup returns the group of router r.
-func (d *Aries) RouterGroup(r int) int { return r / (d.B * d.C) }
-
-// RouterIndex returns the in-group index of router r.
-func (d *Aries) RouterIndex(r int) int { return r % (d.B * d.C) }
-
-// GroupRouter returns the router with in-group index idx of group grp.
-func (d *Aries) GroupRouter(grp, idx int) int { return grp*(d.B*d.C) + idx }
-
-// TerminalGroup returns the group of terminal t.
-func (d *Aries) TerminalGroup(t int) int { return d.RouterGroup(d.TerminalRouter(t)) }
 
 // RouterRadix returns the uniform router radix.
 func (d *Aries) RouterRadix() int {
@@ -231,45 +208,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// LocalHops returns the intra-group distance: the number of differing
-// coordinates (blade, chassis).
-func (d *Aries) LocalHops(from, to int) int {
-	n := 0
-	if from%d.B != to%d.B {
-		n++
-	}
-	if from/d.B != to/d.B {
-		n++
-	}
-	return n
-}
-
-// GlobalPort returns the port of global-channel slot c on its owning
-// router.
-func (d *Aries) GlobalPort(c int) int { return d.gBase + c%d.H }
-
-// SlotRouterIndex returns the in-group index of the router owning slot c.
-func (d *Aries) SlotRouterIndex(c int) int { return c / d.H }
-
-// SlotTarget returns the group reached by slot c of group grp.
-func (d *Aries) SlotTarget(grp, c int) int { return d.wire.target(grp, c) }
-
-// ChannelsBetween returns the global channels connecting two groups —
-// the inter-group trunk width, ⌊B·C·H/(g-1)⌋ or one more.
-func (d *Aries) ChannelsBetween(ga, gb int) int { return d.wire.between(ga, gb) }
-
-// GlobalSlot returns the m-th slot of grp leading to dst.
-func (d *Aries) GlobalSlot(grp, dst, m int) int { return d.wire.slotFor(grp, dst, m) }
-
-// GlobalEntryRouter returns the router of group dst reached via slot c
-// of group grp, or -1 if the slot leads elsewhere.
-func (d *Aries) GlobalEntryRouter(grp, dst, c int) int {
-	tgt, back := d.wire.peer(grp, c)
-	if tgt != dst {
-		return -1
-	}
-	return dst*(d.B*d.C) + back/d.H
-}
+// Paths returns the path table derived from the wiring.
+func (d *Aries) Paths() *PathTable { return d.paths }
 
 // MinVCs returns the virtual channels the routing ladder needs: 3 —
 // dimension-order local routing is acyclic exactly as in DragonflyFB,

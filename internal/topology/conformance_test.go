@@ -20,15 +20,8 @@ import (
 // query like the pristine machine).
 func conformanceMachines(t *testing.T) map[string]Machine {
 	t.Helper()
-	specs := map[string]map[string]int{
-		"dragonfly":     {"p": 2, "a": 4, "h": 2},
-		"dragonflyfb":   {"p": 2, "d1": 2, "d2": 2, "h": 2},
-		"dragonflyplus": {"p": 2, "leaves": 3, "spines": 2, "h": 2},
-		"swapped":       {"p": 2, "k": 4, "m": 3},
-		"aries":         {"p": 2, "blades": 3, "chassis": 2, "bundle": 2, "h": 2, "g": 4},
-	}
 	out := map[string]Machine{}
-	for fam, params := range specs {
+	for fam, params := range conformanceSpecs {
 		m, err := Build(fam, params)
 		if err != nil {
 			t.Fatalf("Build(%s, %v): %v", fam, params, err)
@@ -41,6 +34,16 @@ func conformanceMachines(t *testing.T) map[string]Machine {
 	}
 	out["degraded(empty plan)"] = NewDegraded(d, emptyFaultView{})
 	return out
+}
+
+// conformanceSpecs are small build parameters for every registered
+// family.
+var conformanceSpecs = map[string]map[string]int{
+	"dragonfly":     {"p": 2, "a": 4, "h": 2},
+	"dragonflyfb":   {"p": 2, "d1": 2, "d2": 2, "h": 2},
+	"dragonflyplus": {"p": 2, "leaves": 3, "spines": 2, "h": 2},
+	"swapped":       {"p": 2, "k": 4, "m": 3},
+	"aries":         {"p": 2, "blades": 3, "chassis": 2, "bundle": 2, "h": 2, "g": 4},
 }
 
 // emptyFaultView is the all-alive FaultView: wrapping with it must not
@@ -64,9 +67,7 @@ func checkMachine(t *testing.T, m Machine) {
 	t.Helper()
 	checkPortBijectivity(t, m)
 	checkCensusMatchesDescriptor(t, m)
-	checkGroupNumbering(t, m)
-	checkLocalOracle(t, m)
-	checkGlobalOracle(t, m)
+	checkPaths(t, m)
 	checkReachability(t, m)
 	if m.MinVCs() < 1 {
 		t.Errorf("MinVCs() = %d, want >= 1", m.MinVCs())
@@ -106,11 +107,12 @@ func checkPortBijectivity(t *testing.T, m Machine) {
 				t.Errorf("link %d/%d <-> %d/%d has class %v on one side, %v on the other",
 					r, p, pt.PeerRouter, pt.PeerPort, pt.Class, back.Class)
 			}
-			if pt.Class == ClassLocal && m.RouterGroup(pt.PeerRouter) != m.RouterGroup(r) {
-				t.Errorf("local link %d/%d crosses groups %d -> %d", r, p, m.RouterGroup(r), m.RouterGroup(pt.PeerRouter))
+			a := m.Describe().RoutersPerGroup
+			if pt.Class == ClassLocal && pt.PeerRouter/a != r/a {
+				t.Errorf("local link %d/%d crosses groups %d -> %d", r, p, r/a, pt.PeerRouter/a)
 			}
-			if pt.Class == ClassGlobal && m.RouterGroup(pt.PeerRouter) == m.RouterGroup(r) {
-				t.Errorf("global link %d/%d stays inside group %d", r, p, m.RouterGroup(r))
+			if pt.Class == ClassGlobal && pt.PeerRouter/a == r/a {
+				t.Errorf("global link %d/%d stays inside group %d", r, p, r/a)
 			}
 		}
 	}
@@ -128,9 +130,9 @@ func checkPortBijectivity(t *testing.T, m Machine) {
 func checkCensusMatchesDescriptor(t *testing.T, m Machine) {
 	t.Helper()
 	desc := m.Describe()
-	if desc.Routers != m.Routers() || desc.Terminals != m.Terminals() || desc.Groups != m.Groups() {
+	if desc.Routers != m.Routers() || desc.Terminals != m.Terminals() || desc.Groups != m.Paths().Groups() {
 		t.Errorf("descriptor sizes %d routers/%d terminals/%d groups, machine says %d/%d/%d",
-			desc.Routers, desc.Terminals, desc.Groups, m.Routers(), m.Terminals(), m.Groups())
+			desc.Routers, desc.Terminals, desc.Groups, m.Routers(), m.Terminals(), m.Paths().Groups())
 	}
 	if desc.Routers != desc.Groups*desc.RoutersPerGroup || desc.Terminals != desc.Groups*desc.TerminalsPerGroup {
 		t.Errorf("descriptor is not group-regular: %d groups x %d routers, %d groups x %d terminals vs totals %d/%d",
@@ -168,111 +170,41 @@ func descWithoutParams(d Descriptor) Descriptor {
 	return d
 }
 
-// checkGroupNumbering: router and terminal numbering is group-major
-// and contiguous — the invariant the shard partitioner and the grouped
-// traffic patterns assume.
-func checkGroupNumbering(t *testing.T, m Machine) {
+// checkPaths: the path table matches the wiring entry by entry
+// (tableMismatch), and it has the properties routing relies on. Every
+// distinct group pair has at least one direct channel, as many as the
+// reverse pair. In every group, not only the one the table was derived
+// from, following Route hop by hop over local ports reaches the
+// target in Hops steps.
+func checkPaths(t *testing.T, m Machine) {
 	t.Helper()
-	a := m.RoutersPerGroup()
-	for r := 0; r < m.Routers(); r++ {
-		grp, idx := m.RouterGroup(r), m.RouterIndex(r)
-		if grp != r/a || idx != r%a {
-			t.Errorf("router %d: group %d index %d, want group-major %d/%d", r, grp, idx, r/a, r%a)
-		}
-		if m.GroupRouter(grp, idx) != r {
-			t.Errorf("GroupRouter(%d, %d) = %d, want %d", grp, idx, m.GroupRouter(grp, idx), r)
-		}
+	tb := m.Paths()
+	if msg := tableMismatch(tb, m); msg != "" {
+		t.Fatalf("path table: %s", msg)
 	}
-	per := m.TerminalsPerGroup()
-	for term := 0; term < m.Terminals(); term++ {
-		if m.TerminalGroup(term) != term/per {
-			t.Errorf("terminal %d: group %d, want contiguous group-major %d", term, m.TerminalGroup(term), term/per)
-		}
-		if rg := m.RouterGroup(m.TerminalRouter(term)); rg != term/per {
-			t.Errorf("terminal %d sits on a router of group %d but TerminalGroup says %d", term, rg, term/per)
-		}
-	}
-}
-
-// checkLocalOracle: from every in-group router pair, following
-// LocalRoute hop by hop reaches the destination in exactly LocalHops
-// steps, over live local ports of the wiring table.
-func checkLocalOracle(t *testing.T, m Machine) {
-	t.Helper()
-	a := m.RoutersPerGroup()
-	for from := 0; from < a; from++ {
-		for to := 0; to < a; to++ {
-			if from == to {
-				if p := m.LocalRoute(from, to); p != -1 {
-					t.Errorf("LocalRoute(%d, %d) = %d, want -1 for self", from, to, p)
-				}
-				if h := m.LocalHops(from, to); h != 0 {
-					t.Errorf("LocalHops(%d, %d) = %d, want 0", from, to, h)
-				}
-				continue
-			}
-			cur, hops := from, 0
-			for cur != to {
-				port := m.LocalRoute(cur, to)
-				if port < 0 {
-					t.Fatalf("LocalRoute(%d, %d) = %d mid-walk at %d", from, to, port, cur)
-				}
-				r := m.GroupRouter(0, cur)
-				if port >= m.Radix(r) {
-					t.Fatalf("LocalRoute(%d, %d) = %d, beyond router %d's radix %d", cur, to, port, r, m.Radix(r))
-				}
-				pt := m.Port(r, port)
-				if pt.Class != ClassLocal {
-					t.Fatalf("LocalRoute(%d, %d) = %d is a %v port, want local", cur, to, port, pt.Class)
-				}
-				cur = m.RouterIndex(pt.PeerRouter)
-				if hops++; hops > a {
-					t.Fatalf("LocalRoute walk %d -> %d did not converge within %d hops", from, to, a)
-				}
-			}
-			if want := m.LocalHops(from, to); hops != want {
-				t.Errorf("walk %d -> %d took %d hops, LocalHops says %d", from, to, hops, want)
-			}
-		}
-	}
-}
-
-// checkGlobalOracle: the slot arithmetic agrees with the wiring. For
-// every ordered group pair and every parallel channel between them,
-// GlobalSlot names a slot whose router and port (SlotRouterIndex /
-// GlobalPort) carry a global link into the destination group, landing
-// exactly on GlobalEntryRouter.
-func checkGlobalOracle(t *testing.T, m Machine) {
-	t.Helper()
-	g := m.Groups()
+	g, a := tb.Groups(), tb.RoutersPerGroup()
+	ps := tb.Pairs()
 	for ga := 0; ga < g; ga++ {
 		for gb := 0; gb < g; gb++ {
-			if ga == gb {
-				continue
+			if n := ps.Count(ga, gb); ga != gb && (n < 1 || n != ps.Count(gb, ga)) {
+				t.Errorf("groups %d -> %d have %d channels, %d back; want the same number, at least 1", ga, gb, n, ps.Count(gb, ga))
 			}
-			n := m.ChannelsBetween(ga, gb)
-			if n < 1 {
-				t.Fatalf("ChannelsBetween(%d, %d) = %d, want >= 1 (one global hop must suffice)", ga, gb, n)
-			}
-			if back := m.ChannelsBetween(gb, ga); back != n {
-				t.Errorf("ChannelsBetween asymmetric: %d->%d has %d, %d->%d has %d", ga, gb, n, gb, ga, back)
-			}
-			for c := 0; c < n; c++ {
-				slot := m.GlobalSlot(ga, gb, c)
-				r := m.GroupRouter(ga, m.SlotRouterIndex(slot))
-				port := m.GlobalPort(slot)
-				if port >= m.Radix(r) {
-					t.Fatalf("slot %d of group %d: port %d beyond router %d's radix %d", slot, ga, port, r, m.Radix(r))
+		}
+	}
+	for grp := 0; grp < g; grp++ {
+		for from := 0; from < a; from++ {
+			for to := 0; to < a; to++ {
+				cur, hops := from, 0
+				for ; cur != to && hops <= a; hops++ {
+					r := grp*a + cur
+					pt := m.Port(r, tb.Route(cur, to))
+					if pt.Class != ClassLocal {
+						t.Fatalf("group %d: Route(%d, %d) at router %d is a %v port", grp, cur, to, r, pt.Class)
+					}
+					cur = pt.PeerRouter - grp*a
 				}
-				pt := m.Port(r, port)
-				if pt.Class != ClassGlobal {
-					t.Fatalf("slot %d of group %d: router %d port %d is %v, want global", slot, ga, r, port, pt.Class)
-				}
-				if m.RouterGroup(pt.PeerRouter) != gb {
-					t.Errorf("GlobalSlot(%d, %d, %d): channel lands in group %d", ga, gb, c, m.RouterGroup(pt.PeerRouter))
-				}
-				if entry := m.GlobalEntryRouter(ga, gb, slot); entry != pt.PeerRouter {
-					t.Errorf("GlobalEntryRouter(%d, %d, slot %d) = %d, wiring says %d", ga, gb, slot, entry, pt.PeerRouter)
+				if cur != to || hops != tb.Hops(from, to) {
+					t.Errorf("group %d: walk %d -> %d ended at %d after %d hops, Hops says %d", grp, from, to, cur, hops, tb.Hops(from, to))
 				}
 			}
 		}
@@ -352,5 +284,38 @@ func FuzzDragonflyPlusBuilder(f *testing.F) {
 			return
 		}
 		checkMachine(t, dp)
+	})
+}
+
+// FuzzDragonflyBuilder does the same for NewDragonfly, whose group
+// counts below the maximum wire the circulant remainder layer. The
+// builder must reject exactly the invalid plans: non-positive sizes,
+// more groups than a·h+1, and an odd remainder a·h mod (g-1) with g
+// odd, which cannot be wired symmetrically. Maximal machines must also
+// match the paper's wiring (checkCanonicalWiring).
+func FuzzDragonflyBuilder(f *testing.F) {
+	f.Add(2, 4, 2, 0)
+	f.Add(2, 4, 2, 6)
+	f.Add(1, 3, 3, 7)
+	f.Add(3, 2, 2, 1)
+	f.Fuzz(func(t *testing.T, p, a, h, g int) {
+		if p > 4 || a > 8 || h > 6 || g > 49 {
+			t.Skip("out of the supported envelope")
+		}
+		d, err := NewDragonfly(p, a, h, g)
+		valid := p >= 1 && a >= 1 && h >= 1 && g >= 0 && g <= a*h+1
+		if valid && g > 1 {
+			valid = (a*h)%(g-1)%2 == 0 || g%2 == 0
+		}
+		if (err == nil) != valid {
+			t.Fatalf("NewDragonfly(%d, %d, %d, %d): error %v, want valid=%v", p, a, h, g, err, valid)
+		}
+		if err != nil {
+			return
+		}
+		checkMachine(t, d)
+		if d.G == a*h+1 {
+			checkCanonicalWiring(t, d)
+		}
 	})
 }

@@ -32,8 +32,8 @@ type Degraded struct {
 	aliveTerms int
 
 	// live lists the surviving global-channel slots of every ordered
-	// group pair in the order GlobalSlot enumerates them, so with an
-	// empty fault plan it equals the pristine enumeration exactly.
+	// group pair in the path table's order, so with an empty fault plan
+	// it equals the pristine pairs exactly.
 	live      PairSlots
 	reach     [][]bool // group-level reachability over live global channels
 	connected bool
@@ -88,26 +88,16 @@ func NewDegraded(d Machine, fv FaultView) *Degraded {
 			dg.aliveTerms++
 		}
 	}
-	dg.buildLiveSlots()
+	dg.live = d.Paths().livePairs(dg.Alive)
 	dg.buildReachability()
 	dg.connected = dg.computeConnected()
 	return dg
 }
 
-// buildLiveSlots enumerates, per ordered group pair, the global-channel
-// slots whose channel survived, in ascending slot order.
-func (dg *Degraded) buildLiveSlots() {
-	d := dg.Machine
-	dg.live = NewPairSlots(d, func(grp, slot int) bool {
-		r := d.GroupRouter(grp, d.SlotRouterIndex(slot))
-		return !dg.portDead[r][d.GlobalPort(slot)]
-	})
-}
-
 // buildReachability runs one BFS per group over the group graph whose
 // edges are pairs with at least one live global channel.
 func (dg *Degraded) buildReachability() {
-	g := dg.Groups()
+	g := dg.live.Groups
 	dg.reach = make([][]bool, g)
 	for src := 0; src < g; src++ {
 		seen := make([]bool, g)
@@ -185,10 +175,10 @@ func (dg *Degraded) TerminalDown(t int) bool { return !dg.termAlive[t] }
 func (dg *Degraded) AliveTerminals() int { return dg.aliveTerms }
 
 // LiveSlots returns the surviving global-channel slots of every ordered
-// group pair in one flat table — the layout the routing layer's
-// compiled path table reads on every hop. With an empty fault plan the
-// lists equal the GlobalSlot enumeration, so routing over an all-alive
-// view is bit-identical to pristine routing.
+// group pair in one flat table, filtered from the path table's pairs
+// in their order — the layout routing reads on every hop. With an
+// empty fault plan the lists equal the pristine pairs, so routing over
+// an all-alive view is bit-identical to pristine routing.
 func (dg *Degraded) LiveSlots() *PairSlots { return &dg.live }
 
 // GroupsReachable reports whether group gb can be reached from group ga
@@ -210,11 +200,11 @@ func (dg *Degraded) FaultCounts() (routers, global, local, terminal int) {
 
 // LocalRouteSeeded forwards the optional bundle-spreading capability
 // (SeededLocal) of the wrapped machine; for machines without it, it is
-// exactly LocalRoute, so the routing layer may use it unconditionally
-// on a degraded view without changing behaviour.
+// exactly the path table's Route, so the routing layer may use it
+// unconditionally on a degraded view without changing behaviour.
 func (dg *Degraded) LocalRouteSeeded(from, to int, seed uint64) int {
 	if s, ok := dg.Machine.(SeededLocal); ok {
 		return s.LocalRouteSeeded(from, to, seed)
 	}
-	return dg.LocalRoute(from, to)
+	return dg.Paths().Route(from, to)
 }

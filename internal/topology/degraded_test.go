@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func degTestDF(t *testing.T) *Dragonfly {
 	t.Helper()
@@ -43,24 +46,16 @@ func TestDegradedEmptyPlanIsPristine(t *testing.T) {
 	if r+g+l+tm != 0 {
 		t.Errorf("FaultCounts = (%d,%d,%d,%d), want zeros", r, g, l, tm)
 	}
-	// The live slot lists must match GlobalSlot exactly: routing with an
-	// empty fault plan stays bit-identical to pristine routing.
-	live := dg.LiveSlots()
+	// The live slot lists must match the path table's pairs exactly:
+	// routing with an empty fault plan stays bit-identical to pristine
+	// routing.
+	live, pristine := dg.LiveSlots(), d.Paths().Pairs()
+	if fmt.Sprint(*live) != fmt.Sprint(*pristine) {
+		t.Fatalf("live slots %v, want the pristine pairs %v", *live, *pristine)
+	}
 	for ga := 0; ga < d.G; ga++ {
 		for gb := 0; gb < d.G; gb++ {
-			if ga == gb {
-				continue
-			}
-			n := d.ChannelsBetween(ga, gb)
-			if live.Count(ga, gb) != n {
-				t.Fatalf("live slots (%d,%d): %d, want %d", ga, gb, live.Count(ga, gb), n)
-			}
-			for m, got := range live.Pair(ga, gb) {
-				if want := d.GlobalSlot(ga, gb, m); int(got) != want {
-					t.Fatalf("live slot (%d,%d,%d) = %d, want GlobalSlot %d", ga, gb, m, got, want)
-				}
-			}
-			if !dg.GroupsReachable(ga, gb) {
+			if ga != gb && !dg.GroupsReachable(ga, gb) {
 				t.Fatalf("groups %d,%d unreachable under empty plan", ga, gb)
 			}
 		}
@@ -89,9 +84,9 @@ func TestDegradedChannelDeadBothEnds(t *testing.T) {
 	if _, g, _, _ := dg.FaultCounts(); g != 1 {
 		t.Errorf("dead global channels = %d, want 1", g)
 	}
-	ga, gb := d.RouterGroup(0), d.RouterGroup(pt.PeerRouter)
-	if n := dg.LiveSlots().Count(ga, gb); n != d.ChannelsBetween(ga, gb)-1 {
-		t.Errorf("live slots (%d,%d): %d, want %d", ga, gb, n, d.ChannelsBetween(ga, gb)-1)
+	ga, gb := 0, pt.PeerRouter/d.A
+	if n, want := dg.LiveSlots().Count(ga, gb), d.Paths().Pairs().Count(ga, gb)-1; n != want {
+		t.Errorf("live slots (%d,%d): %d, want %d", ga, gb, n, want)
 	}
 	if !dg.Connected() {
 		t.Error("one dead channel disconnected the network")
@@ -136,7 +131,7 @@ func TestDegradedDisconnection(t *testing.T) {
 	// group is unreachable, so reachability and Connected must say so.
 	ports := map[[2]int]bool{}
 	for idx := 0; idx < d.A; idx++ {
-		r := d.GroupRouter(0, idx)
+		r := idx
 		for p := 0; p < d.Radix(r); p++ {
 			if d.Port(r, p).Class == ClassGlobal {
 				ports[[2]int{r, p}] = true

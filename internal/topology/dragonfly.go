@@ -47,7 +47,7 @@ type Dragonfly struct {
 	// pair of groups.
 	G int
 
-	wire gwire
+	paths *PathTable
 }
 
 // NewDragonfly builds a dragonfly with the given parameters. If groups is
@@ -70,14 +70,13 @@ func NewDragonfly(p, a, h, groups int) (*Dragonfly, error) {
 		return nil, fmt.Errorf("topology: dragonfly with a=%d h=%d supports at most %d groups (got %d)", a, h, maxGroups, groups)
 	}
 	var wire gwire
+	var err error
 	if groups > 1 {
-		var err error
-		wire, err = newGwire(groups, a*h)
-		if err != nil {
+		if wire, err = newGwire(groups, a*h); err != nil {
 			return nil, err
 		}
 	}
-	d := &Dragonfly{P: p, A: a, H: h, G: groups, wire: wire}
+	d := &Dragonfly{P: p, A: a, H: h, G: groups}
 
 	routers := a * groups
 	terminals := p * routers
@@ -111,7 +110,7 @@ func NewDragonfly(p, a, h, groups int) (*Dragonfly, error) {
 		}
 		for jg := 0; groups > 1 && jg < h; jg++ {
 			c := idx*h + jg
-			dst, back := d.peerSlot(grp, c)
+			dst, back := wire.peer(grp, c)
 			ports = append(ports, Port{
 				Class:      ClassGlobal,
 				PeerRouter: dst*a + back/h,
@@ -122,49 +121,11 @@ func NewDragonfly(p, a, h, groups int) (*Dragonfly, error) {
 		g.ports[r] = ports
 	}
 	d.Graph = g
-	if err := d.checkPortLayout(); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
+	if d.paths, err = newPathTable(g, groups, a, d.LocalRoute); err != nil {
 		return nil, fmt.Errorf("topology: dragonfly construction bug: %w", err)
 	}
 	return d, nil
 }
-
-// checkPortLayout verifies that the slot-ordered link insertion produced
-// the canonical port layout (global port of slot c is P+A-1+c%H on router
-// c/H, wired to the peer computed by peerSlot).
-func (d *Dragonfly) checkPortLayout() error {
-	if d.G == 1 {
-		return nil // a single-group dragonfly has no global ports
-	}
-	for grp := 0; grp < d.G; grp++ {
-		for c := 0; c < d.A*d.H; c++ {
-			r := grp*d.A + c/d.H
-			port := d.P + d.A - 1 + c%d.H
-			pt := d.Graph.Port(r, port)
-			if pt.Class != ClassGlobal {
-				return fmt.Errorf("topology: dragonfly port layout bug: router %d port %d is %v, want global", r, port, pt.Class)
-			}
-			dst, back := d.peerSlot(grp, c)
-			wantRouter := dst*d.A + back/d.H
-			wantPort := d.P + d.A - 1 + back%d.H
-			if pt.PeerRouter != wantRouter || pt.PeerPort != wantPort {
-				return fmt.Errorf("topology: dragonfly global wiring bug: group %d slot %d connects to router %d port %d, want router %d port %d",
-					grp, c, pt.PeerRouter, pt.PeerPort, wantRouter, wantPort)
-			}
-		}
-	}
-	return nil
-}
-
-// SlotTarget returns the group reached by global-channel slot c of group grp.
-func (d *Dragonfly) SlotTarget(grp, c int) int { return d.wire.target(grp, c) }
-
-// peerSlot returns the peer (group, slot) of global-channel slot c of
-// group grp: the slot in the target group whose channel is the reverse
-// direction of this one.
-func (d *Dragonfly) peerSlot(grp, c int) (dst, back int) { return d.wire.peer(grp, c) }
 
 // NewBalancedDragonfly builds the balanced configuration a = 2p = 2h the
 // paper recommends for load-balanced channel utilisation, from the
@@ -173,14 +134,15 @@ func NewBalancedDragonfly(h, groups int) (*Dragonfly, error) {
 	return NewDragonfly(h, 2*h, h, groups)
 }
 
-// ChannelsBetween returns the number of global channels directly
-// connecting groups ga and gb. The wiring is symmetric, so the order of
-// the arguments does not matter.
-func (d *Dragonfly) ChannelsBetween(ga, gb int) int { return d.wire.between(ga, gb) }
-
 // RouterRadix returns the router radix k = p + a + h - 1 (terminal ports
-// included, as in the paper's definition).
-func (d *Dragonfly) RouterRadix() int { return d.P + d.A + d.H - 1 }
+// included, as in the paper's definition). A single-group machine has no
+// global ports, so its routers stop at p + a - 1.
+func (d *Dragonfly) RouterRadix() int {
+	if d.G == 1 {
+		return d.P + d.A - 1
+	}
+	return d.P + d.A + d.H - 1
+}
 
 // EffectiveRadix returns the radix k' = a(p+h) of the group acting as a
 // virtual router.
@@ -193,18 +155,6 @@ func (d *Dragonfly) Nodes() int { return d.A * d.P * d.G }
 // dragonfly's per-router parameters, regardless of its actual group count.
 func (d *Dragonfly) MaxNodes() int { return d.A * d.P * (d.A*d.H + 1) }
 
-// RouterGroup returns the group of router r.
-func (d *Dragonfly) RouterGroup(r int) int { return r / d.A }
-
-// RouterIndex returns the in-group index of router r.
-func (d *Dragonfly) RouterIndex(r int) int { return r % d.A }
-
-// GroupRouter returns the router with in-group index idx in group grp.
-func (d *Dragonfly) GroupRouter(grp, idx int) int { return grp*d.A + idx }
-
-// TerminalGroup returns the group terminal t belongs to.
-func (d *Dragonfly) TerminalGroup(t int) int { return d.RouterGroup(d.TerminalRouter(t)) }
-
 // LocalPort returns the port index on the router with in-group index from
 // that connects it to the router with in-group index to of the same group.
 func (d *Dragonfly) LocalPort(from, to int) int {
@@ -214,92 +164,11 @@ func (d *Dragonfly) LocalPort(from, to int) int {
 	return d.P + to - 1
 }
 
-// GlobalPort returns the port index of global-channel slot c on its
-// owning router (slot c lives on router c/H, port P+A-1+c%H).
-func (d *Dragonfly) GlobalPort(c int) int { return d.P + d.A - 1 + c%d.H }
-
-// SlotRouterIndex returns the in-group index of the router owning
-// global-channel slot c.
-func (d *Dragonfly) SlotRouterIndex(c int) int { return c / d.H }
-
-// SlotOfPort returns the global-channel slot carried by global port
-// `port` of the router with in-group index idx. It is the inverse of
-// GlobalPort/SlotRouterIndex.
-func (d *Dragonfly) SlotOfPort(idx, port int) int {
-	return idx*d.H + (port - (d.P + d.A - 1))
-}
-
-// GlobalSlot returns the m-th global-channel slot of group grp leading to
-// group dst, with m wrapped into the number of channels between the pair,
-// so any non-negative m selects a valid slot. It reports -1 if grp == dst.
-func (d *Dragonfly) GlobalSlot(grp, dst, m int) int { return d.wire.slotFor(grp, dst, m) }
-
-// GlobalEntryRouter returns the router in group dst reached by taking the
-// global channel at slot c of group grp. It reports -1 if slot c does not
-// lead to dst.
-func (d *Dragonfly) GlobalEntryRouter(grp, dst, c int) int {
-	tgt, back := d.peerSlot(grp, c)
-	if tgt != dst {
-		return -1
-	}
-	return dst*d.A + back/d.H
-}
-
-// PortClass reports the class of port i using the canonical layout,
-// without touching the graph. It matches Graph.Port(r, i).Class for every
-// router.
-func (d *Dragonfly) PortClass(i int) Class {
-	switch {
-	case i < d.P:
-		return ClassTerminal
-	case i < d.P+d.A-1:
-		return ClassLocal
-	default:
-		return ClassGlobal
-	}
-}
-
-// MinimalHops returns the number of router-to-router channels on the
-// minimal path from srcRouter to dstRouter when the global channel at
-// slot `slot` of the source group is used: up to one local hop in the
-// source group, one global hop, and one local hop in the destination
-// group (Section 4.1). Terminal channels are not counted, matching the
-// hop counts H_m used by the UGAL decision rule. slot is ignored when the
-// routers share a group.
-func (d *Dragonfly) MinimalHops(srcRouter, dstRouter int, slot int) int {
-	if srcRouter == dstRouter {
-		return 0
-	}
-	gs, gd := d.RouterGroup(srcRouter), d.RouterGroup(dstRouter)
-	if gs == gd {
-		return 1
-	}
-	hops := 1 // the global channel
-	if d.SlotRouterIndex(slot) != d.RouterIndex(srcRouter) {
-		hops++ // local hop to reach the router owning the global channel
-	}
-	if d.GlobalEntryRouter(gs, gd, slot) != dstRouter {
-		hops++ // local hop inside the destination group
-	}
-	return hops
-}
-
 // String describes the dragonfly configuration.
 func (d *Dragonfly) String() string {
 	return fmt.Sprintf("dragonfly(p=%d a=%d h=%d g=%d N=%d k=%d k'=%d)",
 		d.P, d.A, d.H, d.G, d.Nodes(), d.RouterRadix(), d.EffectiveRadix())
 }
-
-// Groups returns the group count (interface form of the G field).
-func (d *Dragonfly) Groups() int { return d.G }
-
-// TerminalsPerGroup returns the number of terminals attached to each
-// group (a·p).
-func (d *Dragonfly) TerminalsPerGroup() int { return d.A * d.P }
-
-// RoutersPerGroup returns the group size (interface form of the A
-// field, for consumers holding only the routing-facing view).
-func (d *Dragonfly) RoutersPerGroup() int { return d.A }
 
 // LocalRoute returns the next-hop local port on the router with in-group
 // index from towards the router with in-group index to. The canonical
@@ -312,14 +181,8 @@ func (d *Dragonfly) LocalRoute(from, to int) int {
 	return d.LocalPort(from, to)
 }
 
-// LocalHops returns the intra-group hop count between two routers of a
-// group: 0 or 1 in the fully connected group.
-func (d *Dragonfly) LocalHops(from, to int) int {
-	if from == to {
-		return 0
-	}
-	return 1
-}
+// Paths returns the path table derived from the wiring.
+func (d *Dragonfly) Paths() *PathTable { return d.paths }
 
 // MinVCs returns the virtual channels the routing ladder needs for
 // deadlock freedom on this topology: 3 (Figure 7 — two for minimal

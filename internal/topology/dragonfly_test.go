@@ -132,10 +132,10 @@ func TestDragonflyChannelsBetweenSymmetric(t *testing.T) {
 		for ga := 0; ga < d.G; ga++ {
 			total := 0
 			for gb := 0; gb < d.G; gb++ {
-				ab := d.ChannelsBetween(ga, gb)
-				ba := d.ChannelsBetween(gb, ga)
+				ab := d.Paths().Pairs().Count(ga, gb)
+				ba := d.Paths().Pairs().Count(gb, ga)
 				if ab != ba {
-					t.Fatalf("g=%d: ChannelsBetween(%d,%d)=%d != ChannelsBetween(%d,%d)=%d", g, ga, gb, ab, gb, ga, ba)
+					t.Fatalf("g=%d: %d channels %d->%d but %d back", g, ab, ga, gb, ba)
 				}
 				if ga != gb && ab == 0 {
 					t.Fatalf("g=%d: groups %d and %d not connected", g, ga, gb)
@@ -156,7 +156,7 @@ func TestDragonflyMaximalHasOneChannelPerPair(t *testing.T) {
 			if ga == gb {
 				continue
 			}
-			if n := d.ChannelsBetween(ga, gb); n != 1 {
+			if n := d.Paths().Pairs().Count(ga, gb); n != 1 {
 				t.Fatalf("maximal dragonfly: %d channels between %d and %d, want 1", n, ga, gb)
 			}
 		}
@@ -164,28 +164,31 @@ func TestDragonflyMaximalHasOneChannelPerPair(t *testing.T) {
 }
 
 func TestDragonflyGlobalSlotRoundTrip(t *testing.T) {
+	// Taking any slot's channel, then the slot that channel enters by,
+	// leads back to the slot: the path table files both directions of
+	// every global channel.
 	for _, g := range []int{0, 5, 8} {
 		d := mustDragonfly(t, 2, 4, 2, g)
+		tb := d.Paths()
 		for grp := 0; grp < d.G; grp++ {
+			if tb.Pairs().Count(grp, grp) != 0 {
+				t.Fatalf("group %d has slots to itself", grp)
+			}
 			for dst := 0; dst < d.G; dst++ {
-				if grp == dst {
-					if d.GlobalSlot(grp, dst, 0) != -1 {
-						t.Fatalf("GlobalSlot(%d,%d,0) != -1", grp, dst)
+				for _, c := range tb.Pairs().Pair(grp, dst) {
+					s := tb.Slot(grp, int(c))
+					if c < 0 || int(c) >= d.A*d.H || s.Slot != c {
+						t.Fatalf("slot %d of group %d out of range or misfiled (%+v)", c, grp, s)
 					}
-					continue
-				}
-				n := d.ChannelsBetween(grp, dst)
-				for m := 0; m < n; m++ {
-					c := d.GlobalSlot(grp, dst, m)
-					if c < 0 || c >= d.A*d.H {
-						t.Fatalf("GlobalSlot(%d,%d,%d) = %d out of range", grp, dst, m, c)
+					pt := d.Port(grp*d.A+int(s.Owner), int(s.Port))
+					back := -1
+					for _, c2 := range tb.Pairs().Pair(dst, grp) {
+						if s2 := tb.Slot(dst, int(c2)); int(s2.Owner) == int(s.Entry) && int(s2.Port) == pt.PeerPort {
+							back = int(s2.Entry)
+						}
 					}
-					if got := d.SlotTarget(grp, c); got != dst {
-						t.Fatalf("SlotTarget(%d,%d) = %d, want %d", grp, c, got, dst)
-					}
-					entry := d.GlobalEntryRouter(grp, dst, c)
-					if entry < 0 || d.RouterGroup(entry) != dst {
-						t.Fatalf("GlobalEntryRouter(%d,%d,%d) = %d not in group %d", grp, dst, c, entry, dst)
+					if back != int(s.Owner) {
+						t.Fatalf("slot %d of group %d: reverse slot enters router index %d, want %d", c, grp, back, s.Owner)
 					}
 				}
 			}
@@ -194,25 +197,30 @@ func TestDragonflyGlobalSlotRoundTrip(t *testing.T) {
 }
 
 func TestDragonflyGlobalWiringMatchesGraph(t *testing.T) {
-	// The helper functions (SlotTarget, GlobalPort, GlobalEntryRouter)
-	// must agree with the actual graph wiring.
+	// Every slot the path table files under a group pair is a global
+	// port of the wiring leading into that pair's group, at the entry
+	// router the table names.
 	for _, cfg := range []struct{ p, a, h, g int }{{2, 4, 2, 0}, {2, 4, 2, 5}, {4, 8, 4, 0}, {2, 4, 2, 8}} {
 		d := mustDragonfly(t, cfg.p, cfg.a, cfg.h, cfg.g)
+		tb := d.Paths()
 		for grp := 0; grp < d.G; grp++ {
-			for c := 0; c < d.A*d.H; c++ {
-				r := d.GroupRouter(grp, d.SlotRouterIndex(c))
-				port := d.GlobalPort(c)
-				pt := d.Port(r, port)
-				if pt.Class != ClassGlobal {
-					t.Fatalf("%v: router %d port %d class = %v", d, r, port, pt.Class)
+			n := 0
+			for dst := 0; dst < d.G; dst++ {
+				for _, c := range tb.Pairs().Pair(grp, dst) {
+					s := tb.Slot(grp, int(c))
+					r := grp*d.A + int(s.Owner)
+					pt := d.Port(r, int(s.Port))
+					if pt.Class != ClassGlobal {
+						t.Fatalf("%v: router %d port %d class = %v", d, r, s.Port, pt.Class)
+					}
+					if want := dst*d.A + int(s.Entry); pt.PeerRouter != want {
+						t.Fatalf("%v: slot %d of group %d lands on router %d, want %d", d, c, grp, pt.PeerRouter, want)
+					}
+					n++
 				}
-				dst := d.SlotTarget(grp, c)
-				if got := d.RouterGroup(pt.PeerRouter); got != dst {
-					t.Fatalf("%v: slot %d of group %d reaches group %d, want %d", d, c, grp, got, dst)
-				}
-				if want := d.GlobalEntryRouter(grp, dst, c); pt.PeerRouter != want {
-					t.Fatalf("%v: slot %d of group %d lands on router %d, want %d", d, c, grp, pt.PeerRouter, want)
-				}
+			}
+			if n != d.A*d.H {
+				t.Fatalf("%v: group %d files %d slots, want %d", d, grp, n, d.A*d.H)
 			}
 		}
 	}
@@ -222,7 +230,7 @@ func TestDragonflyLocalPortLayout(t *testing.T) {
 	d := mustDragonfly(t, 2, 4, 2, 0)
 	for grp := 0; grp < d.G; grp++ {
 		for i := 0; i < d.A; i++ {
-			r := d.GroupRouter(grp, i)
+			r := grp*d.A + i
 			for j := 0; j < d.A; j++ {
 				if i == j {
 					continue
@@ -232,7 +240,7 @@ func TestDragonflyLocalPortLayout(t *testing.T) {
 				if pt.Class != ClassLocal {
 					t.Fatalf("router %d port %d: class %v, want local", r, port, pt.Class)
 				}
-				if want := d.GroupRouter(grp, j); pt.PeerRouter != want {
+				if want := grp*d.A + j; pt.PeerRouter != want {
 					t.Fatalf("router %d local port to %d reaches %d, want %d", r, j, pt.PeerRouter, want)
 				}
 				// Reverse port must point back.
@@ -245,39 +253,52 @@ func TestDragonflyLocalPortLayout(t *testing.T) {
 	}
 }
 
+// canonicalClass is the class of port i in the dragonfly's documented
+// layout: p terminal ports, then a-1 local ports, then the global ports.
+func canonicalClass(i, p, locals int) Class {
+	switch {
+	case i < p:
+		return ClassTerminal
+	case i < p+locals:
+		return ClassLocal
+	}
+	return ClassGlobal
+}
+
 func TestDragonflyPortClassMatchesGraph(t *testing.T) {
 	d := mustDragonfly(t, 4, 8, 4, 17)
 	for r := 0; r < d.Routers(); r++ {
 		for i := 0; i < d.Radix(r); i++ {
-			if got, want := d.PortClass(i), d.Port(r, i).Class; got != want {
-				t.Fatalf("router %d port %d: PortClass=%v graph=%v", r, i, got, want)
+			if got, want := canonicalClass(i, d.P, d.A-1), d.Port(r, i).Class; got != want {
+				t.Fatalf("router %d port %d: layout says %v, graph %v", r, i, got, want)
 			}
 		}
 	}
 }
 
 func TestDragonflyMinimalHops(t *testing.T) {
+	// The minimal path the path table describes — to the slot's owner,
+	// across the global channel, to the destination router — takes 0
+	// hops to the same router, 1 inside a group and 1 to 3 across groups.
 	d := mustDragonfly(t, 2, 4, 2, 0)
-	// Same router.
-	if got := d.MinimalHops(0, 0, 0); got != 0 {
-		t.Errorf("same-router hops = %d, want 0", got)
-	}
-	// Same group, different router.
-	if got := d.MinimalHops(0, 3, 0); got != 1 {
-		t.Errorf("same-group hops = %d, want 1", got)
-	}
-	// Cross-group hop counts must be within [1,3] and equal 1 + number of
-	// required local hops.
+	tb := d.Paths()
 	for src := 0; src < d.Routers(); src++ {
 		for dst := 0; dst < d.Routers(); dst++ {
-			gs, gd := d.RouterGroup(src), d.RouterGroup(dst)
-			if gs == gd {
-				continue
+			gs, gd := src/d.A, dst/d.A
+			hops := tb.Hops(src%d.A, dst%d.A)
+			if gs != gd {
+				s := tb.Slot(gs, int(tb.Pairs().Pair(gs, gd)[0]))
+				hops = tb.Hops(src%d.A, int(s.Owner)) + 1 + tb.Hops(int(s.Entry), dst%d.A)
 			}
-			slot := d.GlobalSlot(gs, gd, 0)
-			hops := d.MinimalHops(src, dst, slot)
-			if hops < 1 || hops > 3 {
-				t.Fatalf("MinimalHops(%d,%d,%d) = %d, want within [1,3]", src, dst, slot, hops)
+			want := [2]int{1, 3}
+			switch {
+			case src == dst:
+				want = [2]int{0, 0}
+			case gs == gd:
+				want = [2]int{1, 1}
+			}
+			if hops < want[0] || hops > want[1] {
+				t.Fatalf("minimal hops %d -> %d = %d, want within %v", src, dst, hops, want)
 			}
 		}
 	}
@@ -297,8 +318,8 @@ func TestBalancedDragonfly(t *testing.T) {
 }
 
 func TestDragonflyPropertySlotPairing(t *testing.T) {
-	// Property: for every realizable random configuration, following a
-	// global slot and then its reverse slot returns to the origin.
+	// Property: for every realizable random global wiring plan,
+	// following a slot and then its reverse slot returns to the origin.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := 1 + rng.Intn(6)
@@ -309,17 +330,17 @@ func TestDragonflyPropertySlotPairing(t *testing.T) {
 		if rem%2 == 1 && g%2 == 1 {
 			return true // unrealizable configuration, skipped
 		}
-		d, err := NewDragonfly(1+rng.Intn(3), a, h, g)
+		w, err := newGwire(g, a*h)
 		if err != nil {
 			return false
 		}
-		for grp := 0; grp < d.G; grp++ {
-			for c := 0; c < d.A*d.H; c++ {
-				dst, back := d.peerSlot(grp, c)
+		for grp := 0; grp < g; grp++ {
+			for c := 0; c < a*h; c++ {
+				dst, back := w.peer(grp, c)
 				if dst == grp {
 					return false
 				}
-				g2, c2 := d.peerSlot(dst, back)
+				g2, c2 := w.peer(dst, back)
 				if g2 != grp || c2 != c {
 					return false
 				}
@@ -351,7 +372,7 @@ func TestDragonflyPropertyChannelBalance(t *testing.T) {
 		for ga := 0; ga < g; ga++ {
 			sum := 0
 			for gb := 0; gb < g; gb++ {
-				n := d.ChannelsBetween(ga, gb)
+				n := d.Paths().Pairs().Count(ga, gb)
 				if ga == gb {
 					if n != 0 {
 						return false
@@ -375,12 +396,74 @@ func TestDragonflyPropertyChannelBalance(t *testing.T) {
 }
 
 func TestSlotOfPortInvertsGlobalPort(t *testing.T) {
+	// Slots follow the documented layout: router index i owns slots
+	// [i*H, (i+1)*H), slot c on port P+A-1+c%H, and every global port
+	// carries exactly that slot.
 	d := mustDragonfly(t, 4, 8, 4, 0)
+	tb := d.Paths()
 	for c := 0; c < d.A*d.H; c++ {
-		idx := d.SlotRouterIndex(c)
-		port := d.GlobalPort(c)
-		if got := d.SlotOfPort(idx, port); got != c {
-			t.Fatalf("SlotOfPort(%d, %d) = %d, want %d", idx, port, got, c)
+		s := tb.Slot(0, c)
+		if int(s.Owner) != c/d.H || int(s.Port) != d.P+d.A-1+c%d.H {
+			t.Fatalf("slot %d on router index %d port %d, want %d and %d", c, s.Owner, s.Port, c/d.H, d.P+d.A-1+c%d.H)
 		}
+	}
+}
+
+// checkCanonicalWiring rebuilds a maximal dragonfly (g = a·h+1) from
+// (p, a, h) alone and compares every port of d with it. Router i of
+// group G (id G·a+i) carries terminals (G·a+i)·p+k on ports k < p, and
+// reaches router j of its group on local port p+j for j < i and p+j-1
+// for j > i. Its global port j reaches group (G+1+i·h+j) mod g, at the
+// mirrored port: global port h-1-j of router a-1-i, the only port of
+// that group whose channel leads back to G.
+func checkCanonicalWiring(t *testing.T, d *Dragonfly) {
+	t.Helper()
+	p, a, h := d.P, d.A, d.H
+	g := a*h + 1
+	if d.G != g || d.Routers() != g*a || d.Terminals() != g*a*p {
+		t.Fatalf("%v is not the maximal dragonfly of p=%d a=%d h=%d", d, p, a, h)
+	}
+	for grp := 0; grp < g; grp++ {
+		for i := 0; i < a; i++ {
+			r := grp*a + i
+			want := make([]Port, 0, p+a-1+h)
+			for k := 0; k < p; k++ {
+				want = append(want, Port{Class: ClassTerminal, PeerRouter: -1, PeerPort: -1, Terminal: r*p + k})
+			}
+			for j := 0; j < a; j++ {
+				if j == i {
+					continue
+				}
+				back := p + i // port of router j leading to i
+				if i > j {
+					back = p + i - 1
+				}
+				want = append(want, Port{Class: ClassLocal, PeerRouter: grp*a + j, PeerPort: back, Terminal: -1})
+			}
+			for j := 0; j < h; j++ {
+				dst := (grp + 1 + i*h + j) % g
+				want = append(want, Port{Class: ClassGlobal, PeerRouter: dst*a + a - 1 - i, PeerPort: p + a - 1 + h - 1 - j, Terminal: -1})
+			}
+			if d.Radix(r) != len(want) {
+				t.Fatalf("%v: router %d has %d ports, want %d", d, r, d.Radix(r), len(want))
+			}
+			for port, w := range want {
+				if got := d.Port(r, port); got != w {
+					t.Fatalf("%v: router %d port %d is %+v, want %+v", d, r, port, got, w)
+				}
+			}
+			for k := 0; k < p; k++ {
+				if d.TerminalRouter(r*p+k) != r || d.TerminalPort(r*p+k) != k {
+					t.Fatalf("%v: terminal %d attached at router %d port %d, want %d and %d",
+						d, r*p+k, d.TerminalRouter(r*p+k), d.TerminalPort(r*p+k), r, k)
+				}
+			}
+		}
+	}
+}
+
+func TestDragonflyCanonicalWiring(t *testing.T) {
+	for _, c := range []struct{ p, a, h int }{{1, 1, 1}, {1, 2, 1}, {2, 4, 2}, {4, 8, 4}, {3, 5, 2}, {2, 3, 4}} {
+		checkCanonicalWiring(t, mustDragonfly(t, c.p, c.a, c.h, 0))
 	}
 }

@@ -30,9 +30,9 @@ type DragonflyFB struct {
 	// G is the number of groups.
 	G int
 
-	wire      gwire
 	localBase int // first local port
 	gBase     int // first global port
+	paths     *PathTable
 }
 
 // NewDragonflyFB builds the variant. groups as in NewDragonfly (0 means
@@ -69,7 +69,6 @@ func NewDragonflyFB(p int, dims []int, h, groups int) (*DragonflyFB, error) {
 		Dims:      append([]int(nil), dims...),
 		A:         a,
 		G:         groups,
-		wire:      wire,
 		localBase: p,
 		gBase:     p + localPorts,
 	}
@@ -104,7 +103,7 @@ func NewDragonflyFB(p int, dims []int, h, groups int) (*DragonflyFB, error) {
 		}
 		for jg := 0; jg < h; jg++ {
 			c := idx*h + jg
-			dst, back := d.wire.peer(grp, c)
+			dst, back := wire.peer(grp, c)
 			ports = append(ports, Port{
 				Class:      ClassGlobal,
 				PeerRouter: dst*a + back/h,
@@ -115,7 +114,7 @@ func NewDragonflyFB(p int, dims []int, h, groups int) (*DragonflyFB, error) {
 		g.ports[r] = ports
 	}
 	d.Graph = g
-	if err := g.Validate(); err != nil {
+	if d.paths, err = newPathTable(g, groups, a, d.LocalRoute); err != nil {
 		return nil, fmt.Errorf("topology: dragonflyFB construction bug: %w", err)
 	}
 	return d, nil
@@ -159,32 +158,14 @@ func (d *DragonflyFB) dimPort(dim, from, to int) int {
 	return base + from - 1
 }
 
-// Groups returns the group count.
-func (d *DragonflyFB) Groups() int { return d.G }
-
 // Nodes returns the terminal count.
 func (d *DragonflyFB) Nodes() int { return d.A * d.P * d.G }
-
-// TerminalsPerGroup returns a·p.
-func (d *DragonflyFB) TerminalsPerGroup() int { return d.A * d.P }
 
 // RouterRadix returns the router radix.
 func (d *DragonflyFB) RouterRadix() int { return d.gBase + d.H }
 
 // EffectiveRadix returns the group's virtual-router radix k' = a(p+h).
 func (d *DragonflyFB) EffectiveRadix() int { return d.A * (d.P + d.H) }
-
-// RouterGroup returns the group of router r.
-func (d *DragonflyFB) RouterGroup(r int) int { return r / d.A }
-
-// RouterIndex returns the in-group index of router r.
-func (d *DragonflyFB) RouterIndex(r int) int { return r % d.A }
-
-// GroupRouter returns the router with in-group index idx of group grp.
-func (d *DragonflyFB) GroupRouter(grp, idx int) int { return grp*d.A + idx }
-
-// TerminalGroup returns the group of terminal t.
-func (d *DragonflyFB) TerminalGroup(t int) int { return d.RouterGroup(d.TerminalRouter(t)) }
 
 // LocalRoute returns the next-hop local port from in-group index `from`
 // towards `to`: dimension-order routing over the intra-group flattened
@@ -199,59 +180,8 @@ func (d *DragonflyFB) LocalRoute(from, to int) int {
 	return -1 // from == to: no local hop needed
 }
 
-// LocalHops returns the intra-group hop count between two routers: the
-// number of differing dimensions.
-func (d *DragonflyFB) LocalHops(from, to int) int {
-	cf, ct := d.coord(from), d.coord(to)
-	n := 0
-	for dim := range d.Dims {
-		if cf[dim] != ct[dim] {
-			n++
-		}
-	}
-	return n
-}
-
-// GlobalPort returns the port carrying global-channel slot c on its
-// owning router.
-func (d *DragonflyFB) GlobalPort(c int) int { return d.gBase + c%d.H }
-
-// SlotRouterIndex returns the in-group index of the router owning slot c.
-func (d *DragonflyFB) SlotRouterIndex(c int) int { return c / d.H }
-
-// SlotTarget returns the group slot c of group grp leads to.
-func (d *DragonflyFB) SlotTarget(grp, c int) int { return d.wire.target(grp, c) }
-
-// ChannelsBetween returns the global channels connecting two groups.
-func (d *DragonflyFB) ChannelsBetween(ga, gb int) int { return d.wire.between(ga, gb) }
-
-// GlobalSlot returns the m-th slot of grp leading to dst.
-func (d *DragonflyFB) GlobalSlot(grp, dst, m int) int { return d.wire.slotFor(grp, dst, m) }
-
-// GlobalEntryRouter returns the router of group dst reached via slot c
-// of group grp, or -1 if the slot leads elsewhere.
-func (d *DragonflyFB) GlobalEntryRouter(grp, dst, c int) int {
-	tgt, back := d.wire.peer(grp, c)
-	if tgt != dst {
-		return -1
-	}
-	return dst*d.A + back/d.H
-}
-
-// PortClass reports the class of port i in the canonical layout.
-func (d *DragonflyFB) PortClass(i int) Class {
-	switch {
-	case i < d.P:
-		return ClassTerminal
-	case i < d.gBase:
-		return ClassLocal
-	default:
-		return ClassGlobal
-	}
-}
-
-// RoutersPerGroup returns the group size a (the product of Dims).
-func (d *DragonflyFB) RoutersPerGroup() int { return d.A }
+// Paths returns the path table derived from the wiring.
+func (d *DragonflyFB) Paths() *PathTable { return d.paths }
 
 // MinVCs returns the virtual channels the routing ladder needs: 3, as
 // for the canonical dragonfly — dimension-order local routing is

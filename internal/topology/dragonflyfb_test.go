@@ -106,9 +106,11 @@ func TestDragonflyFBDiameter(t *testing.T) {
 }
 
 func TestDragonflyFBLocalRouteConverges(t *testing.T) {
-	// Property: repeatedly following LocalRoute reaches the target in
-	// exactly LocalHops steps, through monotonically decreasing distance.
+	// Property: repeatedly following LocalRoute reaches the target
+	// through monotonically decreasing distance, in as many steps as the
+	// routers' coordinates differ, which the path table's Hops records.
 	d := mustDFB(t, 1, []int{2, 3, 2}, 2, 0)
+	tb := d.Paths()
 	f := func(fromRaw, toRaw uint8) bool {
 		from := int(fromRaw) % d.A
 		to := int(toRaw) % d.A
@@ -116,12 +118,12 @@ func TestDragonflyFBLocalRouteConverges(t *testing.T) {
 		cur := from
 		for cur != to {
 			port := d.LocalRoute(cur, to)
-			pt := d.Port(d.GroupRouter(0, cur), port)
+			pt := d.Port(cur, port) // group 0: router id = in-group index
 			if pt.Class != ClassLocal {
 				return false
 			}
-			next := d.RouterIndex(pt.PeerRouter)
-			if d.LocalHops(next, to) != d.LocalHops(cur, to)-1 {
+			next := pt.PeerRouter
+			if tb.Hops(next, to) != tb.Hops(cur, to)-1 {
 				return false
 			}
 			cur = next
@@ -130,7 +132,13 @@ func TestDragonflyFBLocalRouteConverges(t *testing.T) {
 				return false
 			}
 		}
-		return steps == d.LocalHops(from, to)
+		differ := 0
+		for i, x := range d.coord(from) {
+			if x != d.coord(to)[i] {
+				differ++
+			}
+		}
+		return steps == differ && steps == tb.Hops(from, to)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -139,30 +147,22 @@ func TestDragonflyFBLocalRouteConverges(t *testing.T) {
 
 func TestDragonflyFBGlobalWiring(t *testing.T) {
 	d := mustDFB(t, 2, []int{2, 2, 2}, 2, 0)
+	tb := d.Paths()
 	for grp := 0; grp < d.G; grp++ {
 		total := 0
 		for dst := 0; dst < d.G; dst++ {
-			n := d.ChannelsBetween(grp, dst)
+			n := tb.Pairs().Count(grp, dst)
 			if grp != dst && n == 0 {
 				t.Fatalf("groups %d and %d not connected", grp, dst)
 			}
-			if n != d.ChannelsBetween(dst, grp) {
+			if n != tb.Pairs().Count(dst, grp) {
 				t.Fatal("asymmetric wiring")
 			}
 			total += n
-			for m := 0; m < n; m++ {
-				slot := d.GlobalSlot(grp, dst, m)
-				if d.SlotTarget(grp, slot) != dst {
-					t.Fatalf("slot %d of group %d targets %d, want %d", slot, grp, d.SlotTarget(grp, slot), dst)
-				}
-				entry := d.GlobalEntryRouter(grp, dst, slot)
-				if entry < 0 || d.RouterGroup(entry) != dst {
-					t.Fatalf("entry router %d not in group %d", entry, dst)
-				}
-				// The graph must agree.
-				r := d.GroupRouter(grp, d.SlotRouterIndex(slot))
-				pt := d.Port(r, d.GlobalPort(slot))
-				if pt.PeerRouter != entry {
+			for _, slot := range tb.Pairs().Pair(grp, dst) {
+				s := tb.Slot(grp, int(slot))
+				pt := d.Port(grp*d.A+int(s.Owner), int(s.Port))
+				if pt.Class != ClassGlobal || pt.PeerRouter != dst*d.A+int(s.Entry) {
 					t.Fatalf("graph wiring disagrees: slot %d of group %d", slot, grp)
 				}
 			}
@@ -177,8 +177,8 @@ func TestDragonflyFBPortClass(t *testing.T) {
 	d := mustDFB(t, 2, []int{2, 2}, 3, 0)
 	for r := 0; r < d.Routers(); r++ {
 		for i := 0; i < d.Radix(r); i++ {
-			if got, want := d.PortClass(i), d.Port(r, i).Class; got != want {
-				t.Fatalf("router %d port %d: PortClass %v != graph %v", r, i, got, want)
+			if got, want := canonicalClass(i, d.P, d.gBase-d.P), d.Port(r, i).Class; got != want {
+				t.Fatalf("router %d port %d: layout says %v, graph %v", r, i, got, want)
 			}
 		}
 	}

@@ -39,7 +39,7 @@ type DragonflyPlus struct {
 	// G is the number of groups; at most S*H+1 can be connected.
 	G int
 
-	wire gwire
+	paths *PathTable
 }
 
 // NewDragonflyPlus builds a Dragonfly+ with the given parameters. If
@@ -60,14 +60,13 @@ func NewDragonflyPlus(p, leaves, spines, h, groups int) (*DragonflyPlus, error) 
 		return nil, fmt.Errorf("topology: dragonfly+ with spines=%d h=%d supports at most %d groups (got %d)", spines, h, maxGroups, groups)
 	}
 	var wire gwire
+	var err error
 	if groups > 1 {
-		var err error
-		wire, err = newGwire(groups, spines*h)
-		if err != nil {
+		if wire, err = newGwire(groups, spines*h); err != nil {
 			return nil, err
 		}
 	}
-	d := &DragonflyPlus{P: p, L: leaves, S: spines, H: h, G: groups, wire: wire}
+	d := &DragonflyPlus{P: p, L: leaves, S: spines, H: h, G: groups}
 
 	rpg := leaves + spines
 	routers := rpg * groups
@@ -118,35 +117,14 @@ func NewDragonflyPlus(p, leaves, spines, h, groups int) (*DragonflyPlus, error) 
 		g.ports[r] = ports
 	}
 	d.Graph = g
-	if err := g.Validate(); err != nil {
+	if d.paths, err = newPathTable(g, groups, rpg, d.LocalRoute); err != nil {
 		return nil, fmt.Errorf("topology: dragonfly+ construction bug: %w", err)
 	}
 	return d, nil
 }
 
-// Groups returns the group count.
-func (d *DragonflyPlus) Groups() int { return d.G }
-
 // Nodes returns the terminal count N = g·L·p.
 func (d *DragonflyPlus) Nodes() int { return d.G * d.L * d.P }
-
-// RoutersPerGroup returns L+S.
-func (d *DragonflyPlus) RoutersPerGroup() int { return d.L + d.S }
-
-// TerminalsPerGroup returns L·p.
-func (d *DragonflyPlus) TerminalsPerGroup() int { return d.L * d.P }
-
-// RouterGroup returns the group of router r.
-func (d *DragonflyPlus) RouterGroup(r int) int { return r / (d.L + d.S) }
-
-// RouterIndex returns the in-group index of router r (leaves first).
-func (d *DragonflyPlus) RouterIndex(r int) int { return r % (d.L + d.S) }
-
-// GroupRouter returns the router with in-group index idx of group grp.
-func (d *DragonflyPlus) GroupRouter(grp, idx int) int { return grp*(d.L+d.S) + idx }
-
-// TerminalGroup returns the group of terminal t.
-func (d *DragonflyPlus) TerminalGroup(t int) int { return d.RouterGroup(d.TerminalRouter(t)) }
 
 // RouterRadix returns the largest router radix in the machine
 // (max(p+S, L+h); leaves and spines differ). A single-group machine
@@ -188,44 +166,8 @@ func (d *DragonflyPlus) LocalRoute(from, to int) int {
 	return ((from - d.L) + (to - d.L)) % d.L
 }
 
-// LocalHops returns the intra-group distance: 1 across the bipartition,
-// 2 within a side.
-func (d *DragonflyPlus) LocalHops(from, to int) int {
-	switch {
-	case from == to:
-		return 0
-	case (from < d.L) != (to < d.L):
-		return 1
-	default:
-		return 2
-	}
-}
-
-// GlobalPort returns the port of global-channel slot c on its owning
-// spine (port L+c%H on spine c/H).
-func (d *DragonflyPlus) GlobalPort(c int) int { return d.L + c%d.H }
-
-// SlotRouterIndex returns the in-group index of the spine owning slot c.
-func (d *DragonflyPlus) SlotRouterIndex(c int) int { return d.L + c/d.H }
-
-// SlotTarget returns the group reached by slot c of group grp.
-func (d *DragonflyPlus) SlotTarget(grp, c int) int { return d.wire.target(grp, c) }
-
-// ChannelsBetween returns the global channels connecting two groups.
-func (d *DragonflyPlus) ChannelsBetween(ga, gb int) int { return d.wire.between(ga, gb) }
-
-// GlobalSlot returns the m-th slot of grp leading to dst.
-func (d *DragonflyPlus) GlobalSlot(grp, dst, m int) int { return d.wire.slotFor(grp, dst, m) }
-
-// GlobalEntryRouter returns the router (a spine) of group dst reached
-// via slot c of group grp, or -1 if the slot leads elsewhere.
-func (d *DragonflyPlus) GlobalEntryRouter(grp, dst, c int) int {
-	tgt, back := d.wire.peer(grp, c)
-	if tgt != dst {
-		return -1
-	}
-	return dst*(d.L+d.S) + d.L + back/d.H
-}
+// Paths returns the path table derived from the wiring.
+func (d *DragonflyPlus) Paths() *PathTable { return d.paths }
 
 // MinVCs returns the virtual channels the routing ladder needs: 3. The
 // up/down intra-group routes keep each VC level's local dependencies

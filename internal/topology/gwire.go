@@ -15,10 +15,9 @@ import "fmt"
 // even). A plan with r odd and g odd cannot be symmetric with every
 // port used and is rejected.
 type gwire struct {
-	g     int // groups
-	slots int // global-channel slots per group (a*h)
-	base  int // channels per ordered pair from the palmtree layer
-	rem   int // extra slots per group wired as a circulant
+	g    int // groups
+	base int // channels per ordered pair from the palmtree layer
+	rem  int // extra slots per group wired as a circulant
 }
 
 // newGwire validates and builds a wiring plan.
@@ -31,7 +30,7 @@ func newGwire(groups, slots int) (gwire, error) {
 	if rem%2 == 1 && groups%2 == 1 {
 		return gwire{}, fmt.Errorf("topology: global wiring with %d slots per group and g=%d is asymmetric (slots mod (g-1) = %d is odd while g is odd); choose a group count with slots mod (g-1) even, or an even g", slots, groups, rem)
 	}
-	return gwire{g: groups, slots: slots, base: base, rem: rem}, nil
+	return gwire{g: groups, base: base, rem: rem}, nil
 }
 
 // extraOffset returns the circulant offset of remainder slot i
@@ -47,22 +46,13 @@ func (w gwire) extraOffset(i int) int {
 	return -(i/2 + 1)
 }
 
-// target returns the group reached by slot c of group grp.
-func (w gwire) target(grp, c int) int {
-	nbase := w.base * (w.g - 1)
-	if c < nbase {
-		return (grp + 1 + c%(w.g-1)) % w.g
-	}
-	off := w.extraOffset(c - nbase)
-	return ((grp+off)%w.g + w.g) % w.g
-}
-
-// peer returns the peer (group, slot) of slot c of group grp: the slot
-// in the target group carrying the reverse direction of the channel.
+// peer returns the peer (group, slot) of slot c of group grp: the group
+// the slot leads to, and the slot there carrying the reverse direction
+// of the channel.
 func (w gwire) peer(grp, c int) (dst, back int) {
 	nbase := w.base * (w.g - 1)
-	dst = w.target(grp, c)
 	if c < nbase {
+		dst = (grp + 1 + c%(w.g-1)) % w.g
 		m := c / (w.g - 1)
 		// The reverse slot's palmtree offset lies in [0, g-2] because
 		// grp != dst, so reducing mod g is exact.
@@ -71,6 +61,7 @@ func (w gwire) peer(grp, c int) (dst, back int) {
 	}
 	i := c - nbase
 	off := w.extraOffset(i)
+	dst = ((grp+off)%w.g + w.g) % w.g
 	if off == w.g/2 && w.rem%2 == 1 && i == w.rem-1 {
 		// Antipodal matching pairs the same remainder index on both sides.
 		return dst, c
@@ -82,44 +73,4 @@ func (w gwire) peer(grp, c int) (dst, back int) {
 		j = 2 * (-off - 1) // reverse offset +(-off) lives at even index
 	}
 	return dst, nbase + j
-}
-
-// between returns the number of channels connecting groups ga and gb
-// (symmetric in its arguments).
-func (w gwire) between(ga, gb int) int {
-	if ga == gb {
-		return 0
-	}
-	n := w.base
-	for i := 0; i < w.rem; i++ {
-		if ((ga+w.extraOffset(i))%w.g+w.g)%w.g == gb {
-			n++
-		}
-	}
-	return n
-}
-
-// slotFor returns the m-th slot of group grp targeting group dst, with m
-// wrapped into the pair's channel count; -1 when grp == dst.
-func (w gwire) slotFor(grp, dst, m int) int {
-	if grp == dst {
-		return -1
-	}
-	n := w.between(grp, dst)
-	m %= n
-	off := ((dst-grp-1)%w.g + w.g) % w.g
-	if m < w.base {
-		return off + m*(w.g-1)
-	}
-	want := m - w.base
-	nbase := w.base * (w.g - 1)
-	for i := 0; i < w.rem; i++ {
-		if ((grp+w.extraOffset(i))%w.g+w.g)%w.g == dst {
-			if want == 0 {
-				return nbase + i
-			}
-			want--
-		}
-	}
-	return -1 // unreachable: between() bounded m
 }

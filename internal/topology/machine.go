@@ -8,31 +8,30 @@ import (
 // Machine is the pluggable topology contract: everything the rest of
 // the system — routing algorithms, the cycle-accurate simulator, the
 // fault planner, the shard partitioner, the cost model and the service
-// layer — needs from a concrete topology. It bundles four views:
+// layer — needs from a concrete topology. It has three parts:
 //
-//   - the wiring view (Routers/Radix/Port/Terminal*): the flat channel
-//     table the simulator executes and the fault planner enumerates;
-//   - the group structure (Groups/RouterGroup/...): group-major router
-//     numbering that doubles as the shard-partition hint (routers of
-//     one group must be contiguous, ascending — every builder in this
-//     package numbers router r = grp*RoutersPerGroup()+idx);
-//   - the minimal-path oracle (LocalRoute/GlobalSlot/...): the
-//     structural queries the routing algorithms compose into minimal
-//     and Valiant paths, phrased so one global hop always suffices
-//     between any two groups (an all-to-all inter-group graph, the
-//     invariant every dragonfly-family topology shares);
-//   - the policy view (MinVCs/Describe): how many virtual channels the
-//     topology's local-route structure needs for deadlock freedom, and
-//     a structure descriptor for registries, costing and conformance
-//     tests.
+//   - the wiring (Routers/Radix/Port/Terminal*/CountChannels): the flat
+//     channel table the simulator executes and the fault planner
+//     enumerates. It is the one place a family states how its groups
+//     are built and wired;
+//   - Paths: the path table derived from that wiring once, at
+//     construction, from the family's group size and its in-group
+//     routing policy (LocalRoute). Routing, the shard partitioner, the
+//     group-relative traffic patterns and the fault views read the
+//     group structure from it;
+//   - the policy and description (Nodes/RouterRadix/MinVCs/Describe/
+//     String): how many virtual channels the machine needs for
+//     deadlock freedom, and a structure descriptor for registries,
+//     costing and conformance tests.
 //
-// *Dragonfly, *DragonflyFB, *DragonflyPlus, *Swapped and *Aries all
-// implement it; *Degraded and *Switched wrap any Machine with fault
-// awareness. The interface is defined here (not in internal/routing)
-// so the dependency arrow keeps pointing outward: routing's Topo is a
-// structural subset of Machine.
+// Every family numbers routers group-major and wires at least one
+// global channel between any two groups, so a minimal route takes one
+// global hop and a Valiant route two; the path-table builder checks
+// both. *Dragonfly, *DragonflyFB, *DragonflyPlus, *Swapped and *Aries
+// implement Machine; *Degraded and *Switched wrap any Machine with
+// fault awareness.
 type Machine interface {
-	// Wiring view (the embedded Graph provides these).
+	// Wiring (the embedded Graph provides these).
 	Routers() int
 	Terminals() int
 	Radix(router int) int
@@ -41,31 +40,8 @@ type Machine interface {
 	TerminalPort(t int) int
 	CountChannels() (terminal, local, global int)
 
-	// Group structure. Router numbering is group-major: the routers of
-	// group grp are exactly [grp*RoutersPerGroup(), (grp+1)*RoutersPerGroup()),
-	// and terminals are likewise contiguous per group.
-	Groups() int
-	RouterGroup(r int) int
-	RouterIndex(r int) int
-	GroupRouter(grp, idx int) int
-	RoutersPerGroup() int
-	TerminalsPerGroup() int
-	TerminalGroup(t int) int
-
-	// Minimal-path oracle. LocalRoute returns the next-hop local port
-	// from in-group index from towards to (-1 when from == to);
-	// LocalHops the intra-group distance. Global-channel slots are
-	// group-scoped ids: GlobalPort/SlotRouterIndex locate a slot on its
-	// owning router, ChannelsBetween/GlobalSlot/GlobalEntryRouter
-	// describe the inter-group wiring. Every distinct group pair has
-	// ChannelsBetween >= 1.
-	LocalRoute(from, to int) int
-	LocalHops(from, to int) int
-	GlobalPort(slot int) int
-	SlotRouterIndex(slot int) int
-	ChannelsBetween(ga, gb int) int
-	GlobalSlot(grp, dst, m int) int
-	GlobalEntryRouter(grp, dst, slot int) int
+	// Paths returns the path table derived from the wiring.
+	Paths() *PathTable
 
 	// Policy and description.
 	Nodes() int
@@ -77,10 +53,10 @@ type Machine interface {
 
 // SeededLocal is the optional capability of machines whose groups wire
 // parallel local links between router pairs (e.g. Aries' bundled
-// inter-chassis cables): LocalRouteSeeded is LocalRoute with a
-// deterministic per-packet spread over the bundle. The routing layer
-// detects it by type assertion; Degraded and Switched forward it, so
-// the capability survives fault wrapping. Machines without parallel
+// inter-chassis cables): LocalRouteSeeded is the path table's Route
+// with a deterministic per-packet spread over the bundle. The routing
+// layer detects it by type assertion; Degraded and Switched forward it,
+// so the capability survives fault wrapping. Machines without parallel
 // local links simply don't implement it.
 type SeededLocal interface {
 	LocalRouteSeeded(from, to int, seed uint64) int

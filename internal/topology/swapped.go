@@ -19,8 +19,7 @@ import "fmt"
 //	port  P+K-1         the global port to router (i, g), present only
 //	                    when i < M and i != g
 //
-// Global-channel slots of a group are the destination group indices:
-// slot c of group g (c < M, c != g) is the channel to group c, owned by
+// The channel from group g to group c (c < M, c != g) is owned by
 // router index c at the constant port P+K-1. Router (g, g) has no
 // global port — the swapped wiring pairs it with itself — so routers
 // have non-uniform radix, which the Graph's per-router port lists
@@ -34,6 +33,8 @@ type Swapped struct {
 	K int
 	// M is the number of groups, at most K.
 	M int
+
+	paths *PathTable
 }
 
 // NewSwapped builds a D3(K,M). m = 0 selects the maximal M = K.
@@ -90,35 +91,15 @@ func NewSwapped(p, k, m int) (*Swapped, error) {
 		g.ports[r] = ports
 	}
 	d.Graph = g
-	if err := g.Validate(); err != nil {
+	var err error
+	if d.paths, err = newPathTable(g, m, k, d.LocalRoute); err != nil {
 		return nil, fmt.Errorf("topology: swapped dragonfly construction bug: %w", err)
 	}
 	return d, nil
 }
 
-// Groups returns the group count M.
-func (d *Swapped) Groups() int { return d.M }
-
 // Nodes returns the terminal count N = K·M·p.
 func (d *Swapped) Nodes() int { return d.K * d.M * d.P }
-
-// RoutersPerGroup returns K.
-func (d *Swapped) RoutersPerGroup() int { return d.K }
-
-// TerminalsPerGroup returns K·p.
-func (d *Swapped) TerminalsPerGroup() int { return d.K * d.P }
-
-// RouterGroup returns the group of router r.
-func (d *Swapped) RouterGroup(r int) int { return r / d.K }
-
-// RouterIndex returns the in-group index of router r.
-func (d *Swapped) RouterIndex(r int) int { return r % d.K }
-
-// GroupRouter returns the router with in-group index idx of group grp.
-func (d *Swapped) GroupRouter(grp, idx int) int { return grp*d.K + idx }
-
-// TerminalGroup returns the group of terminal t.
-func (d *Swapped) TerminalGroup(t int) int { return d.RouterGroup(d.TerminalRouter(t)) }
 
 // RouterRadix returns the largest router radix, p+k (routers whose
 // swapped peer would be themselves, and those with index >= M, lack the
@@ -148,49 +129,8 @@ func (d *Swapped) LocalRoute(from, to int) int {
 	return d.LocalPort(from, to)
 }
 
-// LocalHops returns the intra-group distance: 0 or 1.
-func (d *Swapped) LocalHops(from, to int) int {
-	if from == to {
-		return 0
-	}
-	return 1
-}
-
-// GlobalPort returns the port of global-channel slot c on its owning
-// router: the constant P+K-1.
-func (d *Swapped) GlobalPort(c int) int { return d.P + d.K - 1 }
-
-// SlotRouterIndex returns the in-group index of the router owning slot
-// c: index c itself (slot ids are destination groups).
-func (d *Swapped) SlotRouterIndex(c int) int { return c }
-
-// ChannelsBetween returns the global channels connecting two groups:
-// exactly 1 for every distinct pair.
-func (d *Swapped) ChannelsBetween(ga, gb int) int {
-	if ga == gb {
-		return 0
-	}
-	return 1
-}
-
-// GlobalSlot returns the m-th slot of grp leading to dst — slot dst,
-// for any m, since each pair has one channel. It reports -1 when
-// grp == dst.
-func (d *Swapped) GlobalSlot(grp, dst, m int) int {
-	if grp == dst {
-		return -1
-	}
-	return dst
-}
-
-// GlobalEntryRouter returns the router of group dst reached via slot c
-// of group grp — router (dst, grp) — or -1 if the slot leads elsewhere.
-func (d *Swapped) GlobalEntryRouter(grp, dst, c int) int {
-	if c != dst || grp == dst {
-		return -1
-	}
-	return dst*d.K + grp
-}
+// Paths returns the path table derived from the wiring.
+func (d *Swapped) Paths() *PathTable { return d.paths }
 
 // MinVCs returns the virtual channels the routing ladder needs: 3, as
 // for the canonical dragonfly — the group is the same fully connected

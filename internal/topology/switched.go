@@ -73,5 +73,5 @@ func (s *Switched) LocalRouteSeeded(from, to int, seed uint64) int {
 	if sl, ok := s.Machine.(SeededLocal); ok {
 		return sl.LocalRouteSeeded(from, to, seed)
 	}
-	return s.LocalRoute(from, to)
+	return s.Paths().Route(from, to)
 }

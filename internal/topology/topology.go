@@ -10,9 +10,10 @@
 //
 // A topology is described by a Graph: a flat, immutable wiring table that
 // the cycle-accurate simulator (internal/sim) consumes directly. Concrete
-// topologies such as Dragonfly embed a Graph and add structure-aware
-// helpers (group membership, global-channel lookup, minimal-path port
-// selection) used by the routing algorithms in internal/routing.
+// topologies such as Dragonfly embed a Graph, and their constructors
+// derive a PathTable from it (group membership, in-group routes and hop
+// counts, the global channels of every group pair) that the routing
+// algorithms in internal/routing read on every hop.
 package topology
 
 import (

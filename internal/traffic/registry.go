@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"dragonfly/internal/topology"
 )
 
 // Pattern is what the registry builds: the engine's traffic contract (a
@@ -23,9 +25,10 @@ type Pattern interface {
 type Env struct {
 	// Terminals is the terminal count (required, > 0).
 	Terminals int
-	// Grouped is the group-structure view, required by the
-	// group-relative families (wc, groupoffset, tornado); nil otherwise.
-	Grouped Grouped
+	// Machine supplies the group structure (its path table), required
+	// by the group-relative families (wc, groupoffset, tornado); it may
+	// be nil otherwise.
+	Machine topology.Machine
 	// Seed feeds the seeded families (perm).
 	Seed uint64
 }
@@ -71,10 +74,10 @@ var families = []Family{
 		Name: "wc",
 		Doc:  "dragonfly worst case: group G_i sends to random nodes of G_i+1, funnelling each group through one global channel (Figure 8(b))",
 		Build: func(env Env, _ map[string]int) (Pattern, error) {
-			if env.Grouped == nil {
+			if env.Machine == nil {
 				return nil, fmt.Errorf("traffic: family \"wc\" needs a grouped machine")
 			}
-			return NewWorstCase(env.Grouped), nil
+			return NewWorstCase(env.Machine), nil
 		},
 	},
 	{
@@ -84,20 +87,20 @@ var families = []Family{
 			{Name: "offset", Doc: "group displacement; must not be a multiple of the group count", Default: 1},
 		},
 		Build: func(env Env, p map[string]int) (Pattern, error) {
-			if env.Grouped == nil {
+			if env.Machine == nil {
 				return nil, fmt.Errorf("traffic: family \"groupoffset\" needs a grouped machine")
 			}
-			return NewGroupOffset(env.Grouped, p["offset"])
+			return NewGroupOffset(env.Machine, p["offset"])
 		},
 	},
 	{
 		Name: "tornado",
 		Doc:  "group-level tornado: group G_i sends to random nodes of G_i+g/2",
 		Build: func(env Env, _ map[string]int) (Pattern, error) {
-			if env.Grouped == nil {
+			if env.Machine == nil {
 				return nil, fmt.Errorf("traffic: family \"tornado\" needs a grouped machine")
 			}
-			return NewGroupOffset(env.Grouped, env.Grouped.Groups()/2)
+			return NewGroupOffset(env.Machine, env.Machine.Paths().Groups()/2)
 		},
 	},
 	{

@@ -7,7 +7,7 @@ import (
 
 func TestRegistryBuildsEveryFamily(t *testing.T) {
 	d := testDF(t)
-	env := Env{Terminals: d.Nodes(), Grouped: d, Seed: 7}
+	env := Env{Terminals: d.Nodes(), Machine: d, Seed: 7}
 	for _, f := range Families() {
 		if f.Name != strings.ToLower(f.Name) {
 			t.Errorf("family %q is not lower-case", f.Name)
@@ -37,7 +37,7 @@ func TestRegistryBuildsEveryFamily(t *testing.T) {
 
 func TestRegistryMatchesDirectConstruction(t *testing.T) {
 	d := testDF(t)
-	env := Env{Terminals: d.Nodes(), Grouped: d, Seed: 42}
+	env := Env{Terminals: d.Nodes(), Machine: d, Seed: 42}
 	direct := map[string]Pattern{
 		"ur":      NewUniformRandom(d.Nodes()),
 		"wc":      NewWorstCase(d),
@@ -101,7 +101,7 @@ func TestLegacyFamily(t *testing.T) {
 
 func TestRegistryRejectsUnknownParams(t *testing.T) {
 	d := testDF(t)
-	env := Env{Terminals: d.Nodes(), Grouped: d}
+	env := Env{Terminals: d.Nodes(), Machine: d}
 	_, err := Build("hotspot", env, map[string]int{"heat": 3})
 	if err == nil || !strings.Contains(err.Error(), "heat") {
 		t.Errorf("unknown parameter not rejected with its name: %v", err)

@@ -15,15 +15,26 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// Grouped is the structural view the group-relative patterns need; both
-// dragonfly variants of internal/topology implement it.
-type Grouped interface {
-	// Groups returns the group count.
-	Groups() int
-	// TerminalGroup returns the group a terminal belongs to.
-	TerminalGroup(t int) int
-	// TerminalsPerGroup returns the terminals attached to each group.
-	TerminalsPerGroup() int
+// groups is the group structure the group-relative patterns read from
+// a machine's path table: group g's terminals are the contiguous range
+// [g*perGroup, (g+1)*perGroup).
+type groups struct {
+	tab      *topology.PathTable
+	n        int
+	perGroup int
+}
+
+// groupsOf reads m's group structure.
+func groupsOf(m topology.Machine) groups {
+	tab := m.Paths()
+	return groups{tab: tab, n: tab.Groups(), perGroup: tab.TerminalsPerGroup()}
+}
+
+// pick returns a random terminal of the group offset groups after
+// src's.
+func (g *groups) pick(src, offset int, rand uint64) int {
+	grp := (int(g.tab.Terminal(src).Grp) + offset) % g.n
+	return grp*g.perGroup + int(rand%uint64(g.perGroup))
 }
 
 // UniformRandom sends each packet to a terminal chosen uniformly among
@@ -56,47 +67,40 @@ func (u *UniformRandom) Dest(src int, rand uint64) int {
 // minimal routing funnels each group's entire load through the single
 // global channel to the next group.
 type WorstCase struct {
-	d Grouped
+	g groups
 }
 
-// NewWorstCase returns the worst-case pattern for dragonfly d.
-func NewWorstCase(d Grouped) *WorstCase { return &WorstCase{d: d} }
+// NewWorstCase returns the worst-case pattern for machine m.
+func NewWorstCase(m topology.Machine) *WorstCase { return &WorstCase{g: groupsOf(m)} }
 
 // Name implements sim.Traffic.
 func (*WorstCase) Name() string { return "WC" }
 
 // Dest implements sim.Traffic.
-func (w *WorstCase) Dest(src int, rand uint64) int {
-	perGroup := w.d.TerminalsPerGroup()
-	g := (w.d.TerminalGroup(src) + 1) % w.d.Groups()
-	return g*perGroup + int(rand%uint64(perGroup))
-}
+func (w *WorstCase) Dest(src int, rand uint64) int { return w.g.pick(src, 1, rand) }
 
 // GroupOffset generalises WorstCase: group G_i sends to random nodes of
 // group G_i+Offset. Offset 1 is the paper's worst case; g/2 is the
 // group-level tornado.
 type GroupOffset struct {
-	d      Grouped
+	g      groups
 	Offset int
 }
 
-// NewGroupOffset returns the group-offset pattern.
-func NewGroupOffset(d Grouped, offset int) (*GroupOffset, error) {
-	if offset%d.Groups() == 0 {
-		return nil, fmt.Errorf("traffic: group offset %d maps groups to themselves (g=%d)", offset, d.Groups())
+// NewGroupOffset returns the group-offset pattern for machine m.
+func NewGroupOffset(m topology.Machine, offset int) (*GroupOffset, error) {
+	g := groupsOf(m)
+	if offset%g.n == 0 {
+		return nil, fmt.Errorf("traffic: group offset %d maps groups to themselves (g=%d)", offset, g.n)
 	}
-	return &GroupOffset{d: d, Offset: offset}, nil
+	return &GroupOffset{g: g, Offset: offset}, nil
 }
 
 // Name implements sim.Traffic.
 func (g *GroupOffset) Name() string { return fmt.Sprintf("GroupOffset(%d)", g.Offset) }
 
 // Dest implements sim.Traffic.
-func (g *GroupOffset) Dest(src int, rand uint64) int {
-	perGroup := g.d.TerminalsPerGroup()
-	grp := (g.d.TerminalGroup(src) + g.Offset) % g.d.Groups()
-	return grp*perGroup + int(rand%uint64(perGroup))
-}
+func (g *GroupOffset) Dest(src int, rand uint64) int { return g.g.pick(src, g.Offset, rand) }
 
 // BitComplement sends terminal i to terminal N-1-i, a classic
 // permutation pattern.

@@ -65,10 +65,10 @@ func TestWorstCaseTargetsNextGroup(t *testing.T) {
 	s := uint64(11)
 	for src := 0; src < d.Nodes(); src++ {
 		dst := w.Dest(src, next(&s))
-		want := (d.TerminalGroup(src) + 1) % d.G
-		if got := d.TerminalGroup(dst); got != want {
+		want := (src/(d.A*d.P) + 1) % d.G
+		if got := dst / (d.A * d.P); got != want {
 			t.Fatalf("WC from group %d landed in group %d, want %d",
-				d.TerminalGroup(src), got, want)
+				src/(d.A*d.P), got, want)
 		}
 	}
 }
@@ -95,9 +95,9 @@ func TestGroupOffset(t *testing.T) {
 	s := uint64(2)
 	for src := 0; src < d.Nodes(); src += 7 {
 		dst := g.Dest(src, next(&s))
-		want := (d.TerminalGroup(src) + 4) % d.G
-		if d.TerminalGroup(dst) != want {
-			t.Fatalf("offset-4 landed in group %d, want %d", d.TerminalGroup(dst), want)
+		want := (src/(d.A*d.P) + 4) % d.G
+		if dst/(d.A*d.P) != want {
+			t.Fatalf("offset-4 landed in group %d, want %d", dst/(d.A*d.P), want)
 		}
 	}
 	if _, err := NewGroupOffset(d, 0); err == nil {
