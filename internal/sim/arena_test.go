@@ -1,21 +1,32 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestPacketRecordLayout pins the record to one 64-byte cache line and
+// the codec to the wire size the snapshot format declares.
+func TestPacketRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(pkt{}); got != 64 {
+		t.Errorf("pkt is %d bytes, want 64", got)
+	}
+	if got := len(appendPacket(nil, &pkt{})); got != packetWire {
+		t.Errorf("appendPacket wrote %d bytes, want packetWire = %d", got, packetWire)
+	}
+}
 
 func TestArenaAllocResetsSlot(t *testing.T) {
 	var a arena
 	ref := a.alloc()
-	a.dst[ref] = 7
-	a.flags[ref] = pfMinimal | pfMeasured
-	a.interGrp[ref] = 3
-	a.hops[ref] = 5
+	a.p[ref] = pkt{dst: 7, flags: pfMinimal | pfMeasured, interGrp: 3, hops: 5}
 	a.release(ref)
 	got := a.alloc()
 	if got != ref {
 		t.Fatalf("LIFO free list did not hand back the hot slot: got %d, want %d", got, ref)
 	}
-	if a.dst[got] != 0 || a.flags[got] != 0 || a.interGrp[got] != 0 || a.hops[got] != 0 {
-		t.Error("alloc did not reset the recycled slot")
+	if a.p[got] != (pkt{}) {
+		t.Errorf("alloc did not reset the recycled slot: %+v", a.p[got])
 	}
 }
 
@@ -85,21 +96,13 @@ func TestArenaGrowDoubles(t *testing.T) {
 func TestArenaViewRoundTrip(t *testing.T) {
 	var a arena
 	ref := a.alloc()
-	a.id[ref] = 99
-	a.seed[ref] = 0xdead
-	a.src[ref] = 3
-	a.dst[ref] = 11
-	a.create[ref] = 100
-	a.inject[ref] = 110
-	a.flags[ref] = pfMinimal | pfPhase1 | pfDecided | pfMeasured
-	a.interGrp[ref] = -1
-	a.nextPort[ref] = 4
-	a.nextVC[ref] = 2
-	a.inPort[ref] = 1
-	a.bufVC[ref] = 1
-	a.hops[ref] = 3
+	a.p[ref] = pkt{
+		id: 99, seed: 0xdead, src: 3, dst: 11, create: 100, inject: 110,
+		flags:    pfMinimal | pfPhase1 | pfDecided | pfMeasured,
+		interGrp: -1, nextPort: 4, nextVC: 2, inPort: 1, bufVC: 1, hops: 3,
+	}
 	var p Packet
-	a.view(ref, &p)
+	a.p[ref].view(&p)
 	if p.ID != 99 || p.Seed != 0xdead || p.Src != 3 || p.Dst != 11 {
 		t.Error("identity fields wrong in view")
 	}

@@ -236,7 +236,7 @@ func (n *Network) applyEpoch(v *topology.Degraded) error {
 // accounting (purged routers zero their occupancy wholesale; flits on a
 // wire hold no slot yet).
 func (n *Network) killPacket(sh *shard, ref int32, router int) {
-	if sh.ar.flags[ref]&pfMeasured != 0 {
+	if sh.ar.p[ref].flags&pfMeasured != 0 {
 		sh.outstanding--
 	}
 	sh.inFlight--
@@ -326,7 +326,8 @@ func (n *Network) rescueRouter(r *Router) error {
 					n.rescueBuf = n.rescueBuf[:0]
 					return err
 				}
-				r.waitQ[r.pv(int(sh.ar.nextPort[ref]), int(sh.ar.nextVC[ref]))].push(ref)
+				p := &sh.ar.p[ref]
+				r.waitQ[r.pv(int(p.nextPort), int(p.nextVC))].push(ref)
 				n.rerouted++
 				if n.mcFault != nil {
 					n.mcFault.Reroute(r.ID)
@@ -347,7 +348,8 @@ func (n *Network) rescueRouter(r *Router) error {
 					n.rescueBuf = n.rescueBuf[:0]
 					return err
 				}
-				r.outQ[r.pv(int(sh.ar.nextPort[ref]), int(sh.ar.nextVC[ref]))].push(ref)
+				p := &sh.ar.p[ref]
+				r.outQ[r.pv(int(p.nextPort), int(p.nextVC))].push(ref)
 				n.rerouted++
 				if n.mcFault != nil {
 					n.mcFault.Reroute(r.ID)
@@ -363,7 +365,7 @@ func (n *Network) rescueRouter(r *Router) error {
 // crossbar: its input slot was freed (and the credit returned) at
 // transfer time, so only the global accounting updates.
 func (n *Network) dropDeparted(sh *shard, router int, ref int32) {
-	if sh.ar.flags[ref]&pfMeasured != 0 {
+	if sh.ar.p[ref].flags&pfMeasured != 0 {
 		sh.outstanding--
 	}
 	sh.inFlight--

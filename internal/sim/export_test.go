@@ -44,3 +44,55 @@ func (n *Network) CreditRingCaps() (link, ctq int) {
 	}
 	return link, ctq
 }
+
+// QueuedPacket returns the snapshot encoding of the first packet, in
+// snapshot order, that sits in a source queue ("src"), a crossbar wait
+// queue ("wait"), an output buffer ("out") or on a link ("wire") and
+// satisfies match; nil when there is none. Tests use it to find a
+// packet's record in a snapshot and patch it.
+func (n *Network) QueuedPacket(where string, match func(*Packet) bool) []byte {
+	enc := func(ar *arena, ref int32, wire bool) []byte {
+		var v Packet
+		ar.p[ref].view(&v)
+		switch {
+		case !match(&v):
+			return nil
+		case wire:
+			return appendWirePacket(nil, &ar.p[ref])
+		default:
+			return appendPacket(nil, &ar.p[ref])
+		}
+	}
+	if where == "wire" {
+		for i := range n.links {
+			l := &n.links[i]
+			ar := &n.shardForRouter(l.dst).ar
+			for k := 0; k < l.flits.n; k++ {
+				if b := enc(ar, l.flits.buf[(l.flits.head+k)&(len(l.flits.buf)-1)].ref, true); b != nil {
+					return b
+				}
+			}
+		}
+		return nil
+	}
+	for ri := range n.routers {
+		r := &n.routers[ri]
+		qs := map[string][]pktQueue{"src": r.srcQ, "wait": r.waitQ, "out": r.outQ}[where]
+		for i := range qs {
+			q := &qs[i]
+			for k := 0; k < q.n; k++ {
+				if b := enc(&n.shardForRouter(ri).ar, q.buf[(q.head+k)&(len(q.buf)-1)], false); b != nil {
+					return b
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Packet flag bits, for tests that patch packet records in a snapshot.
+const (
+	FlagMinimal = pfMinimal
+	FlagPhase1  = pfPhase1
+	FlagDecided = pfDecided
+)

@@ -13,12 +13,12 @@ import (
 // Network is a running simulation instance: the routers, channels and
 // terminals of one topology, plus injection and measurement state.
 //
-// The hot state is allocation-free by construction: packets live in
-// struct-of-arrays arenas and move through the queues as int32 refs,
-// routers and links are value slices, and the per-query scratch
-// (HopState, the OnEject Packet view) is owned by the engine shards and
-// reused. Steady-state cycles allocate only when a queue, an arena or a
-// mailbox has to grow past its high-water mark.
+// The hot state is allocation-free by construction: packets live as
+// one 64-byte record each in per-shard arenas and move through the
+// queues as int32 refs, routers and links are value slices, and the
+// per-query scratch (HopState, the OnEject Packet view) is owned by the
+// engine shards and reused. Steady-state cycles allocate only when a
+// queue, an arena or a mailbox has to grow past its high-water mark.
 //
 // The engine is partitioned into one or more shards (see shard.go);
 // the single-shard partition is the serial engine and runs entirely on
@@ -357,31 +357,32 @@ func (n *Network) AliveTerminals() int { return n.aliveTerms }
 
 // loadHop fills the shard's routing scratch from arena slot ref.
 func (n *Network) loadHop(sh *shard, ref int32) {
-	f := sh.ar.flags[ref]
-	sh.hs.ID = sh.ar.id[ref]
-	sh.hs.Seed = sh.ar.seed[ref]
-	sh.hs.Src = int(sh.ar.src[ref])
-	sh.hs.Dst = int(sh.ar.dst[ref])
-	sh.hs.Minimal = f&pfMinimal != 0
-	sh.hs.InterGroup = int(sh.ar.interGrp[ref])
-	sh.hs.Phase1 = f&pfPhase1 != 0
-	sh.hs.Port = int(sh.ar.nextPort[ref])
-	sh.hs.VC = int(sh.ar.nextVC[ref])
+	p := &sh.ar.p[ref]
+	sh.hs.ID = p.id
+	sh.hs.Seed = p.seed
+	sh.hs.Src = int(p.src)
+	sh.hs.Dst = int(p.dst)
+	sh.hs.Minimal = p.flags&pfMinimal != 0
+	sh.hs.InterGroup = int(p.interGrp)
+	sh.hs.Phase1 = p.flags&pfPhase1 != 0
+	sh.hs.Port = int(p.nextPort)
+	sh.hs.VC = int(p.nextVC)
 }
 
 // storeHop writes the scratch's writable fields back to arena slot ref.
 func (n *Network) storeHop(sh *shard, ref int32) {
-	f := sh.ar.flags[ref] &^ (pfMinimal | pfPhase1)
+	p := &sh.ar.p[ref]
+	f := p.flags &^ (pfMinimal | pfPhase1)
 	if sh.hs.Minimal {
 		f |= pfMinimal
 	}
 	if sh.hs.Phase1 {
 		f |= pfPhase1
 	}
-	sh.ar.flags[ref] = f
-	sh.ar.interGrp[ref] = int32(sh.hs.InterGroup)
-	sh.ar.nextPort[ref] = int16(sh.hs.Port)
-	sh.ar.nextVC[ref] = int8(sh.hs.VC)
+	p.flags = f
+	p.interGrp = int32(sh.hs.InterGroup)
+	p.nextPort = int16(sh.hs.Port)
+	p.nextVC = int8(sh.hs.VC)
 }
 
 // decide runs the source-router routing decision for slot ref at r.
@@ -501,10 +502,11 @@ func (n *Network) deliver(sh *shard) error {
 					}
 				}
 				ref := e.ref
-				sh.ar.inPort[ref] = int16(l.dstPort)
-				sh.ar.bufVC[ref] = int8(e.vc)
-				sh.ar.hops[ref]++
-				sh.ar.arrive[ref] = n.now
+				p := &sh.ar.p[ref]
+				p.inPort = int16(l.dstPort)
+				p.bufVC = int8(e.vc)
+				p.hops++
+				p.arrive = n.now
 				if err := n.nextHop(sh, rt, ref); err != nil {
 					if errors.Is(err, ErrUnroutable) {
 						n.drop(sh, rt, ref)
@@ -512,7 +514,7 @@ func (n *Network) deliver(sh *shard) error {
 					}
 					return err
 				}
-				rt.pushWait(int(sh.ar.nextPort[ref]), int(sh.ar.nextVC[ref]), ref)
+				rt.pushWait(int(p.nextPort), int(p.nextVC), ref)
 			}
 		}
 		if sl.cred {
@@ -559,14 +561,15 @@ func (n *Network) deliver(sh *shard) error {
 // unrouted packet), and the packet is counted in Dropped. Dropping is
 // forward progress: it resets the stall detector like any flit movement.
 func (n *Network) drop(sh *shard, r *Router, ref int32) {
-	inP := int(sh.ar.inPort[ref])
-	bvc := int(sh.ar.bufVC[ref])
+	p := &sh.ar.p[ref]
+	inP := int(p.inPort)
+	bvc := int(p.bufVC)
 	r.inOcc[r.pv(inP, bvc)]--
 	if up := r.inLink[inP]; up != nilLink {
 		ul := &n.links[up]
 		n.pushCredit(sh, ul, uint8(bvc), n.now+ul.latency)
 	}
-	if sh.ar.flags[ref]&pfMeasured != 0 {
+	if p.flags&pfMeasured != 0 {
 		sh.outstanding--
 	}
 	sh.inFlight--
@@ -598,20 +601,21 @@ func (n *Network) inject(sh *shard) {
 			continue // dead terminal: draws consumed, nothing injected
 		}
 		ref := sh.ar.alloc()
-		sh.ar.id[ref] = uint64(t)<<32 | n.termSeq[t]
+		p := &sh.ar.p[ref]
+		p.id = uint64(t)<<32 | n.termSeq[t]
 		n.termSeq[t]++
-		sh.ar.seed[ref] = r.Next()
-		sh.ar.src[ref] = int32(t)
+		p.seed = r.Next()
+		p.src = int32(t)
 		if fdst >= 0 {
-			sh.ar.dst[ref] = int32(fdst)
+			p.dst = int32(fdst)
 		} else {
-			sh.ar.dst[ref] = int32(n.traffic.Dest(t, r.Next()))
+			p.dst = int32(n.traffic.Dest(t, r.Next()))
 		}
-		sh.ar.create[ref] = n.now
-		sh.ar.interGrp[ref] = -1
-		sh.ar.inPort[ref] = -1
+		p.create = n.now
+		p.interGrp = -1
+		p.inPort = -1
 		if n.measuring {
-			sh.ar.flags[ref] |= pfMeasured
+			p.flags |= pfMeasured
 			sh.outstanding++
 		}
 		sh.inFlight++
@@ -641,11 +645,12 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 		r.srcQ[p].pop()
 		r.srcN--
 		r.inOcc[r.pv(p, 0)]++
-		sh.ar.inPort[head] = int16(p)
-		sh.ar.bufVC[head] = 0
-		sh.ar.inject[head] = n.now
-		sh.ar.arrive[head] = n.now
-		sh.ar.flags[head] |= pfDecided
+		hp := &sh.ar.p[head]
+		hp.inPort = int16(p)
+		hp.bufVC = 0
+		hp.inject = n.now
+		hp.arrive = n.now
+		hp.flags |= pfDecided
 		if err := n.decide(sh, r, head); err != nil {
 			if errors.Is(err, ErrUnroutable) {
 				n.drop(sh, r, head)
@@ -653,8 +658,8 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 			}
 			return err
 		}
-		if sh.ar.flags[head]&pfMinimal != 0 {
-			sh.ar.flags[head] |= pfPhase1
+		if hp.flags&pfMinimal != 0 {
+			hp.flags |= pfPhase1
 		}
 		if err := n.nextHop(sh, r, head); err != nil {
 			if errors.Is(err, ErrUnroutable) {
@@ -663,7 +668,7 @@ func (n *Network) admitSources(sh *shard, r *Router) error {
 			}
 			return err
 		}
-		r.pushWait(int(sh.ar.nextPort[head]), int(sh.ar.nextVC[head]), head)
+		r.pushWait(int(hp.nextPort), int(hp.nextVC), head)
 	}
 	return nil
 }
@@ -687,7 +692,8 @@ func (n *Network) eject(sh *shard, r *Router) {
 			for q.len() > 0 {
 				ref := q.pop()
 				n.departed(sh, r, ref)
-				if sh.ar.flags[ref]&pfMeasured != 0 {
+				p := &sh.ar.p[ref]
+				if p.flags&pfMeasured != 0 {
 					sh.outstanding--
 				}
 				sh.inFlight--
@@ -700,18 +706,17 @@ func (n *Network) eject(sh *shard, r *Router) {
 					continue // slot released after replay
 				}
 				if n.mcEject != nil {
-					f := sh.ar.flags[ref]
 					n.mcEject.PacketEjected(metrics.Eject{
 						Cycle:    n.now,
-						Packet:   sh.ar.id[ref],
+						Packet:   p.id,
 						Router:   r.ID,
-						Latency:  n.now - sh.ar.create[ref],
-						Minimal:  f&pfMinimal != 0,
-						Measured: f&pfMeasured != 0,
+						Latency:  n.now - p.create,
+						Minimal:  p.flags&pfMinimal != 0,
+						Measured: p.flags&pfMeasured != 0,
 					})
 				}
 				if n.OnEject != nil {
-					sh.ar.view(ref, &sh.ejectView)
+					p.view(&sh.ejectView)
 					sh.ejectView.EjectTime = n.now
 					n.OnEject(&sh.ejectView, n.now)
 				}
@@ -724,8 +729,9 @@ func (n *Network) eject(sh *shard, r *Router) {
 // departed frees arena slot ref's input-buffer slot and returns the
 // credit upstream when it crosses the crossbar (or ejects) at router r.
 func (n *Network) departed(sh *shard, r *Router, ref int32) {
-	inP := int(sh.ar.inPort[ref])
-	bvc := int(sh.ar.bufVC[ref])
+	p := &sh.ar.p[ref]
+	inP := int(p.inPort)
+	bvc := int(p.bufVC)
 	r.inOcc[r.pv(inP, bvc)]--
 	upID := r.inLink[inP]
 	if upID == nilLink {
@@ -738,7 +744,7 @@ func (n *Network) departed(sh *shard, r *Router, ref int32) {
 	// the router's least-congested output. Credits crossing global
 	// channels are never delayed (Section 4.3.2), which both bounds the
 	// mechanism and keeps the expensive channels fully utilisable.
-	nextPort := int(sh.ar.nextPort[ref])
+	nextPort := int(p.nextPort)
 	if n.cfg.DelayCredits && !up.global && !r.isTerm[nextPort] {
 		// The delay uses only the locally measured crossing wait; folding
 		// the downstream round-trip excess back in would compound the
@@ -777,7 +783,7 @@ func (n *Network) transfer(sh *shard, r *Router) {
 			for w.len() > 0 && q.len() < r.outDepth {
 				ref := w.pop()
 				if n.cfg.DelayCredits {
-					r.crossTd[out] = asymEwma(r.crossTd[out], n.now-sh.ar.arrive[ref])
+					r.crossTd[out] = asymEwma(r.crossTd[out], n.now-sh.ar.p[ref].arrive)
 				}
 				n.departed(sh, r, ref)
 				q.push(ref)
@@ -794,7 +800,7 @@ func (n *Network) transfer(sh *shard, r *Router) {
 // allocate forwards at most one flit per output channel per cycle from
 // the output buffer, round-robin over the output's VCs. A flit leaving
 // for a router owned by another shard is posted into that shard's
-// mailbox (with its full arena payload) instead of onto the link; the
+// mailbox (with its packet record) instead of onto the link; the
 // receiver re-homes it at the start of the next cycle, before any
 // delivery can be due.
 func (n *Network) allocate(sh *shard, r *Router) {
@@ -839,17 +845,17 @@ func (n *Network) allocate(sh *shard, r *Router) {
 					n.mc.ChannelFlit(l.id)
 				}
 			}
+			p := &sh.ar.p[ref]
 			if n.mcHop != nil {
-				f := sh.ar.flags[ref]
 				h := metrics.Hop{
-					Packet:      sh.ar.id[ref],
+					Packet:      p.id,
 					Cycle:       n.now,
 					Router:      r.ID,
 					Port:        out,
 					VC:          vc,
 					Link:        l.id,
-					Minimal:     f&pfMinimal != 0,
-					Phase1:      f&pfPhase1 != 0,
+					Minimal:     p.flags&pfMinimal != 0,
+					Phase1:      p.flags&pfPhase1 != 0,
 					CreditStall: r.stallCyc[base+vc],
 				}
 				if n.inPhase {
@@ -860,25 +866,9 @@ func (n *Network) allocate(sh *shard, r *Router) {
 				r.stallCyc[base+vc] = 0
 			}
 			if ds := n.routerShard[l.dst]; int(ds) != sh.idx {
-				fl := sh.ar.flags[ref]
 				out := &sh.flitOut[n.now&1][ds]
-				*out = append(*out, flitXfer{
-					at:       n.now + l.latency,
-					create:   sh.ar.create[ref],
-					inject:   sh.ar.inject[ref],
-					id:       sh.ar.id[ref],
-					seed:     sh.ar.seed[ref],
-					link:     int32(l.id),
-					dst:      sh.ar.dst[ref],
-					src:      sh.ar.src[ref],
-					interGrp: sh.ar.interGrp[ref],
-					nextPort: sh.ar.nextPort[ref],
-					hops:     sh.ar.hops[ref],
-					nextVC:   sh.ar.nextVC[ref],
-					vc:       uint8(vc),
-					flags:    fl,
-				})
-				if fl&pfMeasured != 0 {
+				*out = append(*out, flitXfer{at: n.now + l.latency, p: *p, link: int32(l.id), vc: uint8(vc)})
+				if p.flags&pfMeasured != 0 {
 					sh.outstanding--
 				}
 				sh.inFlight--

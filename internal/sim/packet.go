@@ -1,19 +1,17 @@
 package sim
 
-// The simulator stores packet state in a per-network arena: parallel
-// slices (struct of arrays) indexed by a packet ref, recycled through a
-// free list. The hot loop moves int32 refs through the queues and
-// touches only the columns a phase needs — no per-packet heap object,
-// no pointer chasing, and growth allocates whole columns at a time
-// instead of one packet per injection.
-//
-// Packet (below) is the observer view of one slot, materialised only
-// for the OnEject hook and diagnostics.
+// The simulator stores packet state in per-shard arenas: one 64-byte
+// pkt record per slot, indexed by an int32 ref and recycled through a
+// free list. The queues move refs; a hop reads and writes one record,
+// and there is no per-packet heap object. The same record crosses the
+// shard mailboxes and is the unit of the snapshot codec; Packet (below)
+// is the observer view of one, materialised only for the OnEject hook
+// and diagnostics.
 
 // nilRef is the "no packet" ref.
 const nilRef int32 = -1
 
-// Packet flag bits (arena.flags column).
+// Packet flag bits (pkt.flags).
 const (
 	pfMinimal  uint8 = 1 << iota // source decision was minimal
 	pfPhase1                     // heading for the final destination group
@@ -21,68 +19,82 @@ const (
 	pfMeasured                   // injected inside the measurement window
 )
 
-// arena is the struct-of-arrays packet store. Every column has the same
-// length (the arena capacity); free holds the recyclable refs, LIFO so
-// a just-freed slot is reused while still cache-hot. Single-flit
-// packets (Section 4.2) make the slot the unit of everything.
+// pkt is the state of one single-flit packet (Section 4.2 of the paper
+// evaluates with single-flit packets, so the packet is the unit of all
+// state). The fields are ordered widest first: 61 bytes, padded to 64.
+type pkt struct {
+	id     uint64
+	seed   uint64
+	arrive int64 // cycle of arrival at the current router
+	create int64 // cycle the packet entered its source queue
+	inject int64 // cycle it was admitted into its source router
+
+	dst      int32 // destination terminal
+	src      int32 // source terminal
+	interGrp int32 // Valiant intermediate group, -1 for minimal
+
+	nextPort int16 // current switch request
+	inPort   int16 // occupied input-buffer slot (-1 from source queue)
+	hops     int16
+
+	nextVC int8
+	bufVC  int8
+	flags  uint8
+}
+
+// view materialises the observer Packet for the record. EjectTime is
+// not packet state (the slot is released at ejection); the caller
+// stamps it.
+func (q *pkt) view(p *Packet) {
+	p.ID = q.id
+	p.Seed = q.seed
+	p.Src = int(q.src)
+	p.Dst = int(q.dst)
+	p.CreateTime = q.create
+	p.InjectTime = q.inject
+	p.EjectTime = 0
+	p.Minimal = q.flags&pfMinimal != 0
+	p.InterGroup = int(q.interGrp)
+	p.phase1 = q.flags&pfPhase1 != 0
+	p.Decided = q.flags&pfDecided != 0
+	p.NextPort = int(q.nextPort)
+	p.NextVC = int(q.nextVC)
+	p.InPort = int(q.inPort)
+	p.BufVC = int(q.bufVC)
+	p.Measured = q.flags&pfMeasured != 0
+	p.hops = int(q.hops)
+}
+
+// arena is the packet store: one record per slot. free holds the
+// recyclable refs, LIFO so a just-freed slot is reused while still
+// cache-hot.
 type arena struct {
 	free []int32
-
-	// Hot columns, read/written every hop.
-	dst      []int32 // destination terminal
-	seed     []uint64
-	flags    []uint8
-	interGrp []int32 // Valiant intermediate group, -1 for minimal
-	nextPort []int16 // current switch request
-	nextVC   []int8
-	inPort   []int16 // occupied input-buffer slot (-1 from source queue)
-	bufVC    []int8
-	arrive   []int64 // cycle of arrival at the current router
-	create   []int64 // cycle the packet entered its source queue
-
-	// Cold columns, touched at injection/ejection only.
-	id     []uint64
-	src    []int32
-	inject []int64
-	hops   []int16
+	p    []pkt
 
 	// live tracks in-flight slots for the dflydebug build-tag checks;
 	// nil (and never touched) in normal builds.
 	live []bool
 }
 
-// cap returns the arena capacity in slots.
-func (a *arena) capacity() int { return len(a.dst) }
+// capacity returns the arena capacity in slots.
+func (a *arena) capacity() int { return len(a.p) }
 
 // inUse returns the number of slots currently allocated.
-func (a *arena) inUse() int { return len(a.dst) - len(a.free) }
+func (a *arena) inUse() int { return len(a.p) - len(a.free) }
 
 // grow doubles the arena (minimum 256 slots), appending the new refs to
 // the free list in descending order so allocation hands out ascending
 // refs from a fresh chunk.
 func (a *arena) grow() {
-	old := len(a.dst)
+	old := len(a.p)
 	next := old * 2
 	if next == 0 {
 		next = 256
 	}
-	add := next - old
-	a.dst = append(a.dst, make([]int32, add)...)
-	a.seed = append(a.seed, make([]uint64, add)...)
-	a.flags = append(a.flags, make([]uint8, add)...)
-	a.interGrp = append(a.interGrp, make([]int32, add)...)
-	a.nextPort = append(a.nextPort, make([]int16, add)...)
-	a.nextVC = append(a.nextVC, make([]int8, add)...)
-	a.inPort = append(a.inPort, make([]int16, add)...)
-	a.bufVC = append(a.bufVC, make([]int8, add)...)
-	a.arrive = append(a.arrive, make([]int64, add)...)
-	a.create = append(a.create, make([]int64, add)...)
-	a.id = append(a.id, make([]uint64, add)...)
-	a.src = append(a.src, make([]int32, add)...)
-	a.inject = append(a.inject, make([]int64, add)...)
-	a.hops = append(a.hops, make([]int16, add)...)
+	a.p = append(a.p, make([]pkt, next-old)...)
 	if arenaDebug {
-		a.live = append(a.live, make([]bool, add)...)
+		a.live = append(a.live, make([]bool, next-old)...)
 	}
 	if cap(a.free) < next {
 		free := make([]int32, len(a.free), next)
@@ -94,8 +106,8 @@ func (a *arena) grow() {
 	}
 }
 
-// alloc takes a slot off the free list (growing if empty) and resets
-// its columns to the zero packet.
+// alloc takes a slot off the free list (growing if empty) and resets it
+// to the zero packet.
 func (a *arena) alloc() int32 {
 	if len(a.free) == 0 {
 		a.grow()
@@ -108,20 +120,7 @@ func (a *arena) alloc() int32 {
 		}
 		a.live[ref] = true
 	}
-	a.dst[ref] = 0
-	a.seed[ref] = 0
-	a.flags[ref] = 0
-	a.interGrp[ref] = 0
-	a.nextPort[ref] = 0
-	a.nextVC[ref] = 0
-	a.inPort[ref] = 0
-	a.bufVC[ref] = 0
-	a.arrive[ref] = 0
-	a.create[ref] = 0
-	a.id[ref] = 0
-	a.src[ref] = 0
-	a.inject[ref] = 0
-	a.hops[ref] = 0
+	a.p[ref] = pkt{}
 	return ref
 }
 
@@ -134,29 +133,6 @@ func (a *arena) release(ref int32) {
 		a.live[ref] = false
 	}
 	a.free = append(a.free, ref)
-}
-
-// view materialises the observer Packet for a slot. EjectTime is not
-// arena state (the slot is released at ejection); the caller stamps it.
-func (a *arena) view(ref int32, p *Packet) {
-	f := a.flags[ref]
-	p.ID = a.id[ref]
-	p.Seed = a.seed[ref]
-	p.Src = int(a.src[ref])
-	p.Dst = int(a.dst[ref])
-	p.CreateTime = a.create[ref]
-	p.InjectTime = a.inject[ref]
-	p.EjectTime = 0
-	p.Minimal = f&pfMinimal != 0
-	p.InterGroup = int(a.interGrp[ref])
-	p.phase1 = f&pfPhase1 != 0
-	p.Decided = f&pfDecided != 0
-	p.NextPort = int(a.nextPort[ref])
-	p.NextVC = int(a.nextVC[ref])
-	p.InPort = int(a.inPort[ref])
-	p.BufVC = int(a.bufVC[ref])
-	p.Measured = f&pfMeasured != 0
-	p.hops = int(a.hops[ref])
 }
 
 // Packet is the observer view of a single-flit packet (Section 4.2 of

@@ -61,24 +61,14 @@ type shardLink struct {
 }
 
 // flitXfer carries one flit across a shard boundary: the link it rides
-// plus the packet's full arena payload. The sender releases its arena
-// slot when it posts the record; the receiver allocates a fresh slot in
+// plus the packet's record. The sender releases its arena slot when it
+// posts the flit; the receiver copies the record into a fresh slot of
 // its own arena when it drains the mailbox.
 type flitXfer struct {
-	at       int64
-	create   int64
-	inject   int64
-	id       uint64
-	seed     uint64
-	link     int32
-	dst      int32
-	src      int32
-	interGrp int32
-	nextPort int16
-	hops     int16
-	nextVC   int8
-	vc       uint8
-	flags    uint8
+	at   int64
+	p    pkt
+	link int32
+	vc   uint8
 }
 
 // credXfer carries one upstream credit across a shard boundary.
@@ -167,6 +157,15 @@ func (n *Network) SetShards(k int) error {
 	return nil
 }
 
+// groupCount returns the topology's group count: a topology.Machine's
+// own, or one group per router for a topology without group structure.
+func (n *Network) groupCount() int {
+	if m, ok := n.topo.(topology.Machine); ok {
+		return m.Paths().Groups()
+	}
+	return len(n.routers)
+}
+
 // buildShards computes the partition and the per-shard state for k
 // shards (clamped; minimum 1).
 func (n *Network) buildShards(k int) {
@@ -174,20 +173,14 @@ func (n *Network) buildShards(k int) {
 	if k < 1 {
 		k = 1
 	}
-	if k > nR {
-		k = nR
-	}
 	// A topology.Machine (pristine, Degraded or Switched) numbers its
 	// routers group-major, so shard s takes whole groups: the routers
 	// of groups [s*g/k, (s+1)*g/k). Group alignment matters for UGAL-G,
 	// whose congestion oracle reads sibling routers of the packet's
 	// source group. Other topologies split into contiguous router
 	// ranges.
-	groups := nR
-	if m, ok := n.topo.(topology.Machine); ok {
-		groups = m.Paths().Groups()
-		k = min(k, groups)
-	}
+	groups := n.groupCount()
+	k = min(k, groups)
 	perGroup := nR / groups
 	n.routerShard = make([]int32, nR)
 	n.shards = make([]shard, k)
@@ -410,19 +403,9 @@ func (n *Network) drainShard(sh *shard, parity int64) {
 		for i := range in {
 			x := &in[i]
 			ref := sh.ar.alloc()
-			sh.ar.dst[ref] = x.dst
-			sh.ar.seed[ref] = x.seed
-			sh.ar.flags[ref] = x.flags
-			sh.ar.interGrp[ref] = x.interGrp
-			sh.ar.nextPort[ref] = x.nextPort
-			sh.ar.nextVC[ref] = x.nextVC
-			sh.ar.create[ref] = x.create
-			sh.ar.id[ref] = x.id
-			sh.ar.src[ref] = x.src
-			sh.ar.inject[ref] = x.inject
-			sh.ar.hops[ref] = x.hops
+			sh.ar.p[ref] = x.p
 			sh.inFlight++
-			if x.flags&pfMeasured != 0 {
+			if x.p.flags&pfMeasured != 0 {
 				sh.outstanding++
 			}
 			l := &n.links[x.link]
@@ -490,24 +473,23 @@ func (n *Network) replayShard(sh *shard) {
 		case evHop:
 			n.mcHop.PacketHop(e.hop)
 		case evEject:
-			ref := e.ref
+			p := &sh.ar.p[e.ref]
 			if n.mcEject != nil {
-				f := sh.ar.flags[ref]
 				n.mcEject.PacketEjected(metrics.Eject{
 					Cycle:    n.now,
-					Packet:   sh.ar.id[ref],
+					Packet:   p.id,
 					Router:   e.hop.Router,
-					Latency:  n.now - sh.ar.create[ref],
-					Minimal:  f&pfMinimal != 0,
-					Measured: f&pfMeasured != 0,
+					Latency:  n.now - p.create,
+					Minimal:  p.flags&pfMinimal != 0,
+					Measured: p.flags&pfMeasured != 0,
 				})
 			}
 			if n.OnEject != nil {
-				sh.ar.view(ref, &sh.ejectView)
+				p.view(&sh.ejectView)
 				sh.ejectView.EjectTime = n.now
 				n.OnEject(&sh.ejectView, n.now)
 			}
-			sh.ar.release(ref)
+			sh.ar.release(e.ref)
 		}
 	}
 	sh.ev = sh.ev[:0]
@@ -571,7 +553,7 @@ func (n *Network) totalOutstanding() int {
 		for p := range sh.flitOut {
 			for _, out := range sh.flitOut[p] {
 				for j := range out {
-					if out[j].flags&pfMeasured != 0 {
+					if out[j].p.flags&pfMeasured != 0 {
 						t++
 					}
 				}

@@ -19,7 +19,7 @@ import (
 // The encoding is canonical with respect to sharding: packets are
 // serialised in place, by walking the router queues and link delay
 // lines in ascending id order — the serial engine's order — carrying
-// their full arena payload, never arena refs or free-list positions.
+// their packet records, never arena refs or free-list positions.
 // Restore allocates fresh slots in whichever shard owns each location
 // under the restoring network's partition, so a snapshot taken at
 // shards=N restores correctly at any shard count, and arena layout
@@ -60,7 +60,8 @@ const snapMagic = "dfly-snap/1\n"
 // checkpoint) in addition to engine state.
 const snapFlagRun = 1 << 0
 
-// packetWire is the encoded size of one packet payload.
+// packetWire is the encoded size of one packet record (the 61 bytes of
+// pkt's fields, without its padding).
 const packetWire = 8 + 8 + 4 + 4 + 1 + 4 + 2 + 1 + 2 + 1 + 8 + 8 + 8 + 2
 
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -183,10 +184,8 @@ func (n *Network) restore(snap []byte, wantRun bool) (*runState, error) {
 		return nil, d.err
 	}
 	n.recount()
-	if arenaDebug {
-		if err := n.CheckFlowInvariants(); err != nil {
-			return nil, err
-		}
+	if err := n.CheckFlowInvariants(); err != nil {
+		return nil, &SnapshotError{Reason: "restored state breaks a flow invariant: " + err.Error()}
 	}
 	return rs, nil
 }
@@ -354,7 +353,7 @@ func (n *Network) appendNetwork(b []byte) []byte {
 			e := &l.flits.buf[(l.flits.head+i)&mask]
 			b = binary.LittleEndian.AppendUint64(b, uint64(e.at))
 			b = append(b, e.vc)
-			b = appendWirePacket(b, ar, e.ref)
+			b = appendWirePacket(b, &ar.p[e.ref])
 		}
 		b = appendCreditQueue(b, &l.credits)
 	}
@@ -510,17 +509,17 @@ func (n *Network) decodeNetwork(d *snapDec) error {
 			if !r.isTerm[p] {
 				continue
 			}
-			if err := d.pktQueue(n, sh, r, &r.srcQ[p]); err != nil {
+			if err := d.pktQueue(n, sh, r, &r.srcQ[p], atSource); err != nil {
 				return err
 			}
 		}
 		for i := 0; i < r.radix*r.vcs; i++ {
-			if err := d.pktQueue(n, sh, r, &r.waitQ[i]); err != nil {
+			if err := d.pktQueue(n, sh, r, &r.waitQ[i], atWait); err != nil {
 				return err
 			}
 		}
 		for i := 0; i < r.radix*r.vcs; i++ {
-			if err := d.pktQueue(n, sh, r, &r.outQ[i]); err != nil {
+			if err := d.pktQueue(n, sh, r, &r.outQ[i], atOut); err != nil {
 				return err
 			}
 		}
@@ -554,7 +553,7 @@ func (n *Network) decodeNetwork(d *snapDec) error {
 			if d.err != nil {
 				return d.err
 			}
-			ref, err := d.packet(n, sh, nil)
+			ref, err := d.packet(n, sh, nil, atWire)
 			if err != nil {
 				return err
 			}
@@ -583,108 +582,107 @@ func (n *Network) decodeNetwork(d *snapDec) error {
 	return nil
 }
 
-// appendPacket encodes one packet's full arena payload.
-func appendPacket(b []byte, ar *arena, ref int32) []byte {
-	b = binary.LittleEndian.AppendUint64(b, ar.id[ref])
-	b = binary.LittleEndian.AppendUint64(b, ar.seed[ref])
-	b = binary.LittleEndian.AppendUint32(b, uint32(ar.src[ref]))
-	b = binary.LittleEndian.AppendUint32(b, uint32(ar.dst[ref]))
-	b = append(b, ar.flags[ref])
-	b = binary.LittleEndian.AppendUint32(b, uint32(ar.interGrp[ref]))
-	b = binary.LittleEndian.AppendUint16(b, uint16(ar.nextPort[ref]))
-	b = append(b, byte(ar.nextVC[ref]))
-	b = binary.LittleEndian.AppendUint16(b, uint16(ar.inPort[ref]))
-	b = append(b, byte(ar.bufVC[ref]))
-	b = binary.LittleEndian.AppendUint64(b, uint64(ar.arrive[ref]))
-	b = binary.LittleEndian.AppendUint64(b, uint64(ar.create[ref]))
-	b = binary.LittleEndian.AppendUint64(b, uint64(ar.inject[ref]))
-	b = binary.LittleEndian.AppendUint16(b, uint16(ar.hops[ref]))
+// appendPacket encodes one packet record.
+func appendPacket(b []byte, p *pkt) []byte {
+	b = binary.LittleEndian.AppendUint64(b, p.id)
+	b = binary.LittleEndian.AppendUint64(b, p.seed)
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.src))
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.dst))
+	b = append(b, p.flags)
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.interGrp))
+	b = binary.LittleEndian.AppendUint16(b, uint16(p.nextPort))
+	b = append(b, byte(p.nextVC))
+	b = binary.LittleEndian.AppendUint16(b, uint16(p.inPort))
+	b = append(b, byte(p.bufVC))
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.arrive))
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.create))
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.inject))
+	b = binary.LittleEndian.AppendUint16(b, uint16(p.hops))
 	return b
 }
 
 // appendWirePacket encodes a packet riding a link. The in-buffer
-// columns (arrive, inPort, bufVC) are rewritten at delivery and hold
-// don't-care residue until then — stale values in the serial engine,
-// zeros in a shard that re-homed the flit from a mailbox — so the
-// canonical form zeroes them: the encoding must not depend on which
-// engine produced the state.
-func appendWirePacket(b []byte, ar *arena, ref int32) []byte {
-	b = binary.LittleEndian.AppendUint64(b, ar.id[ref])
-	b = binary.LittleEndian.AppendUint64(b, ar.seed[ref])
-	b = binary.LittleEndian.AppendUint32(b, uint32(ar.src[ref]))
-	b = binary.LittleEndian.AppendUint32(b, uint32(ar.dst[ref]))
-	b = append(b, ar.flags[ref])
-	b = binary.LittleEndian.AppendUint32(b, uint32(ar.interGrp[ref]))
-	b = binary.LittleEndian.AppendUint16(b, uint16(ar.nextPort[ref]))
-	b = append(b, byte(ar.nextVC[ref]))
-	b = binary.LittleEndian.AppendUint16(b, 0) // inPort
-	b = append(b, 0)                           // bufVC
-	b = binary.LittleEndian.AppendUint64(b, 0) // arrive
-	b = binary.LittleEndian.AppendUint64(b, uint64(ar.create[ref]))
-	b = binary.LittleEndian.AppendUint64(b, uint64(ar.inject[ref]))
-	b = binary.LittleEndian.AppendUint16(b, uint16(ar.hops[ref]))
-	return b
+// fields (arrive, inPort, bufVC) are rewritten at delivery and hold
+// don't-care residue until then, left by the router the flit departed,
+// so the canonical form zeroes them: the encoding must not depend on
+// where the flit came from.
+func appendWirePacket(b []byte, p *pkt) []byte {
+	w := *p
+	w.inPort, w.bufVC, w.arrive = 0, 0, 0
+	return appendPacket(b, &w)
 }
 
-// packet decodes one payload into a fresh slot of sh's arena, updating
+// pktAt names where a decoded packet sits; each place admits only the
+// packet states the engine can leave there.
+type pktAt uint8
+
+const (
+	atSource pktAt = iota // source queue: not yet admitted, so undecided
+	atWait                // crossbar wait queue: holds an input-buffer slot
+	atOut                 // output buffer: its input slot already freed
+	atWire                // riding a link
+)
+
+// packet decodes one record into a fresh slot of sh's arena, updating
 // the shard's in-flight accounting. r is the router whose queue the
 // packet sits in (port/VC fields are validated against its shape), nil
-// for flits on a wire (whose port fields are recomputed at delivery).
-func (d *snapDec) packet(n *Network, sh *shard, r *Router) (int32, error) {
-	id := d.u64()
-	seed := d.u64()
-	src := int32(d.u32())
-	dst := int32(d.u32())
-	flags := d.u8()
-	interGrp := int32(d.u32())
-	nextPort := int16(d.u16())
-	nextVC := int8(d.u8())
-	inPort := int16(d.u16())
-	bufVC := int8(d.u8())
-	arrive := d.i64()
-	create := d.i64()
-	inject := d.i64()
-	hops := int16(d.u16())
+// for flits on a wire (whose port fields are rewritten at delivery).
+// Beyond ranges, the routing state must be one the engine produces at
+// that place: routing reads it unchecked on the next Step.
+func (d *snapDec) packet(n *Network, sh *shard, r *Router, at pktAt) (int32, error) {
+	var p pkt
+	p.id = d.u64()
+	p.seed = d.u64()
+	p.src = int32(d.u32())
+	p.dst = int32(d.u32())
+	p.flags = d.u8()
+	p.interGrp = int32(d.u32())
+	p.nextPort = int16(d.u16())
+	p.nextVC = int8(d.u8())
+	p.inPort = int16(d.u16())
+	p.bufVC = int8(d.u8())
+	p.arrive = d.i64()
+	p.create = d.i64()
+	p.inject = d.i64()
+	p.hops = int16(d.u16())
 	if d.err != nil {
 		return nilRef, d.err
 	}
 	terms := n.topo.Terminals()
+	minimal := p.flags&pfMinimal != 0
 	switch {
-	case flags&^(pfMinimal|pfPhase1|pfDecided|pfMeasured) != 0:
-		d.fail("packet %#x has unknown flag bits %#x", id, flags)
-	case src < 0 || int(src) >= terms || dst < 0 || int(dst) >= terms:
-		d.fail("packet %#x src/dst outside the %d terminals", id, terms)
-	case interGrp < -1:
-		d.fail("packet %#x intermediate group %d", id, interGrp)
-	case hops < 0:
-		d.fail("packet %#x negative hop count", id)
+	case p.flags&^(pfMinimal|pfPhase1|pfDecided|pfMeasured) != 0:
+		d.fail("packet %#x has unknown flag bits %#x", p.id, p.flags)
+	case p.src < 0 || int(p.src) >= terms || p.dst < 0 || int(p.dst) >= terms:
+		d.fail("packet %#x src/dst outside the %d terminals", p.id, terms)
+	case p.hops < 0:
+		d.fail("packet %#x negative hop count", p.id)
+	case at == atSource:
+		if p.flags&(pfDecided|pfMinimal|pfPhase1) != 0 || p.interGrp != -1 {
+			d.fail("source-queued packet %#x carries a routing decision", p.id)
+		}
+	case p.flags&pfDecided == 0:
+		d.fail("packet %#x left its source queue undecided", p.id)
+	case minimal && (p.flags&pfPhase1 == 0 || p.interGrp != -1):
+		d.fail("minimal packet %#x has intermediate group %d or is not in phase 1", p.id, p.interGrp)
+	case !minimal && (p.interGrp < 0 || int(p.interGrp) >= n.groupCount()):
+		d.fail("non-minimal packet %#x intermediate group %d outside [0, %d)", p.id, p.interGrp, n.groupCount())
+	case at == atWait && p.inPort < 0:
+		d.fail("packet %#x waits at the crossbar without an input-buffer slot", p.id)
 	}
 	if d.err == nil && r != nil {
-		if int(nextPort) < 0 || int(nextPort) >= r.radix || int(nextVC) < 0 || int(nextVC) >= r.vcs ||
-			int(inPort) < -1 || int(inPort) >= r.radix || int(bufVC) < 0 || int(bufVC) >= r.vcs {
-			d.fail("packet %#x port/VC fields out of range for router %d", id, r.ID)
+		if int(p.nextPort) < 0 || int(p.nextPort) >= r.radix || int(p.nextVC) < 0 || int(p.nextVC) >= r.vcs ||
+			int(p.inPort) < -1 || int(p.inPort) >= r.radix || int(p.bufVC) < 0 || int(p.bufVC) >= r.vcs {
+			d.fail("packet %#x port/VC fields out of range for router %d", p.id, r.ID)
 		}
 	}
 	if d.err != nil {
 		return nilRef, d.err
 	}
 	ref := sh.ar.alloc()
-	sh.ar.id[ref] = id
-	sh.ar.seed[ref] = seed
-	sh.ar.src[ref] = src
-	sh.ar.dst[ref] = dst
-	sh.ar.flags[ref] = flags
-	sh.ar.interGrp[ref] = interGrp
-	sh.ar.nextPort[ref] = nextPort
-	sh.ar.nextVC[ref] = nextVC
-	sh.ar.inPort[ref] = inPort
-	sh.ar.bufVC[ref] = bufVC
-	sh.ar.arrive[ref] = arrive
-	sh.ar.create[ref] = create
-	sh.ar.inject[ref] = inject
-	sh.ar.hops[ref] = hops
+	sh.ar.p[ref] = p
 	sh.inFlight++
-	if flags&pfMeasured != 0 {
+	if p.flags&pfMeasured != 0 {
 		sh.outstanding++
 	}
 	return ref, nil
@@ -695,19 +693,20 @@ func appendPktQueue(b []byte, ar *arena, q *pktQueue) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(q.n))
 	mask := len(q.buf) - 1
 	for i := 0; i < q.n; i++ {
-		b = appendPacket(b, ar, q.buf[(q.head+i)&mask])
+		b = appendPacket(b, &ar.p[q.buf[(q.head+i)&mask]])
 	}
 	return b
 }
 
-// pktQueue decodes a packet queue into q, homing the packets in sh.
-func (d *snapDec) pktQueue(n *Network, sh *shard, r *Router, q *pktQueue) error {
+// pktQueue decodes a packet queue of router r into q, homing the
+// packets in sh.
+func (d *snapDec) pktQueue(n *Network, sh *shard, r *Router, q *pktQueue, at pktAt) error {
 	cnt := d.count(packetWire, "queued packet")
 	if d.err != nil {
 		return d.err
 	}
 	for i := 0; i < cnt; i++ {
-		ref, err := d.packet(n, sh, r)
+		ref, err := d.packet(n, sh, r, at)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -10,12 +11,16 @@ import (
 
 // FuzzSnapshotDecode drives Restore over arbitrary inputs: truncations,
 // bit flips, version bumps and whatever the fuzzer mutates the seed
-// corpus into. The contract under test is the decoder's: every
-// rejection is a typed error wrapping ErrBadSnapshot (never a panic),
-// no corrupt length field drives an allocation beyond the input size,
-// and anything that does decode leaves a network whose flow invariants
-// hold. The run section decodes through the same entry point (Restore
-// parses and discards it), so checkpoint blobs fuzz the full format.
+// corpus into. Each input is restored twice, as is and with its CRC-32C
+// re-sealed: almost every mutation breaks the checksum, so only the
+// re-sealed form reaches the section decoders. The contract under test
+// is the decoder's: every rejection is a typed error wrapping
+// ErrBadSnapshot (never a panic), no corrupt length field drives an
+// allocation beyond the input size, and anything that does decode
+// leaves a network whose flow invariants hold and that can step on: a
+// Step may fail with an error, never panic. The run section decodes
+// through the same entry point (Restore parses and discards it), so
+// checkpoint blobs fuzz the full format.
 func FuzzSnapshotDecode(f *testing.F) {
 	seedCorpus := func(withRun bool, every int64) []byte {
 		net := snapNet(f, 3)
@@ -34,7 +39,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		var snap []byte
 		stop := errors.New("stop")
-		_, err := sim.RunCtx(f.Context(), net, sim.RunConfig{
+		_, err := sim.RunCtx(context.Background(), net, sim.RunConfig{
 			Load: 0.25, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000,
 			Histogram:       true,
 			CheckpointEvery: every,
@@ -64,19 +69,33 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte("dfly-snap/1\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		net := snapNet(t, 2)
-		if err := net.Restore(data); err != nil {
-			if !errors.Is(err, sim.ErrBadSnapshot) {
-				t.Fatalf("Restore returned a non-snapshot error: %v", err)
-			}
-			var se *sim.SnapshotError
-			if !errors.As(err, &se) {
-				t.Fatalf("Restore error %T is not a *SnapshotError", err)
-			}
-			return
-		}
-		if err := net.CheckFlowInvariants(); err != nil {
-			t.Fatalf("accepted snapshot violates flow invariants: %v", err)
+		restoreAndStep(t, data)
+		if len(data) >= 4 {
+			restoreAndStep(t, reseal(bytes.Clone(data)))
 		}
 	})
+}
+
+// restoreAndStep restores data onto a fresh network and, if it is
+// accepted, steps the result.
+func restoreAndStep(t *testing.T, data []byte) {
+	net := snapNet(t, 2)
+	if err := net.Restore(data); err != nil {
+		if !errors.Is(err, sim.ErrBadSnapshot) {
+			t.Fatalf("Restore returned a non-snapshot error: %v", err)
+		}
+		var se *sim.SnapshotError
+		if !errors.As(err, &se) {
+			t.Fatalf("Restore error %T is not a *SnapshotError", err)
+		}
+		return
+	}
+	if err := net.CheckFlowInvariants(); err != nil {
+		t.Fatalf("accepted snapshot violates flow invariants: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := net.Step(); err != nil {
+			return
+		}
+	}
 }

@@ -2,9 +2,11 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"testing"
 
@@ -210,7 +212,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 
 	// Resuming needs a checkpoint (run section), not a bare engine
 	// snapshot.
-	if _, err := sim.ResumeCtx(t.Context(), snapNet(t, 1), sim.RunConfig{
+	if _, err := sim.ResumeCtx(context.Background(), snapNet(t, 1), sim.RunConfig{
 		Load: 0.3, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000,
 	}, snap); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("ResumeCtx from a runless snapshot: %v, want ErrBadSnapshot", err)
@@ -280,8 +282,7 @@ func TestSnapshotRejectsMalformedLines(t *testing.T) {
 		for off, v := range edits {
 			binary.LittleEndian.PutUint64(b[off:], uint64(v))
 		}
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
-		return b
+		return reseal(b)
 	}
 	if err := snapNet(t, 1).Restore(patch(nil)); err != nil {
 		t.Fatalf("re-sealed unpatched snapshot: %v", err)
@@ -308,6 +309,100 @@ func TestSnapshotRejectsMalformedLines(t *testing.T) {
 	}
 }
 
+// reseal rewrites the CRC-32C trailer of a patched snapshot in place,
+// so the decoder gets past the checksum to the patched section.
+func reseal(b []byte) []byte {
+	body := b[:len(b)-4]
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return b
+}
+
+// TestSnapshotRejectsUnreachablePackets patches single packet records
+// of a real snapshot (re-sealing its CRC) into states the engine never
+// produces, one per rule the decoder enforces, and expects each to be
+// refused. Routing and the credit path index their tables with these
+// fields unchecked, so such a network would panic on its next Step or
+// break credit conservation.
+func TestSnapshotRejectsUnreachablePackets(t *testing.T) {
+	// Offsets inside an encoded packet record: id 8, seed 8, src 4,
+	// dst 4, flags 1, interGrp 4, nextPort 2, nextVC 1, inPort 2, ...
+	const (
+		recFlags    = 24
+		recInterGrp = 25
+		recInPort   = 32
+	)
+	all := func(*sim.Packet) bool { return true }
+	finds := []struct {
+		name, where string
+		match       func(*sim.Packet) bool
+	}{
+		{"source", "src", all},
+		{"waiting", "wait", all},
+		{"minimal", "out", func(p *sim.Packet) bool { return p.Minimal }},
+		{"valiant", "out", func(p *sim.Packet) bool { return !p.Minimal && !p.Phase1() }},
+		{"wire", "wire", all},
+	}
+	orig := snapNet(t, 1)
+	orig.SetLoad(0.9)
+	recs := map[string][]byte{}
+	for cyc := 0; cyc < 5000 && len(recs) < len(finds); cyc++ {
+		if err := orig.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		clear(recs)
+		for _, f := range finds {
+			if rec := orig.QueuedPacket(f.where, f.match); rec != nil {
+				recs[f.name] = rec
+			}
+		}
+	}
+	if len(recs) < len(finds) {
+		t.Fatalf("found only %d of the %d packet kinds the cases patch", len(recs), len(finds))
+	}
+	snap, err := orig.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	at := map[string]int{}
+	for name, rec := range recs {
+		if bytes.Count(snap, rec) != 1 {
+			t.Fatalf("%s packet record not located in the snapshot", name)
+		}
+		at[name] = bytes.Index(snap, rec)
+	}
+	if err := snapNet(t, 1).Restore(reseal(bytes.Clone(snap))); err != nil {
+		t.Fatalf("re-sealed unpatched snapshot: %v", err)
+	}
+
+	cases := []struct {
+		name string
+		mut  func(b []byte)
+	}{
+		{"source-queued packet marked decided", func(b []byte) { b[at["source"]+recFlags] |= sim.FlagDecided }},
+		{"undecided packet past its source queue", func(b []byte) { b[at["waiting"]+recFlags] &^= sim.FlagDecided }},
+		{"minimal packet outside phase 1", func(b []byte) { b[at["minimal"]+recFlags] &^= sim.FlagPhase1 }},
+		{"non-minimal packet without an intermediate group", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[at["valiant"]+recInterGrp:], math.MaxUint32) // -1
+		}},
+		{"wait-queued packet without an input slot", func(b []byte) {
+			binary.LittleEndian.PutUint16(b[at["waiting"]+recInPort:], math.MaxUint16) // -1
+		}},
+		{"flit moved to another VC", func(b []byte) {
+			vc := &b[at["wire"]-1] // a wire flit encodes as at (8), vc (1), record
+			*vc = (*vc + 1) % uint8(testConfig().VCs)
+		}},
+	}
+	for _, tc := range cases {
+		b := bytes.Clone(snap)
+		tc.mut(b)
+		err := snapNet(t, 1).Restore(reseal(b))
+		var se *sim.SnapshotError
+		if !errors.As(err, &se) || !errors.Is(err, sim.ErrBadSnapshot) {
+			t.Errorf("%s: Restore = %v, want a *SnapshotError", tc.name, err)
+		}
+	}
+}
+
 // errStopAfterSnapshot is the sentinel a capturing checkpoint sink uses
 // to abort its run once it has the snapshot it wanted.
 var errStopAfterSnapshot = errors.New("stop after first snapshot")
@@ -322,7 +417,7 @@ func captureFirstCheckpoint(t *testing.T, shards int, rc sim.RunConfig, every in
 		snap = bytes.Clone(b)
 		return errStopAfterSnapshot
 	}
-	_, err := sim.RunCtx(t.Context(), snapNet(t, shards), rc)
+	_, err := sim.RunCtx(context.Background(), snapNet(t, shards), rc)
 	if !errors.Is(err, errStopAfterSnapshot) {
 		t.Fatalf("checkpoint capture run: %v, want the sink's sentinel", err)
 	}
@@ -341,7 +436,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		Load: 0.25, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000,
 		Histogram: true,
 	}
-	want, err := sim.RunCtx(t.Context(), snapNet(t, 1), rc)
+	want, err := sim.RunCtx(context.Background(), snapNet(t, 1), rc)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -356,7 +451,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		{"mid-measure sharded to serial", 700, 3, 1},
 	} {
 		snap := captureFirstCheckpoint(t, tc.snapShards, rc, tc.every)
-		got, err := sim.ResumeCtx(t.Context(), snapNet(t, tc.resShards), rc, snap)
+		got, err := sim.ResumeCtx(context.Background(), snapNet(t, tc.resShards), rc, snap)
 		if err != nil {
 			t.Fatalf("%s: ResumeCtx: %v", tc.name, err)
 		}
@@ -369,7 +464,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	snap := captureFirstCheckpoint(t, 1, rc, 300)
 	other := rc
 	other.MeasureCycles = 500
-	if _, err := sim.ResumeCtx(t.Context(), snapNet(t, 1), other, snap); !errors.Is(err, sim.ErrBadSnapshot) {
+	if _, err := sim.ResumeCtx(context.Background(), snapNet(t, 1), other, snap); !errors.Is(err, sim.ErrBadSnapshot) {
 		t.Errorf("ResumeCtx with mismatched parameters: %v, want ErrBadSnapshot", err)
 	}
 }
