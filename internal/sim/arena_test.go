@@ -11,8 +11,8 @@ func TestPacketRecordLayout(t *testing.T) {
 	if got := unsafe.Sizeof(pkt{}); got != 64 {
 		t.Errorf("pkt is %d bytes, want 64", got)
 	}
-	if got := len(appendPacket(nil, &pkt{})); got != packetWire {
-		t.Errorf("appendPacket wrote %d bytes, want packetWire = %d", got, packetWire)
+	if got := (&snapCodec{}).packet(0, &pkt{}); got != packetWire {
+		t.Errorf("the packet coder walks %d bytes, want packetWire = %d", got, packetWire)
 	}
 }
 

@@ -4,6 +4,10 @@ package sim
 // to the external tests.
 func (n *Network) SnapshotSizeHint() int { return n.snapshotSizeHint() }
 
+// SnapshotSized encodes a drained network into a first buffer of size
+// bytes, for tests of a size hint that falls short.
+func (n *Network) SnapshotSized(size int) []byte { return n.encode(nil, size) }
+
 // Crew exposes the sharded engine's phase dispatcher to the external
 // tests, which drive it with phase functions of their own.
 type Crew = crew
@@ -51,24 +55,25 @@ func (n *Network) CreditRingCaps() (link, ctq int) {
 // satisfies match; nil when there is none. Tests use it to find a
 // packet's record in a snapshot and patch it.
 func (n *Network) QueuedPacket(where string, match func(*Packet) bool) []byte {
-	enc := func(ar *arena, ref int32, wire bool) []byte {
+	enc := func(sh *shard, ref int32, wire bool) []byte {
 		var v Packet
-		ar.p[ref].view(&v)
-		switch {
-		case !match(&v):
+		sh.ar.p[ref].view(&v)
+		if !match(&v) {
 			return nil
-		case wire:
-			return appendWirePacket(nil, &ar.p[ref])
-		default:
-			return appendPacket(nil, &ar.p[ref])
 		}
+		p := sh.ar.p[ref]
+		if wire {
+			p = p.onWire()
+		}
+		c := &snapCodec{b: make([]byte, packetWire)}
+		c.packet(0, &p)
+		return c.b
 	}
 	if where == "wire" {
 		for i := range n.links {
 			l := &n.links[i]
-			ar := &n.shardForRouter(l.dst).ar
 			for k := 0; k < l.flits.n; k++ {
-				if b := enc(ar, l.flits.buf[(l.flits.head+k)&(len(l.flits.buf)-1)].ref, true); b != nil {
+				if b := enc(n.shardForRouter(l.dst), l.flits.buf[(l.flits.head+k)&(len(l.flits.buf)-1)].ref, true); b != nil {
 					return b
 				}
 			}
@@ -81,7 +86,7 @@ func (n *Network) QueuedPacket(where string, match func(*Packet) bool) []byte {
 		for i := range qs {
 			q := &qs[i]
 			for k := 0; k < q.n; k++ {
-				if b := enc(&n.shardForRouter(ri).ar, q.buf[(q.head+k)&(len(q.buf)-1)], false); b != nil {
+				if b := enc(n.shardForRouter(ri), q.buf[(q.head+k)&(len(q.buf)-1)], false); b != nil {
 					return b
 				}
 			}

@@ -38,17 +38,17 @@ import (
 //	magic "dfly-snap/1\n"                       12 bytes
 //	fingerprint                                 u64
 //	flags                                       u8 (bit 0: run section)
-//	network section                             (see appendNetwork)
-//	run section, when flagged                   (see runState.append)
+//	network section                             (see codeNetwork)
+//	run section, when flagged                   (see runState.code)
 //	CRC-32C over everything above               u32
 //
 // The fingerprint is an FNV-64a hash of everything a snapshot is only
 // meaningful relative to: the Config (minus Shards), the full link
-// wiring, the terminal attachment, the routing and traffic names, and
-// the fault liveness (the static plan's, or every epoch of the
-// timeline). Restore refuses a snapshot whose fingerprint differs from
-// the target network's — restoring onto the wrong machine is a typed
-// error, not a corrupt simulation.
+// wiring, the terminal attachment, the routing and traffic names, the
+// source fingerprint, and the fault liveness (the static plan's, or
+// every epoch of the timeline). Restore refuses a snapshot whose
+// fingerprint differs from the target network's — restoring onto the
+// wrong machine is a typed error, not a corrupt simulation.
 
 // snapMagic opens every dfly-snap/1 snapshot. A different version
 // string is a decode error by construction: there is no cross-version
@@ -80,27 +80,48 @@ func (n *Network) snapshot(rs *runState) ([]byte, error) {
 	for i := range n.shards {
 		n.drainShard(&n.shards[i], n.now&1)
 	}
-	b := make([]byte, 0, n.snapshotSizeHint())
-	b = append(b, snapMagic...)
-	b = binary.LittleEndian.AppendUint64(b, n.fingerprint())
-	var flags byte
+	size := n.snapshotSizeHint()
 	if rs != nil {
-		flags |= snapFlagRun
+		// The run section's fixed fields and accumulators take under 512
+		// bytes, and each histogram bucket 8.
+		size += 512
+		if h := rs.res.Hist; h != nil {
+			size += 8 * (len(h.Buckets()) + len(rs.res.MinHist.Buckets()) + len(rs.res.NonminHist.Buckets()))
+		}
 	}
-	b = append(b, flags)
-	b = n.appendNetwork(b)
+	return n.encode(rs, size), nil
+}
+
+// encode walks the header and the sections into a buffer of size bytes
+// and seals them with the CRC. A size that falls short costs a second
+// walk at the exact size, which the first one measured, never bytes.
+func (n *Network) encode(rs *runState, size int) []byte {
+	fp := n.fingerprint()
+	var flags uint8
 	if rs != nil {
-		b = rs.append(b)
+		flags = snapFlagRun
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, snapCRC))
-	return b, nil
+	for {
+		c := &snapCodec{b: make([]byte, size)}
+		copy(c.b, snapMagic)
+		off := le64(c, len(snapMagic), &fp)
+		off = le8(c, off, &flags)
+		off = n.codeNetwork(c, off)
+		if rs != nil {
+			off = rs.code(c, off)
+		}
+		if off+4 <= len(c.b) {
+			return binary.LittleEndian.AppendUint32(c.b[:off], crc32.Checksum(c.b[:off], snapCRC))
+		}
+		size = off + 4
+	}
 }
 
 // snapshotSizeHint bounds the encoded size of the header, the network
-// section and the CRC from above, so the encoder allocates once (a
-// checkpoint's run section may still grow the buffer). It walks the
-// same shapes appendNetwork does, counting every credit-queue entry,
-// and charges each in-flight packet the larger on-wire encoding.
+// section and the CRC from above, so encode allocates once and walks
+// once. It sums the shapes codeNetwork walks, counting every
+// credit-queue entry, and charges each in-flight packet the larger
+// on-wire encoding.
 func (n *Network) snapshotSizeHint() int {
 	const (
 		creditHead = 4 + 8 // a credit queue's count and clamp
@@ -154,34 +175,31 @@ func (n *Network) restore(snap []byte, wantRun bool) (*runState, error) {
 	if got, want := crc32.Checksum(body, snapCRC), binary.LittleEndian.Uint32(snap[len(snap)-4:]); got != want {
 		return nil, &SnapshotError{Reason: fmt.Sprintf("CRC mismatch (computed %08x, stored %08x)", got, want)}
 	}
-	d := &snapDec{b: body[len(snapMagic):]}
-	if fp, want := d.u64(), n.fingerprint(); d.err == nil && fp != want {
+	c := &snapCodec{b: body, dec: true}
+	var fp uint64
+	var flags uint8
+	off := le64(c, len(snapMagic), &fp)
+	off = le8(c, off, &flags)
+	if want := n.fingerprint(); fp != want {
 		return nil, &SnapshotError{Reason: fmt.Sprintf("fingerprint %016x does not match this network (%016x): different topology, config, routing, traffic or timeline", fp, want)}
 	}
-	flags := d.u8()
-	if d.err == nil && flags&^snapFlagRun != 0 {
-		d.fail("unknown flag bits %#x", flags)
+	if flags&^snapFlagRun != 0 {
+		return nil, &SnapshotError{Reason: fmt.Sprintf("unknown flag bits %#x", flags)}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if flags&snapFlagRun == 0 && wantRun {
+		return nil, &SnapshotError{Reason: "snapshot carries no run section (captured by Snapshot, not a RunCtx checkpoint)"}
 	}
-	if err := n.decodeNetwork(d); err != nil {
-		return nil, err
-	}
+	off = n.codeNetwork(c, off)
 	var rs *runState
 	if flags&snapFlagRun != 0 {
 		rs = &runState{}
-		if err := d.run(rs); err != nil {
-			return nil, err
-		}
-	} else if wantRun {
-		return nil, &SnapshotError{Reason: "snapshot carries no run section (captured by Snapshot, not a RunCtx checkpoint)"}
+		off = rs.code(c, off)
 	}
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("%d trailing bytes after the last section", len(d.b))
+	if c.ok(off) && off != len(c.b) {
+		c.fail("%d trailing bytes after the last section", len(c.b)-off)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if c.err != nil {
+		return nil, c.err
 	}
 	n.recount()
 	if err := n.CheckFlowInvariants(); err != nil {
@@ -276,340 +294,209 @@ func (n *Network) hashLiveness(h hash.Hash64, v interface{ Alive(router, port in
 	h.Write(chunk[:k])
 }
 
-// appendNetwork encodes the engine state (mailboxes already drained).
-func (n *Network) appendNetwork(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.now))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.load))
-	b = appendBool(b, n.measuring)
-	b = appendBool(b, n.countWindow)
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.killedInFlight))
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.rerouted))
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.maxLastMove()))
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.totalDropped()))
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.totalInjectedWindow()))
-	b = binary.LittleEndian.AppendUint64(b, uint64(n.totalEjectedWindow()))
-	b = binary.LittleEndian.AppendUint32(b, uint32(n.epochIdx))
-
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.termRNG)))
-	for t := range n.termRNG {
-		b = binary.LittleEndian.AppendUint64(b, n.termRNG[t].state)
-		b = binary.LittleEndian.AppendUint64(b, n.termSeq[t])
-		b = appendBool(b, n.termAlive[t])
+// codeNetwork walks the network section in wire order (encoding runs
+// with the mailboxes drained). Decoding validates every count and index
+// before use: a CRC-valid but adversarial input yields a typed error,
+// never a panic or an unbounded allocation.
+func (n *Network) codeNetwork(c *snapCodec, off int) int {
+	// lastMove is kept as a global maximum (the stall detector only reads
+	// the max); the drop and window counters are totals, decoded onto
+	// shard 0 (they are only ever read summed).
+	lastMove, dropped := n.maxLastMove(), n.totalDropped()
+	injWin, ejWin := n.totalInjectedWindow(), n.totalEjectedWindow()
+	off = le64(c, off, &n.now)
+	off = c.f64(off, &n.load)
+	off = c.bool(off, &n.measuring)
+	off = c.bool(off, &n.countWindow)
+	off = le64(c, off, &n.killedInFlight)
+	off = le64(c, off, &n.rerouted)
+	off = le64(c, off, &lastMove)
+	off = le64(c, off, &dropped)
+	off = le64(c, off, &injWin)
+	off = le64(c, off, &ejWin)
+	off = le32(c, off, &n.epochIdx)
+	if c.dec && c.ok(off) {
+		switch {
+		case n.now < 0:
+			c.fail("negative cycle %d", n.now)
+		case math.IsNaN(n.load) || n.load < 0 || n.load > 1:
+			c.fail("injection load %v out of range", n.load)
+		case lastMove < 0 || lastMove > n.now:
+			c.fail("last-movement cycle %d outside [0, %d]", lastMove, n.now)
+		case n.killedInFlight < 0 || n.rerouted < 0 || dropped < 0 || injWin < 0 || ejWin < 0:
+			c.fail("negative event counter")
+		case n.epochs == nil && n.epochIdx != 0:
+			c.fail("snapshot is mid-timeline (epoch %d) but this network has none", n.epochIdx)
+		case n.epochs != nil && n.epochIdx >= len(n.epochs):
+			c.fail("epoch index %d outside the timeline's %d epochs", n.epochIdx, len(n.epochs))
+		case n.epochs != nil:
+			// Adopt the governing epoch's view directly: liveness state is
+			// restored field by field below, so the kill/rescue
+			// reconciliation of applyEpoch must not run.
+			n.topo.(SwitchedTopology).SetEpoch(n.epochs[n.epochIdx].View)
+		}
+		for i := range n.shards {
+			n.shards[i].lastMove = lastMove
+		}
+		n.shards[0].dropped = dropped
+		n.shards[0].injectedWindow = injWin
+		n.shards[0].ejectedWindow = ejWin
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(n.aliveTerms))
+
+	off = c.shape(off, len(n.termRNG), "terminal count %d, network has %d")
+	alive := 0
+	for t := range n.termRNG {
+		off = le64(c, off, &n.termRNG[t].state)
+		off = le64(c, off, &n.termSeq[t])
+		off = c.bool(off, &n.termAlive[t])
+		if n.termAlive[t] {
+			alive++
+		}
+	}
+	off = le32(c, off, &n.aliveTerms)
+	if c.dec && c.ok(off) && n.aliveTerms != alive {
+		c.fail("alive-terminal count %d disagrees with the %d per-terminal flags", n.aliveTerms, alive)
+	}
 
 	// Arrival-process state: the per-terminal word count, then each
 	// terminal's words. The source identity itself is covered by the
 	// fingerprint, so a mismatched word count here means corruption.
 	words := n.source.StateWords()
-	b = binary.LittleEndian.AppendUint32(b, uint32(words))
-	if words > 0 {
-		var buf [maxSourceStateWords]uint64
-		for t := range n.termRNG {
+	off = c.shape(off, words, "source state is %d words/terminal, the installed source holds %d")
+	var buf [maxSourceStateWords]uint64
+	for t := 0; t < len(n.termRNG) && words > 0; t++ {
+		if !c.dec {
 			n.source.SaveState(t, buf[:words])
-			for _, w := range buf[:words] {
-				b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		for i := range buf[:words] {
+			off = le64(c, off, &buf[i])
+		}
+		if c.dec && c.ok(off) {
+			if err := n.source.LoadState(t, buf[:words]); err != nil {
+				c.fail("source state for terminal %d: %v", t, err)
 			}
 		}
 	}
 
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.routers)))
+	off = c.shape(off, len(n.routers), "router count %d, network has %d")
 	for ri := range n.routers {
-		r := &n.routers[ri]
-		ar := &n.shards[n.routerShard[ri]].ar
-		b = appendBool(b, n.routerDead != nil && n.routerDead[ri])
-		for p := 0; p < r.radix; p++ {
-			b = binary.LittleEndian.AppendUint32(b, uint32(r.outRR[p]))
-			b = binary.LittleEndian.AppendUint64(b, uint64(r.td[p]))
-			b = binary.LittleEndian.AppendUint64(b, uint64(r.crossTd[p]))
-			b = appendCreditQueue(b, &r.ctq[p])
-		}
-		for i := 0; i < r.radix*r.vcs; i++ {
-			b = binary.LittleEndian.AppendUint32(b, uint32(r.inOcc[i]))
-			b = binary.LittleEndian.AppendUint32(b, uint32(r.credits[i]))
-		}
-		for p := 0; p < r.radix; p++ {
-			if r.isTerm[p] {
-				b = appendPktQueue(b, ar, &r.srcQ[p])
-			}
-		}
-		for i := 0; i < r.radix*r.vcs; i++ {
-			b = appendPktQueue(b, ar, &r.waitQ[i])
-		}
-		for i := 0; i < r.radix*r.vcs; i++ {
-			b = appendPktQueue(b, ar, &r.outQ[i])
+		off = n.codeRouter(c, off, ri)
+	}
+	off = c.shape(off, len(n.links), "link count %d, network has %d")
+	return n.codeLinks(c, off)
+}
+
+// codeRouter walks router ri's part of the network section: its dead
+// flag, per-port sensor state and send timestamps, per-slot occupancy
+// and credits, then its packet queues.
+func (n *Network) codeRouter(c *snapCodec, off, ri int) int {
+	r := &n.routers[ri]
+	sh := n.shardForRouter(ri)
+	dead := n.routerDead != nil && n.routerDead[ri]
+	off = c.bool(off, &dead)
+	if c.dec && c.ok(off) {
+		if n.routerDead != nil {
+			n.routerDead[ri] = dead
+		} else if dead {
+			c.fail("router %d marked dead but this network has no timeline", ri)
 		}
 	}
+	for p := 0; p < r.radix; p++ {
+		off = le32(c, off, &r.outRR[p])
+		off = le64(c, off, &r.td[p])
+		off = le64(c, off, &r.crossTd[p])
+		if c.dec && c.ok(off) && (r.outRR[p] < 0 || r.outRR[p] >= int32(r.vcs) || r.td[p] < 0 || r.crossTd[p] < 0) {
+			c.fail("router %d port %d sensor state out of range", ri, p)
+		}
+		off = c.creditQueue(off, &r.ctq[p], r.vcs)
+		if c.dec && c.ok(off) && r.isTerm[p] && r.ctq[p].len() > 0 {
+			c.fail("router %d terminal port %d holds send timestamps", ri, p)
+		}
+	}
+	for i := 0; i < r.radix*r.vcs; i++ {
+		off = le32(c, off, &r.inOcc[i])
+		off = le32(c, off, &r.credits[i])
+		if c.dec && c.ok(off) && (r.inOcc[i] < 0 || r.inOcc[i] > int32(r.depth) || r.credits[i] < 0 || r.credits[i] > int32(r.depth)) {
+			c.fail("router %d slot %d occupancy/credits outside [0, %d]", ri, i, r.depth)
+		}
+	}
+	for p := 0; p < r.radix; p++ {
+		if r.isTerm[p] {
+			off = c.pktQueues(off, n, sh, r, r.srcQ[p:p+1], atSource)
+		}
+	}
+	off = c.pktQueues(off, n, sh, r, r.waitQ, atWait)
+	return c.pktQueues(off, n, sh, r, r.outQ, atOut)
+}
 
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.links)))
+// codeLinks walks the links' part of the network section: for each
+// link, its dead flag, the flits riding it (delivery cycle, VC, packet
+// record) and its credit line.
+func (n *Network) codeLinks(c *snapCodec, off int) int {
 	for li := range n.links {
 		l := &n.links[li]
 		// Flits riding link l live in the arena of the shard owning l.dst.
-		ar := &n.shards[n.routerShard[l.dst]].ar
-		b = appendBool(b, l.dead)
-		b = binary.LittleEndian.AppendUint32(b, uint32(l.flits.n))
-		mask := len(l.flits.buf) - 1
-		for i := 0; i < l.flits.n; i++ {
-			e := &l.flits.buf[(l.flits.head+i)&mask]
-			b = binary.LittleEndian.AppendUint64(b, uint64(e.at))
-			b = append(b, e.vc)
-			b = appendWirePacket(b, &ar.p[e.ref])
-		}
-		b = appendCreditQueue(b, &l.credits)
-	}
-	return b
-}
-
-// decodeNetwork rebuilds the engine state on a fresh network. Every
-// count and index is validated before use: a CRC-valid but adversarial
-// input yields a typed error, never a panic or an unbounded allocation.
-func (n *Network) decodeNetwork(d *snapDec) error {
-	now := d.i64()
-	load := d.f64()
-	measuring := d.bool()
-	countWindow := d.bool()
-	killed := d.i64()
-	rerouted := d.i64()
-	lastMove := d.i64()
-	dropped := d.i64()
-	injWin := d.i64()
-	ejWin := d.i64()
-	epochIdx := int(d.u32())
-	if d.err != nil {
-		return d.err
-	}
-	switch {
-	case now < 0:
-		d.fail("negative cycle %d", now)
-	case math.IsNaN(load) || load < 0 || load > 1:
-		d.fail("injection load %v out of range", load)
-	case lastMove < 0 || lastMove > now:
-		d.fail("last-movement cycle %d outside [0, %d]", lastMove, now)
-	case killed < 0 || rerouted < 0 || dropped < 0 || injWin < 0 || ejWin < 0:
-		d.fail("negative event counter")
-	}
-	if d.err != nil {
-		return d.err
-	}
-
-	if n.epochs != nil {
-		if epochIdx < 0 || epochIdx >= len(n.epochs) {
-			d.fail("epoch index %d outside the timeline's %d epochs", epochIdx, len(n.epochs))
-			return d.err
-		}
-		// Adopt the governing epoch's view directly — liveness state is
-		// restored field by field below, so the kill/rescue reconciliation
-		// of applyEpoch must not run.
-		n.topo.(SwitchedTopology).SetEpoch(n.epochs[epochIdx].View)
-		n.epochIdx = epochIdx
-	} else if epochIdx != 0 {
-		d.fail("snapshot is mid-timeline (epoch %d) but this network has none", epochIdx)
-		return d.err
-	}
-
-	if got := int(d.u32()); d.err == nil && got != len(n.termRNG) {
-		d.fail("terminal count %d, network has %d", got, len(n.termRNG))
-	}
-	if d.err != nil {
-		return d.err
-	}
-	alive := 0
-	for t := range n.termRNG {
-		n.termRNG[t].state = d.u64()
-		n.termSeq[t] = d.u64()
-		n.termAlive[t] = d.bool()
-		if n.termAlive[t] {
-			alive++
-		}
-	}
-	if got := int(d.u32()); d.err == nil && got != alive {
-		d.fail("alive-terminal count %d disagrees with the %d per-terminal flags", got, alive)
-	}
-	if d.err != nil {
-		return d.err
-	}
-	n.aliveTerms = alive
-
-	words := n.source.StateWords()
-	if got := int(d.u32()); d.err == nil && got != words {
-		d.fail("source state is %d words/terminal, the installed %q source holds %d", got, n.source.Name(), words)
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if words > 0 {
-		var buf [maxSourceStateWords]uint64
-		for t := range n.termRNG {
-			for i := 0; i < words; i++ {
-				buf[i] = d.u64()
-			}
-			if d.err != nil {
-				return d.err
-			}
-			if err := n.source.LoadState(t, buf[:words]); err != nil {
-				d.fail("source state for terminal %d: %v", t, err)
-				return d.err
-			}
-		}
-	}
-
-	if got := int(d.u32()); d.err == nil && got != len(n.routers) {
-		d.fail("router count %d, network has %d", got, len(n.routers))
-	}
-	if d.err != nil {
-		return d.err
-	}
-	for ri := range n.routers {
-		r := &n.routers[ri]
-		sh := n.shardForRouter(ri)
-		deadFlag := d.bool()
-		if d.err == nil && deadFlag && n.routerDead == nil {
-			d.fail("router %d marked dead but this network has no timeline", ri)
-		}
-		if d.err != nil {
-			return d.err
-		}
-		if n.routerDead != nil {
-			n.routerDead[ri] = deadFlag
-		}
-		for p := 0; p < r.radix; p++ {
-			rr := int32(d.u32())
-			td := d.i64()
-			crossTd := d.i64()
-			if d.err == nil && (rr < 0 || rr >= int32(r.vcs) || td < 0 || crossTd < 0) {
-				d.fail("router %d port %d sensor state out of range", ri, p)
-			}
-			if d.err != nil {
-				return d.err
-			}
-			r.outRR[p] = rr
-			r.td[p] = td
-			r.crossTd[p] = crossTd
-			if err := d.creditQueue(&r.ctq[p], r.vcs); err != nil {
-				return err
-			}
-			if r.isTerm[p] && r.ctq[p].len() > 0 {
-				d.fail("router %d terminal port %d holds send timestamps", ri, p)
-				return d.err
-			}
-		}
-		for i := 0; i < r.radix*r.vcs; i++ {
-			occ := int32(d.u32())
-			cr := int32(d.u32())
-			if d.err == nil && (occ < 0 || occ > int32(r.depth) || cr < 0 || cr > int32(r.depth)) {
-				d.fail("router %d slot %d occupancy/credits outside [0, %d]", ri, i, r.depth)
-			}
-			if d.err != nil {
-				return d.err
-			}
-			r.inOcc[i] = occ
-			r.credits[i] = cr
-		}
-		for p := 0; p < r.radix; p++ {
-			if !r.isTerm[p] {
-				continue
-			}
-			if err := d.pktQueue(n, sh, r, &r.srcQ[p], atSource); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < r.radix*r.vcs; i++ {
-			if err := d.pktQueue(n, sh, r, &r.waitQ[i], atWait); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < r.radix*r.vcs; i++ {
-			if err := d.pktQueue(n, sh, r, &r.outQ[i], atOut); err != nil {
-				return err
-			}
-		}
-	}
-
-	if got := int(d.u32()); d.err == nil && got != len(n.links) {
-		d.fail("link count %d, network has %d", got, len(n.links))
-	}
-	if d.err != nil {
-		return d.err
-	}
-	for li := range n.links {
-		l := &n.links[li]
 		sh := n.shardForRouter(l.dst)
-		l.dead = d.bool()
-		cnt := d.count(8+1+packetWire, "link flit")
-		if d.err != nil {
-			return d.err
+		off = c.bool(off, &l.dead)
+		cnt := l.flits.n
+		off = le32(c, off, &cnt)
+		if c.dec {
+			cnt = c.bound(off, cnt, 8+1+packetWire, "link flit")
 		}
 		prev := int64(0)
 		for i := 0; i < cnt; i++ {
-			at := d.i64()
-			vc := d.u8()
-			if d.err == nil && int(vc) >= n.cfg.VCs {
-				d.fail("link %d flit VC %d out of range", li, vc)
+			var e flitEntry
+			if !c.dec {
+				e = l.flits.buf[(l.flits.head+i)&(len(l.flits.buf)-1)]
 			}
-			if d.err == nil && at < prev {
-				d.fail("link %d flit %d at cycle %d, before %d", li, i, at, prev)
+			off = le64(c, off, &e.at)
+			off = le8(c, off, &e.vc)
+			if !c.dec {
+				w := sh.ar.p[e.ref].onWire()
+				off = c.packet(off, &w)
+				continue
 			}
-			prev = at
-			if d.err != nil {
-				return d.err
+			if c.ok(off) {
+				if int(e.vc) >= n.cfg.VCs {
+					c.fail("link %d flit VC %d out of range", li, e.vc)
+				} else if e.at < prev {
+					c.fail("link %d flit %d at cycle %d, before %d", li, i, e.at, prev)
+				}
+				prev = e.at
 			}
-			ref, err := d.packet(n, sh, nil, atWire)
-			if err != nil {
-				return err
+			if off, e.ref = c.admit(off, n, sh, nil, atWire); e.ref != nilRef {
+				l.flits.push(e)
 			}
-			l.flits.push(flitEntry{at: at, ref: ref, vc: vc})
 		}
-		if err := d.creditQueue(&l.credits, n.cfg.VCs); err != nil {
-			return err
-		}
+		off = c.creditQueue(off, &l.credits, n.cfg.VCs)
 	}
-
-	n.now = now
-	n.load = load
-	n.measuring = measuring
-	n.countWindow = countWindow
-	n.killedInFlight = killed
-	n.rerouted = rerouted
-	// lastMove is kept as a global maximum (the stall detector only reads
-	// the max); the window and drop counters are totals, homed on shard 0
-	// (they are only ever read summed).
-	for i := range n.shards {
-		n.shards[i].lastMove = lastMove
-	}
-	n.shards[0].dropped = dropped
-	n.shards[0].injectedWindow = injWin
-	n.shards[0].ejectedWindow = ejWin
-	return nil
+	return off
 }
 
-// appendPacket encodes one packet record.
-func appendPacket(b []byte, p *pkt) []byte {
-	b = binary.LittleEndian.AppendUint64(b, p.id)
-	b = binary.LittleEndian.AppendUint64(b, p.seed)
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.src))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.dst))
-	b = append(b, p.flags)
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.interGrp))
-	b = binary.LittleEndian.AppendUint16(b, uint16(p.nextPort))
-	b = append(b, byte(p.nextVC))
-	b = binary.LittleEndian.AppendUint16(b, uint16(p.inPort))
-	b = append(b, byte(p.bufVC))
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.arrive))
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.create))
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.inject))
-	b = binary.LittleEndian.AppendUint16(b, uint16(p.hops))
-	return b
-}
-
-// appendWirePacket encodes a packet riding a link. The in-buffer
-// fields (arrive, inPort, bufVC) are rewritten at delivery and hold
-// don't-care residue until then, left by the router the flit departed,
-// so the canonical form zeroes them: the encoding must not depend on
-// where the flit came from.
-func appendWirePacket(b []byte, p *pkt) []byte {
-	w := *p
-	w.inPort, w.bufVC, w.arrive = 0, 0, 0
-	return appendPacket(b, &w)
+// packet codes one packet record. Records are the bulk of a snapshot,
+// so the walk runs over the record's own window (a spill buffer when
+// it does not fit), which makes every field offset a constant.
+func (c *snapCodec) packet(off int, p *pkt) int {
+	var spill [packetWire]byte
+	rec, dec := spill[:], c.dec
+	if off+packetWire <= len(c.b) {
+		rec = c.b[off : off+packetWire]
+	}
+	k := fix64(rec, 0, dec, &p.id)
+	k = fix64(rec, k, dec, &p.seed)
+	k = fix32(rec, k, dec, &p.src)
+	k = fix32(rec, k, dec, &p.dst)
+	k = fix8(rec, k, dec, &p.flags)
+	k = fix32(rec, k, dec, &p.interGrp)
+	k = fix16(rec, k, dec, &p.nextPort)
+	k = fix8(rec, k, dec, &p.nextVC)
+	k = fix16(rec, k, dec, &p.inPort)
+	k = fix8(rec, k, dec, &p.bufVC)
+	k = fix64(rec, k, dec, &p.arrive)
+	k = fix64(rec, k, dec, &p.create)
+	k = fix64(rec, k, dec, &p.inject)
+	k = fix16(rec, k, dec, &p.hops)
+	return off + k
 }
 
 // pktAt names where a decoded packet sits; each place admits only the
@@ -623,61 +510,54 @@ const (
 	atWire                // riding a link
 )
 
-// packet decodes one record into a fresh slot of sh's arena, updating
-// the shard's in-flight accounting. r is the router whose queue the
-// packet sits in (port/VC fields are validated against its shape), nil
-// for flits on a wire (whose port fields are rewritten at delivery).
-// Beyond ranges, the routing state must be one the engine produces at
-// that place: routing reads it unchecked on the next Step.
-func (d *snapDec) packet(n *Network, sh *shard, r *Router, at pktAt) (int32, error) {
+// onWire returns the record as a flit riding a link encodes it: the
+// in-buffer fields (arrive, inPort, bufVC) are rewritten at delivery and
+// hold don't-care residue until then, left by the router the flit
+// departed, and the encoding must not depend on where it came from.
+func (p pkt) onWire() pkt {
+	p.inPort, p.bufVC, p.arrive = 0, 0, 0
+	return p
+}
+
+// admit decodes one packet record into a fresh slot of sh's arena and
+// counts it in the shard's in-flight accounting, returning its ref, or
+// nilRef once the walk has failed. at is where the packet sits and r
+// the router whose queue holds it (nil on a wire). Beyond ranges, the
+// state must be one the engine produces at that place (routing reads it
+// unchecked on the next Step), and its port/VC fields must fit r.
+func (c *snapCodec) admit(off int, n *Network, sh *shard, r *Router, at pktAt) (int, int32) {
 	var p pkt
-	p.id = d.u64()
-	p.seed = d.u64()
-	p.src = int32(d.u32())
-	p.dst = int32(d.u32())
-	p.flags = d.u8()
-	p.interGrp = int32(d.u32())
-	p.nextPort = int16(d.u16())
-	p.nextVC = int8(d.u8())
-	p.inPort = int16(d.u16())
-	p.bufVC = int8(d.u8())
-	p.arrive = d.i64()
-	p.create = d.i64()
-	p.inject = d.i64()
-	p.hops = int16(d.u16())
-	if d.err != nil {
-		return nilRef, d.err
+	off = c.packet(off, &p)
+	if !c.ok(off) {
+		return off, nilRef
 	}
 	terms := n.topo.Terminals()
 	minimal := p.flags&pfMinimal != 0
 	switch {
 	case p.flags&^(pfMinimal|pfPhase1|pfDecided|pfMeasured) != 0:
-		d.fail("packet %#x has unknown flag bits %#x", p.id, p.flags)
+		c.fail("packet %#x has unknown flag bits %#x", p.id, p.flags)
 	case p.src < 0 || int(p.src) >= terms || p.dst < 0 || int(p.dst) >= terms:
-		d.fail("packet %#x src/dst outside the %d terminals", p.id, terms)
+		c.fail("packet %#x src/dst outside the %d terminals", p.id, terms)
 	case p.hops < 0:
-		d.fail("packet %#x negative hop count", p.id)
+		c.fail("packet %#x negative hop count", p.id)
 	case at == atSource:
 		if p.flags&(pfDecided|pfMinimal|pfPhase1) != 0 || p.interGrp != -1 {
-			d.fail("source-queued packet %#x carries a routing decision", p.id)
+			c.fail("source-queued packet %#x carries a routing decision", p.id)
 		}
 	case p.flags&pfDecided == 0:
-		d.fail("packet %#x left its source queue undecided", p.id)
+		c.fail("packet %#x left its source queue undecided", p.id)
 	case minimal && (p.flags&pfPhase1 == 0 || p.interGrp != -1):
-		d.fail("minimal packet %#x has intermediate group %d or is not in phase 1", p.id, p.interGrp)
+		c.fail("minimal packet %#x has intermediate group %d or is not in phase 1", p.id, p.interGrp)
 	case !minimal && (p.interGrp < 0 || int(p.interGrp) >= n.groupCount()):
-		d.fail("non-minimal packet %#x intermediate group %d outside [0, %d)", p.id, p.interGrp, n.groupCount())
+		c.fail("non-minimal packet %#x intermediate group %d outside [0, %d)", p.id, p.interGrp, n.groupCount())
 	case at == atWait && p.inPort < 0:
-		d.fail("packet %#x waits at the crossbar without an input-buffer slot", p.id)
+		c.fail("packet %#x waits at the crossbar without an input-buffer slot", p.id)
+	case r != nil && (int(p.nextPort) < 0 || int(p.nextPort) >= r.radix || int(p.nextVC) < 0 || int(p.nextVC) >= r.vcs ||
+		int(p.inPort) < -1 || int(p.inPort) >= r.radix || int(p.bufVC) < 0 || int(p.bufVC) >= r.vcs):
+		c.fail("packet %#x port/VC fields out of range for router %d", p.id, r.ID)
 	}
-	if d.err == nil && r != nil {
-		if int(p.nextPort) < 0 || int(p.nextPort) >= r.radix || int(p.nextVC) < 0 || int(p.nextVC) >= r.vcs ||
-			int(p.inPort) < -1 || int(p.inPort) >= r.radix || int(p.bufVC) < 0 || int(p.bufVC) >= r.vcs {
-			d.fail("packet %#x port/VC fields out of range for router %d", p.id, r.ID)
-		}
-	}
-	if d.err != nil {
-		return nilRef, d.err
+	if c.err != nil {
+		return off, nilRef
 	}
 	ref := sh.ar.alloc()
 	sh.ar.p[ref] = p
@@ -685,311 +565,350 @@ func (d *snapDec) packet(n *Network, sh *shard, r *Router, at pktAt) (int32, err
 	if p.flags&pfMeasured != 0 {
 		sh.outstanding++
 	}
-	return ref, nil
+	return off, ref
 }
 
-// appendPktQueue encodes a packet queue head-to-tail.
-func appendPktQueue(b []byte, ar *arena, q *pktQueue) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(q.n))
-	mask := len(q.buf) - 1
-	for i := 0; i < q.n; i++ {
-		b = appendPacket(b, &ar.p[q.buf[(q.head+i)&mask]])
-	}
-	return b
-}
-
-// pktQueue decodes a packet queue of router r into q, homing the
+// pktQueues codes the packet queues qs of router r in order, each as
+// its count and then its records head-to-tail; decoding homes the
 // packets in sh.
-func (d *snapDec) pktQueue(n *Network, sh *shard, r *Router, q *pktQueue, at pktAt) error {
-	cnt := d.count(packetWire, "queued packet")
-	if d.err != nil {
-		return d.err
-	}
-	for i := 0; i < cnt; i++ {
-		ref, err := d.packet(n, sh, r, at)
-		if err != nil {
-			return err
+func (c *snapCodec) pktQueues(off int, n *Network, sh *shard, r *Router, qs []pktQueue, at pktAt) int {
+	for qi := range qs {
+		q := &qs[qi]
+		cnt := q.n
+		off = le32(c, off, &cnt)
+		if !c.dec {
+			for i := 0; i < cnt; i++ {
+				off = c.packet(off, &sh.ar.p[q.buf[(q.head+i)&(len(q.buf)-1)]])
+			}
+			continue
 		}
-		q.push(ref)
+		cnt = c.bound(off, cnt, packetWire, "queued packet")
+		for i := 0; i < cnt; i++ {
+			var ref int32
+			if off, ref = c.admit(off, n, sh, r, at); ref != nilRef {
+				q.push(ref)
+			}
+		}
 	}
-	return nil
+	return off
 }
 
-// appendCreditQueue encodes a credit delay line head-to-tail, plus its
-// monotone-delivery clamp (lastAt persists after the entries drain, so
-// it is state of its own).
-func appendCreditQueue(b []byte, q *creditQueue) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(q.n))
-	b = binary.LittleEndian.AppendUint64(b, uint64(q.lastAt))
-	for i := 0; i < q.n; i++ {
-		vc, at := q.entry(i)
-		b = append(b, vc)
-		b = binary.LittleEndian.AppendUint64(b, uint64(at))
+// creditQueue codes a credit delay line: its count, its monotone-
+// delivery clamp (lastAt outlives the entries, so it is state of its
+// own), then the entries head-to-tail. Decoding pushes onto a fresh
+// queue, which would silently clamp a negative or out-of-order entry
+// and wrap one past the packed range; such lines are rejected instead:
+// every entry lies in [0, maxCreditAt), no lower than the one before it
+// and no higher than the decoded clamp.
+func (c *snapCodec) creditQueue(off int, q *creditQueue, vcs int) int {
+	cnt, lastAt := q.n, q.lastAt
+	off = le32(c, off, &cnt)
+	if c.dec {
+		cnt = c.bound(off, cnt, 1+8, "queued credit")
 	}
-	return b
-}
-
-// creditQueue decodes a credit delay line into q. The queue is fresh,
-// so push would silently clamp a negative or out-of-order entry and
-// wrap one past the packed range; such lines are rejected instead: every
-// entry lies in [0, maxCreditAt), no lower than the one before it and
-// no higher than the decoded clamp.
-func (d *snapDec) creditQueue(q *creditQueue, vcs int) error {
-	cnt := d.count(1+8, "queued credit")
-	lastAt := d.i64()
-	if d.err == nil && (lastAt < 0 || lastAt >= maxCreditAt) {
-		d.fail("credit clamp %d outside [0, 2^55)", lastAt)
-	}
-	if d.err != nil {
-		return d.err
+	off = le64(c, off, &lastAt)
+	if c.dec && c.ok(off) && (lastAt < 0 || lastAt >= maxCreditAt) {
+		c.fail("credit clamp %d outside [0, 2^55)", lastAt)
 	}
 	prev := int64(0)
 	for i := 0; i < cnt; i++ {
-		vc := d.u8()
-		at := d.i64()
-		if d.err == nil && int(vc) >= vcs {
-			d.fail("credit VC %d out of range", vc)
+		var vc uint8
+		var at int64
+		if !c.dec {
+			vc, at = q.entry(i)
 		}
-		if d.err == nil && (at < prev || at > lastAt) {
-			d.fail("credit %d at cycle %d outside [%d, %d]", i, at, prev, lastAt)
+		off = le8(c, off, &vc)
+		off = le64(c, off, &at)
+		if c.dec && c.ok(off) {
+			if int(vc) >= vcs {
+				c.fail("credit VC %d out of range", vc)
+			} else if at < prev || at > lastAt {
+				c.fail("credit %d at cycle %d outside [%d, %d]", i, at, prev, lastAt)
+			} else {
+				q.push(vc, at)
+				prev = at
+			}
 		}
-		if d.err != nil {
-			return d.err
-		}
-		q.push(vc, at)
-		prev = at
 	}
-	// The clamp outlives the entries (a drained queue still holds back
-	// earlier delivery times), so it is restored explicitly, after the
-	// pushes.
-	q.lastAt = lastAt
-	return nil
+	if c.dec {
+		// The clamp holds back later deliveries even once the entries
+		// drain, so it is restored explicitly, after the pushes.
+		q.lastAt = lastAt
+	}
+	return off
 }
 
-// append encodes the RunCtx measurement state: the run parameters (so
-// resume can refuse a mismatched RunConfig), the phase position, and
-// every accumulator the OnEject observer feeds.
-func (st *runState) append(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.rc.Load))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.rc.WarmupCycles))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.rc.MeasureCycles))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.rc.DrainCycles))
-	b = appendBool(b, st.rc.Histogram)
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.rc.HistWidth))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.rc.StallLimit))
-	b = append(b, st.phaseIdx)
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.iterDone))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.res.Offered))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.res.Accepted))
-	b = binary.LittleEndian.AppendUint32(b, uint32(st.res.AliveTerminals))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.dropped0))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.killed0))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.rerouted0))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.minCount))
-	b = binary.LittleEndian.AppendUint64(b, uint64(st.totalCount))
-	b = st.res.Latency.AppendBinary(b)
-	b = st.res.MinLatency.AppendBinary(b)
-	b = st.res.NonminLatency.AppendBinary(b)
-	if st.res.Hist != nil {
-		b = appendBool(b, true)
-		b = st.res.Hist.AppendBinary(b)
-		b = st.res.MinHist.AppendBinary(b)
-		b = st.res.NonminHist.AppendBinary(b)
-	} else {
-		b = appendBool(b, false)
+// code walks the run section: the run parameters (so resume can refuse
+// a mismatched RunConfig), the phase position, the counters, and every
+// accumulator the OnEject observer feeds. Decoding rejects measurement
+// state no run produces: a Latency, MinLatency or NonminLatency sample
+// count, or a histogram total, that disagrees with the counters, and a
+// histogram whose width is not the run's or whose buckets do not sum to
+// its total.
+func (st *runState) code(c *snapCodec, off int) int {
+	rc, res := &st.rc, &st.res
+	off = c.f64(off, &rc.Load)
+	off = le64(c, off, &rc.WarmupCycles)
+	off = le64(c, off, &rc.MeasureCycles)
+	off = le64(c, off, &rc.DrainCycles)
+	off = c.bool(off, &rc.Histogram)
+	off = le64(c, off, &rc.HistWidth)
+	off = le64(c, off, &rc.StallLimit)
+	off = le8(c, off, &st.phaseIdx)
+	off = le64(c, off, &st.iterDone)
+	off = c.f64(off, &res.Offered)
+	off = c.f64(off, &res.Accepted)
+	off = le32(c, off, &res.AliveTerminals)
+	off = le64(c, off, &st.dropped0)
+	off = le64(c, off, &st.killed0)
+	off = le64(c, off, &st.rerouted0)
+	off = le64(c, off, &st.minCount)
+	off = le64(c, off, &st.totalCount)
+	if c.dec && c.ok(off) {
+		st.validate(c)
 	}
-	return b
-}
-
-// run decodes the RunCtx measurement state.
-func (d *snapDec) run(rs *runState) error {
-	rs.rc.Load = d.f64()
-	rs.rc.WarmupCycles = int(d.i64())
-	rs.rc.MeasureCycles = int(d.i64())
-	rs.rc.DrainCycles = int(d.i64())
-	rs.rc.Histogram = d.bool()
-	rs.rc.HistWidth = d.i64()
-	rs.rc.StallLimit = d.i64()
-	rs.phaseIdx = d.u8()
-	rs.iterDone = d.i64()
-	rs.res.Offered = d.f64()
-	rs.res.Accepted = d.f64()
-	rs.res.AliveTerminals = int(d.u32())
-	rs.dropped0 = d.i64()
-	rs.killed0 = d.i64()
-	rs.rerouted0 = d.i64()
-	rs.minCount = d.i64()
-	rs.totalCount = d.i64()
-	if d.err != nil {
-		return d.err
-	}
-	if err := rs.rc.Validate(); err != nil {
-		d.fail("checkpointed run parameters invalid: %v", err)
-		return d.err
-	}
-	var limit int
-	switch rs.phaseIdx {
-	case phaseWarmupIdx:
-		limit = rs.rc.WarmupCycles
-	case phaseMeasureIdx:
-		limit = rs.rc.MeasureCycles
-	case phaseDrainIdx:
-		limit = rs.rc.DrainCycles
-	default:
-		d.fail("unknown run phase %d", rs.phaseIdx)
-		return d.err
-	}
-	if rs.iterDone < 0 || rs.iterDone >= int64(limit) {
-		d.fail("phase position %d outside the %s phase's %d cycles", rs.iterDone, Phase(rs.phaseIdx), limit)
-		return d.err
-	}
-	if rs.res.AliveTerminals < 1 {
-		d.fail("checkpointed run has %d alive terminals", rs.res.AliveTerminals)
-		return d.err
-	}
-	if rs.dropped0 < 0 || rs.killed0 < 0 || rs.rerouted0 < 0 || rs.minCount < 0 || rs.totalCount < 0 || rs.minCount > rs.totalCount {
-		d.fail("checkpointed run counters out of range")
-		return d.err
-	}
-	d.accumulator(&rs.res.Latency)
-	d.accumulator(&rs.res.MinLatency)
-	d.accumulator(&rs.res.NonminLatency)
-	hasHist := d.bool()
-	if d.err != nil {
-		return d.err
-	}
-	if hasHist != rs.rc.Histogram {
-		d.fail("histogram section does not match the checkpointed run parameters")
-		return d.err
+	nonmin := st.totalCount - st.minCount
+	off = c.accumulator(off, &res.Latency, st.totalCount)
+	off = c.accumulator(off, &res.MinLatency, st.minCount)
+	off = c.accumulator(off, &res.NonminLatency, nonmin)
+	hasHist := res.Hist != nil
+	off = c.bool(off, &hasHist)
+	if c.dec && c.ok(off) && hasHist != rc.Histogram {
+		c.fail("histogram section does not match the checkpointed run parameters")
 	}
 	if hasHist {
-		rs.res.Hist = d.histogram()
-		rs.res.MinHist = d.histogram()
-		rs.res.NonminHist = d.histogram()
+		off = c.histogram(off, &res.Hist, rc.HistWidth, st.totalCount)
+		off = c.histogram(off, &res.MinHist, rc.HistWidth, st.minCount)
+		off = c.histogram(off, &res.NonminHist, rc.HistWidth, nonmin)
 	}
-	return d.err
+	return off
 }
 
-// accumulator decodes one stats.Accumulator in place.
-func (d *snapDec) accumulator(a *stats.Accumulator) {
-	if d.err != nil {
+// validate checks decoded run parameters, phase position and counters.
+func (st *runState) validate(c *snapCodec) {
+	if err := st.rc.Validate(); err != nil {
+		c.fail("checkpointed run parameters invalid: %v", err)
 		return
 	}
-	rest, err := a.DecodeBinary(d.b)
-	if err != nil {
-		d.fail("measurement accumulator: %v", err)
+	var limit int
+	switch st.phaseIdx {
+	case phaseWarmupIdx:
+		limit = st.rc.WarmupCycles
+	case phaseMeasureIdx:
+		limit = st.rc.MeasureCycles
+	case phaseDrainIdx:
+		limit = st.rc.DrainCycles
+	default:
+		c.fail("unknown run phase %d", st.phaseIdx)
 		return
 	}
-	d.b = rest
+	switch {
+	case st.iterDone < 0 || st.iterDone >= int64(limit):
+		c.fail("phase position %d outside the %s phase's %d cycles", st.iterDone, Phase(st.phaseIdx), limit)
+	case st.res.AliveTerminals < 1:
+		c.fail("checkpointed run has %d alive terminals", st.res.AliveTerminals)
+	case st.dropped0 < 0 || st.killed0 < 0 || st.rerouted0 < 0 || st.minCount < 0 || st.totalCount < 0 || st.minCount > st.totalCount:
+		c.fail("checkpointed run counters out of range")
+	}
 }
 
-// histogram decodes one stats.Histogram.
-func (d *snapDec) histogram() *stats.Histogram {
-	if d.err != nil {
-		return nil
+// accumulator codes one stats.Accumulator; decoding checks its sample
+// count against the samples the run's counters give it.
+func (c *snapCodec) accumulator(off int, a *stats.Accumulator, samples int64) int {
+	if !c.dec {
+		return c.put(off, a.AppendBinary)
 	}
-	h := &stats.Histogram{}
-	rest, err := h.DecodeBinary(d.b)
+	if !c.ok(off) {
+		return off
+	}
+	rest, err := a.DecodeBinary(c.b[off:])
 	if err != nil {
-		d.fail("latency histogram: %v", err)
-		return nil
+		c.fail("measurement accumulator: %v", err)
+		return off
 	}
-	d.b = rest
-	return h
+	if a.Count() != samples {
+		c.fail("measurement accumulator holds %d samples, the run counted %d", a.Count(), samples)
+	}
+	return len(c.b) - len(rest)
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// histogram codes one stats.Histogram; decoding allocates it and checks
+// it against the run's bucket width and sample count: every bucket is
+// non-negative and they sum to the total.
+func (c *snapCodec) histogram(off int, h **stats.Histogram, width, samples int64) int {
+	if !c.dec {
+		return c.put(off, (*h).AppendBinary)
 	}
-	return append(b, 0)
+	if !c.ok(off) {
+		return off
+	}
+	*h = &stats.Histogram{}
+	rest, err := (*h).DecodeBinary(c.b[off:])
+	if err != nil {
+		c.fail("latency histogram: %v", err)
+		return off
+	}
+	total, sum := (*h).Total(), int64(0)
+	for _, k := range (*h).Buckets() {
+		if k < 0 || k > total-sum {
+			sum = -1 // a negative bucket, or buckets summing past the total
+			break
+		}
+		sum += k
+	}
+	switch {
+	case (*h).Width != width:
+		c.fail("latency histogram bucket width %d, the run's is %d", (*h).Width, width)
+	case total != samples:
+		c.fail("latency histogram holds %d samples, the run counted %d", total, samples)
+	case sum != total:
+		c.fail("latency histogram buckets do not sum to its total %d, or one is negative", total)
+	}
+	return len(c.b) - len(rest)
 }
 
-// snapDec is the error-carrying bounded reader the decoder runs on:
-// every read checks the remaining input, every count is validated
-// against the bytes that would have to follow it, and the first failure
-// sticks (subsequent reads return zero values, and the caller checks
-// err at section boundaries).
-type snapDec struct {
-	b   []byte
-	err error
+// snapCodec walks dfly-snap/1 over a fixed buffer b, writing each field
+// when encoding and reading it when decoding (dec). A section method
+// names each field once, in wire order; its decode-only work
+// (validation, allocation, installing what it read) sits in dec blocks.
+// The offset travels by value (each method takes the offset its fields
+// start at and returns the one past them), so it stays in a register.
+// A field that does not fit in b is skipped but the offset advances, so
+// the field coders make no call and inline: on encoding the overrun
+// sizes a second walk; on decoding ok turns it (or a corrupt boolean)
+// into the first, sticky error before any decoded value is used.
+type snapCodec struct {
+	b       []byte
+	dec     bool
+	badBool bool // decoding read a boolean byte other than 0 or 1
+	err     error
+}
+
+// ok reports whether a decoding walk at off is sound so far: until a
+// read runs past the input or a rule fails. Encoding never calls it.
+func (c *snapCodec) ok(off int) bool {
+	if c.err == nil && (c.badBool || off > len(c.b)) {
+		c.settle(off)
+	}
+	return c.err == nil
+}
+
+// settle records the failure ok detected.
+func (c *snapCodec) settle(off int) {
+	if c.badBool {
+		c.fail("corrupt boolean")
+	} else {
+		c.fail("truncated (%d bytes; the walk reads %d)", len(c.b), off)
+	}
 }
 
 // fail records the first decode failure as a *SnapshotError.
-func (d *snapDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = &SnapshotError{Reason: fmt.Sprintf(format, args...)}
+func (c *snapCodec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = &SnapshotError{Reason: fmt.Sprintf(format, args...)}
 	}
 }
 
-func (d *snapDec) take(k int) []byte {
-	if d.err != nil {
-		return nil
+// bound checks a count decoded before off against the input left (each
+// element needs at least elem encoded bytes), so a corrupt count can
+// never drive an unbounded allocation. It returns 0 once the walk has
+// failed.
+func (c *snapCodec) bound(off, n, elem int, what string) int {
+	if c.ok(off) && uint64(n)*uint64(elem) > uint64(len(c.b)-off) {
+		c.fail("%s count %d exceeds the remaining %d bytes", what, n, len(c.b)-off)
 	}
-	if len(d.b) < k {
-		d.fail("truncated (%d bytes left, need %d)", len(d.b), k)
-		return nil
-	}
-	v := d.b[:k]
-	d.b = d.b[k:]
-	return v
-}
-
-func (d *snapDec) u8() uint8 {
-	v := d.take(1)
-	if v == nil {
+	if c.err != nil {
 		return 0
 	}
-	return v[0]
+	return n
 }
 
-func (d *snapDec) u16() uint16 {
-	v := d.take(2)
-	if v == nil {
-		return 0
+// shape codes a count this network fixes; decoding rejects any other
+// value with msg (formatted with the decoded and the network's count).
+func (c *snapCodec) shape(off, want int, msg string) int {
+	got := want
+	off = le32(c, off, &got)
+	if c.dec && c.ok(off) && got != want {
+		c.fail(msg, got, want)
 	}
-	return binary.LittleEndian.Uint16(v)
+	return off
 }
 
-func (d *snapDec) u32() uint32 {
-	v := d.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(v)
+// put encodes a variable-length field through its append function,
+// straight into b when it fits (b's capacity is its length).
+func (c *snapCodec) put(off int, appendTo func([]byte) []byte) int {
+	at := min(off, len(c.b))
+	return off + len(appendTo(c.b[at:at]))
 }
 
-func (d *snapDec) u64() uint64 {
-	v := d.take(8)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
+func (c *snapCodec) f64(off int, v *float64) int {
+	x := math.Float64bits(*v)
+	off = le64(c, off, &x)
+	*v = math.Float64frombits(x)
+	return off
 }
 
-func (d *snapDec) i64() int64 { return int64(d.u64()) }
-
-func (d *snapDec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *snapDec) bool() bool {
-	v := d.u8()
-	if d.err == nil && v > 1 {
-		d.fail("corrupt boolean %d", v)
+func (c *snapCodec) bool(off int, v *bool) int {
+	var x uint8
+	if *v {
+		x = 1
 	}
-	return v == 1
+	off = le8(c, off, &x)
+	*v = x == 1
+	c.badBool = c.badBool || x > 1
+	return off
 }
 
-// count reads an element count and bounds it by the remaining input
-// (each element needs at least elem encoded bytes), so a corrupt length
-// field can never drive an unbounded allocation.
-func (d *snapDec) count(elem int, what string) int {
-	v := d.u32()
-	if d.err != nil {
-		return 0
+func le8[T ~uint8 | ~int8](c *snapCodec, off int, v *T) int { return fix8(c.b, off, c.dec, v) }
+func le32[T ~int32 | ~int](c *snapCodec, off int, v *T) int { return fix32(c.b, off, c.dec, v) }
+func le64[T ~int64 | ~uint64 | ~int](c *snapCodec, off int, v *T) int {
+	return fix64(c.b, off, c.dec, v)
+}
+
+// The fixed-width field coders: *v travels little-endian at b[off:],
+// written when encoding and read when decoding, if it fits. They return
+// the offset past the field.
+
+func fix8[T ~uint8 | ~int8](b []byte, off int, dec bool, v *T) int {
+	if off < len(b) {
+		if dec {
+			*v = T(b[off])
+		} else {
+			b[off] = uint8(*v)
+		}
 	}
-	if uint64(v)*uint64(elem) > uint64(len(d.b)) {
-		d.fail("%s count %d exceeds the remaining %d bytes", what, v, len(d.b))
-		return 0
+	return off + 1
+}
+
+func fix16[T ~int16](b []byte, off int, dec bool, v *T) int {
+	if off+2 <= len(b) {
+		if dec {
+			*v = T(binary.LittleEndian.Uint16(b[off : off+2]))
+		} else {
+			binary.LittleEndian.PutUint16(b[off:off+2], uint16(*v))
+		}
 	}
-	return int(v)
+	return off + 2
+}
+
+func fix32[T ~int32 | ~int](b []byte, off int, dec bool, v *T) int {
+	if off+4 <= len(b) {
+		if dec {
+			*v = T(binary.LittleEndian.Uint32(b[off : off+4]))
+		} else {
+			binary.LittleEndian.PutUint32(b[off:off+4], uint32(*v))
+		}
+	}
+	return off + 4
+}
+
+func fix64[T ~int64 | ~uint64 | ~int](b []byte, off int, dec bool, v *T) int {
+	if off+8 <= len(b) {
+		if dec {
+			*v = T(binary.LittleEndian.Uint64(b[off : off+8]))
+		} else {
+			binary.LittleEndian.PutUint64(b[off:off+8], uint64(*v))
+		}
+	}
+	return off + 8
 }

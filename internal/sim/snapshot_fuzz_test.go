@@ -17,8 +17,9 @@ import (
 // is the decoder's: every rejection is a typed error wrapping
 // ErrBadSnapshot (never a panic), no corrupt length field drives an
 // allocation beyond the input size, and anything that does decode
-// leaves a network whose flow invariants hold and that can step on: a
-// Step may fail with an error, never panic. The run section decodes
+// leaves a network whose flow invariants hold, whose own snapshot
+// survives a restore unchanged, and that can step on: a Step may fail
+// with an error, never panic. The run section decodes
 // through the same entry point (Restore parses and discards it), so
 // checkpoint blobs fuzz the full format.
 func FuzzSnapshotDecode(f *testing.F) {
@@ -77,7 +78,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 }
 
 // restoreAndStep restores data onto a fresh network and, if it is
-// accepted, steps the result.
+// accepted, checks that its snapshot is canonical and steps it.
 func restoreAndStep(t *testing.T, data []byte) {
 	net := snapNet(t, 2)
 	if err := net.Restore(data); err != nil {
@@ -92,6 +93,20 @@ func restoreAndStep(t *testing.T, data []byte) {
 	}
 	if err := net.CheckFlowInvariants(); err != nil {
 		t.Fatalf("accepted snapshot violates flow invariants: %v", err)
+	}
+	// The snapshot of what was accepted is canonical: restored again (at
+	// another shard count) and re-snapshotted, it comes back byte for
+	// byte, so every field decodes to what encodes it.
+	canon, err := net.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot of the restored network: %v", err)
+	}
+	again := snapNet(t, 1)
+	if err := again.Restore(canon); err != nil {
+		t.Fatalf("restoring the snapshot of an accepted network: %v", err)
+	}
+	if recanon, err := again.Snapshot(); err != nil || !bytes.Equal(recanon, canon) {
+		t.Fatalf("snapshot of an accepted network is not canonical (re-snapshot error %v)", err)
 	}
 	for i := 0; i < 20; i++ {
 		if err := net.Step(); err != nil {

@@ -141,6 +141,28 @@ func TestSnapshotSizeHintBound(t *testing.T) {
 	}
 }
 
+// TestSnapshotShortHintSameBytes checks that a first buffer smaller
+// than the snapshot costs a second walk, never bytes: whatever size the
+// encoder starts from, the snapshot is the same.
+func TestSnapshotShortHintSameBytes(t *testing.T) {
+	net := snapNet(t, 2)
+	net.SetLoad(0.3)
+	for i := 0; i < 250; i++ {
+		if err := net.Step(); err != nil {
+			t.Fatalf("Step %d: %v", i, err)
+		}
+	}
+	snap, err := net.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	for _, size := range []int{0, 20, len(snap) / 2, len(snap) - 1, len(snap)} {
+		if got := net.SnapshotSized(size); !bytes.Equal(got, snap) {
+			t.Errorf("first buffer of %d bytes: %d-byte snapshot differs from the %d-byte one", size, len(got), len(snap))
+		}
+	}
+}
+
 // TestSnapshotTypedErrors drives the decoder over the rejection cases:
 // every one must be a *SnapshotError wrapping ErrBadSnapshot, never a
 // panic, and never a silent success.
@@ -495,5 +517,89 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	rc.CheckpointSink = sink
 	if err := rc.Validate(); err != nil {
 		t.Errorf("valid checkpoint config rejected: %v", err)
+	}
+}
+
+// TestSnapshotRejectsInconsistentRunState patches single fields of a
+// checkpoint's run section (re-sealing its CRC) into measurement state
+// no run produces, one case per rule the decoder enforces, and expects
+// each to be refused. Each patched checkpoint is otherwise well formed,
+// so without these rules a resumed run would report a Result the
+// interrupted run never had.
+func TestSnapshotRejectsInconsistentRunState(t *testing.T) {
+	rc := sim.RunConfig{
+		Load: 0.25, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000,
+		Histogram: true, CheckpointEvery: 700,
+	}
+	var ckpt, plain []byte
+	net := snapNet(t, 1)
+	rc.CheckpointSink = func(b []byte) error {
+		ckpt = bytes.Clone(b)
+		var err error
+		if plain, err = net.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		return errStopAfterSnapshot
+	}
+	if _, err := sim.RunCtx(context.Background(), net, rc); !errors.Is(err, errStopAfterSnapshot) {
+		t.Fatalf("checkpoint capture run: %v", err)
+	}
+
+	// The run section follows the network section, which is the plain
+	// snapshot's body. It encodes the run parameters, the phase position
+	// and the counters (118 bytes, minCount at 102 and totalCount at
+	// 110), the Latency, MinLatency and NonminLatency accumulators (41
+	// bytes each, sample count first), a histogram flag, and the Hist,
+	// MinHist and NonminHist histograms (width, total, bucket count,
+	// buckets; 8 bytes each).
+	run := len(plain) - 4
+	get := func(off int) int64 { return int64(binary.LittleEndian.Uint64(ckpt[off:])) }
+	minCount, total := get(run+102), get(run+110)
+	acc := func(i int) int { return run + 118 + 41*i }
+	hist := []int{run + 118 + 3*41 + 1}
+	for i := 0; i < 2; i++ {
+		hist = append(hist, hist[i]+24+8*int(get(hist[i]+16)))
+	}
+	if get(run+33) != 2 || get(hist[0]) != 2 || get(hist[0]+8) != total || get(hist[1]+8) != minCount ||
+		get(hist[2]+8) != total-minCount || hist[2]+24+8*int(get(hist[2]+16)) != len(ckpt)-4 {
+		t.Fatal("run section not located")
+	}
+	for i, h := range hist {
+		if get(h+16) < 2 {
+			t.Fatalf("histogram %d has %d buckets; the cases patch two", i, get(h+16))
+		}
+	}
+
+	patch := func(edits map[int]int64) []byte {
+		b := bytes.Clone(ckpt)
+		for off, d := range edits {
+			binary.LittleEndian.PutUint64(b[off:], uint64(get(off)+d))
+		}
+		return reseal(b)
+	}
+	if err := snapNet(t, 1).Restore(patch(nil)); err != nil {
+		t.Fatalf("re-sealed unpatched checkpoint: %v", err)
+	}
+	bucket := func(h, i int) int { return h + 24 + 8*i }
+	cases := []struct {
+		name  string
+		edits map[int]int64
+	}{
+		{"histogram width not the run's", map[int]int64{hist[0]: 5}},
+		{"buckets not summing to the total", map[int]int64{bucket(hist[0], 0): 1}},
+		{"negative bucket", map[int]int64{bucket(hist[0], 0): -get(bucket(hist[0], 0)) - 1, bucket(hist[0], 1): get(bucket(hist[0], 0)) + 1}},
+		{"Latency count off the total", map[int]int64{acc(0): 1}},
+		{"MinLatency count off the minimal count", map[int]int64{acc(1): 1}},
+		{"NonminLatency count off the non-minimal count", map[int]int64{acc(2): 1}},
+		{"Hist total off the total", map[int]int64{hist[0] + 8: 1, bucket(hist[0], 0): 1}},
+		{"MinHist total off the minimal count", map[int]int64{hist[1] + 8: 1, bucket(hist[1], 0): 1}},
+		{"NonminHist total off the non-minimal count", map[int]int64{hist[2] + 8: 1, bucket(hist[2], 0): 1}},
+	}
+	for _, tc := range cases {
+		err := snapNet(t, 1).Restore(patch(tc.edits))
+		var se *sim.SnapshotError
+		if !errors.As(err, &se) || !errors.Is(err, sim.ErrBadSnapshot) {
+			t.Errorf("%s: Restore = %v, want a *SnapshotError", tc.name, err)
+		}
 	}
 }
