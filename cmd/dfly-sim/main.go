@@ -102,9 +102,9 @@ func main() {
 	var (
 		algName = flag.String("alg", "UGAL-L_VCH", "routing algorithm (MIN, VAL, UGAL-L, UGAL-G, UGAL-L_VC, UGAL-L_VCH, UGAL-L_CR)")
 		pattern = flag.String("pattern", "UR", "traffic pattern (UR, WC, BitComplement, Tornado, Permutation)")
-		trafFam = flag.String("traffic", "", "traffic family from the registry instead of the -pattern enum: "+strings.Join(traffic.FamilyNames(), ", "))
+		trafFam = flag.String("traffic", "", "traffic family from the registry instead of the -pattern enum: "+strings.Join(traffic.Families.Names(), ", "))
 		trafPar = flag.String("traffic-params", "", `build parameters for -traffic as "k=v,k=v" (omitted keys take the family defaults)`)
-		wlFam   = flag.String("workload", "", "arrival-process family (default: bernoulli): "+strings.Join(workload.FamilyNames(), ", "))
+		wlFam   = flag.String("workload", "", "arrival-process family (default: bernoulli): "+strings.Join(workload.Families.Names(), ", "))
 		wlPar   = flag.String("workload-params", "", `build parameters for -workload as "k=v,k=v"`)
 		wlTrace = flag.String("trace-file", "", `flow trace file for -workload trace (lines of "cycle src dst count")`)
 		load    = flag.Float64("load", 0.3, "offered load in flits/cycle/terminal")
@@ -112,7 +112,7 @@ func main() {
 		a       = flag.Int("a", 8, "routers per group")
 		h       = flag.Int("h", 4, "global channels per router")
 		groups  = flag.Int("g", 0, "groups (0 = maximal a*h+1)")
-		family  = flag.String("topology", "", "topology family instead of the canonical dragonfly: "+strings.Join(topology.FamilyNames(), ", "))
+		family  = flag.String("topology", "", "topology family instead of the canonical dragonfly: "+strings.Join(topology.Families.Names(), ", "))
 		fparams = flag.String("topo-params", "", `build parameters for -topology as "k=v,k=v" (omitted keys take the family defaults; exclusive with -p/-a/-h/-g)`)
 		buf     = flag.Int("buf", 16, "input buffer depth per VC (flits)")
 		warmup  = flag.Int("warmup", 3000, "warm-up cycles")

@@ -56,7 +56,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // values take the paper's defaults.
 type SystemConfig struct {
 	// Topology selects a registered topology family
-	// (topology.FamilyNames: "dragonfly", "dragonflyfb",
+	// (topology.Families: "dragonfly", "dragonflyfb",
 	// "dragonflyplus", "swapped", "aries"). Empty means the canonical
 	// dragonfly built from the P/A/H/Groups fields below. When
 	// non-empty, the machine is built from TopoParams instead and

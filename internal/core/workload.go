@@ -17,14 +17,14 @@ import (
 // switches. The zero value is uniform random traffic under Bernoulli
 // injection.
 type Workload struct {
-	// Traffic selects a traffic family (traffic.FamilyNames: "ur",
+	// Traffic selects a traffic family (traffic.Families: "ur",
 	// "wc", "groupoffset", "tornado", "bitcomp", "transpose",
 	// "hotspot", "perm"; lookups fold case). Empty means "ur".
 	Traffic string
 	// TrafficParams are the family's build parameters; omitted keys
 	// take the schema defaults.
 	TrafficParams map[string]int
-	// Source selects an arrival-process family (workload.FamilyNames:
+	// Source selects an arrival-process family (workload.Families:
 	// "bernoulli", "onoff", "drift", "collective", "trace"). Empty
 	// keeps the engine's built-in Bernoulli source — bit-identical to
 	// the pre-registry injection path.

@@ -26,7 +26,7 @@ func degradedView(t *testing.T, d topology.Machine, seed uint64) *topology.Degra
 // also after an epoch swap. The table's content is pinned in
 // internal/topology (TestPathTableGolden).
 func TestBaseReadsMachineTable(t *testing.T) {
-	for _, f := range topology.Families() {
+	for _, f := range topology.Families.List() {
 		m, err := topology.Build(f.Name, nil)
 		if err != nil {
 			t.Fatalf("Build(%s): %v", f.Name, err)

@@ -61,12 +61,15 @@ func TestHashSpellingsCancelOut(t *testing.T) {
 	if a, b := mustHash(t, legacy), mustHash(t, family); a != b {
 		t.Errorf("legacy spelling hashes %s, family spelling %s: want equal", a, b)
 	}
-	// Schema defaults cancel too: the default dragonfly by any name.
-	terse := Submission{Kind: KindRun, Algorithm: "MIN", Pattern: "UR", Load: 0.1}
-	fam := Submission{Kind: KindRun, Algorithm: "MIN", Pattern: "UR", Load: 0.1,
-		Topology: TopologySpec{Family: "dragonfly"}}
-	if a, b := mustHash(t, terse), mustHash(t, fam); a != b {
-		t.Errorf("default dragonfly hashes %s by shorthand, %s by family: want equal", a, b)
+	// Schema defaults cancel too: the default dragonfly by any name,
+	// the family name folding case.
+	terse := mustHash(t, Submission{Kind: KindRun, Algorithm: "MIN", Pattern: "UR", Load: 0.1})
+	for _, name := range []string{"dragonfly", "Dragonfly"} {
+		fam := Submission{Kind: KindRun, Algorithm: "MIN", Pattern: "UR", Load: 0.1,
+			Topology: TopologySpec{Family: name}}
+		if h := mustHash(t, fam); h != terse {
+			t.Errorf("default dragonfly hashes %s by shorthand, %s by family %q: want equal", terse, h, name)
+		}
 	}
 }
 

@@ -536,56 +536,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.stats())
 }
 
-// TopologyInfo is one entry of the GET /v1/topologies listing: a
-// registered topology family and its parameter schema, enough for a
-// client to compose a valid "topology" stanza without guessing.
-type TopologyInfo struct {
-	Name   string               `json:"name"`
-	Doc    string               `json:"doc"`
-	Params []topology.ParamSpec `json:"params"`
-}
-
+// handleTopologies lists the topology registry: every family with its
+// parameter schema, enough for a client to compose a valid "topology"
+// stanza without guessing.
 func (s *Server) handleTopologies(w http.ResponseWriter, r *http.Request) {
-	fams := topology.Families()
-	out := make([]TopologyInfo, len(fams))
-	for i, f := range fams {
-		out[i] = TopologyInfo{Name: f.Name, Doc: f.Doc, Params: f.Params}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"topologies": out})
-}
-
-// TrafficInfo is one entry of the GET /v1/traffic listing: a registered
-// traffic-pattern family and its parameter schema, for the submission's
-// "traffic"/"traffic_params" stanza.
-type TrafficInfo struct {
-	Name   string              `json:"name"`
-	Doc    string              `json:"doc"`
-	Params []traffic.ParamSpec `json:"params"`
-}
-
-// WorkloadInfo is the arrival-process half of the listing, for the
-// "workload"/"workload_params" stanza.
-type WorkloadInfo struct {
-	Name   string               `json:"name"`
-	Doc    string               `json:"doc"`
-	Params []workload.ParamSpec `json:"params"`
+	writeJSON(w, http.StatusOK, map[string]any{"topologies": topology.Families.List()})
 }
 
 // handleTraffic lists both halves of the workload registry: traffic
-// families (where packets go) and arrival-process families (when they
-// are offered), each with its parameter schema.
+// families (where packets go, the "traffic"/"traffic_params" stanza)
+// and arrival-process families (when they are offered, the
+// "workload"/"workload_params" stanza), each with its parameter schema.
 func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
-	tfams := traffic.Families()
-	tout := make([]TrafficInfo, len(tfams))
-	for i, f := range tfams {
-		tout[i] = TrafficInfo{Name: f.Name, Doc: f.Doc, Params: f.Params}
-	}
-	wfams := workload.Families()
-	wout := make([]WorkloadInfo, len(wfams))
-	for i, f := range wfams {
-		wout[i] = WorkloadInfo{Name: f.Name, Doc: f.Doc, Params: f.Params}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"traffic": tout, "workloads": wout})
+	writeJSON(w, http.StatusOK, map[string]any{"traffic": traffic.Families.List(), "workloads": workload.Families.List()})
 }
 
 // handleHealth is the liveness probe: 200 for as long as the process

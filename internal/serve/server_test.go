@@ -164,9 +164,13 @@ func TestTrafficListing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/traffic: status %d", resp.StatusCode)
 	}
+	type family struct {
+		Name   string            `json:"name"`
+		Params []json.RawMessage `json:"params"`
+	}
 	var body struct {
-		Traffic   []TrafficInfo  `json:"traffic"`
-		Workloads []WorkloadInfo `json:"workloads"`
+		Traffic   []family `json:"traffic"`
+		Workloads []family `json:"workloads"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decode: %v", err)
@@ -628,7 +632,10 @@ func TestTopologiesEndpoint(t *testing.T) {
 		t.Fatalf("GET /v1/topologies: status %d", resp.StatusCode)
 	}
 	var body struct {
-		Topologies []TopologyInfo `json:"topologies"`
+		Topologies []struct {
+			Name   string            `json:"name"`
+			Params []json.RawMessage `json:"params"`
+		} `json:"topologies"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decode: %v", err)

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/fault"
@@ -247,10 +246,11 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 		}
 		fam = legacy
 	}
-	fam, params, err := canonFamily("traffic", fam, sub.TrafficParams, traffic.FamilyNames(), trafficSchema)
+	tf, params, err := traffic.Families.Resolve(fam, sub.TrafficParams)
 	if err != nil {
 		return s, badRequest("%v", err)
 	}
+	fam = tf.Name
 	tenv := traffic.Env{Terminals: topo.Nodes(), Machine: topo, Seed: s.Seed}
 	if _, err := traffic.Build(fam, tenv, params); err != nil {
 		return s, badRequest("%v", err)
@@ -266,10 +266,11 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	// empty Source and shares the legacy cache entries.
 	switch {
 	case sub.Workload != "":
-		fam, params, err := canonFamily("workload", sub.Workload, sub.WorkloadParams, workload.FamilyNames(), workloadSchema)
+		wf, params, err := workload.Families.Resolve(sub.Workload, sub.WorkloadParams)
 		if err != nil {
 			return s, badRequest("%v", err)
 		}
+		fam := wf.Name
 		wenv := workload.Env{Terminals: topo.Nodes(), Seed: s.Seed}
 		if fam == "trace" {
 			if sub.Trace == "" {
@@ -382,76 +383,6 @@ type Limits struct {
 	// MaxTraceBytes caps the flow-trace text of a "trace" workload
 	// (0 = unlimited; the request body cap still applies).
 	MaxTraceBytes int
-}
-
-// famSchema is the registry-agnostic view of one family's parameter
-// schema: just names and defaults, enough to canonicalise a submission
-// (the registries' own Build validates values afterwards).
-type famSchema struct {
-	name   string
-	params []schemaParam
-}
-
-type schemaParam struct {
-	name string
-	def  int
-}
-
-// trafficSchema adapts the traffic registry for canonFamily.
-func trafficSchema(name string) (famSchema, bool) {
-	f, ok := traffic.FamilyByName(name)
-	if !ok {
-		return famSchema{}, false
-	}
-	fs := famSchema{name: f.Name}
-	for _, p := range f.Params {
-		fs.params = append(fs.params, schemaParam{p.Name, p.Default})
-	}
-	return fs, true
-}
-
-// workloadSchema adapts the workload registry for canonFamily.
-func workloadSchema(name string) (famSchema, bool) {
-	f, ok := workload.FamilyByName(name)
-	if !ok {
-		return famSchema{}, false
-	}
-	fs := famSchema{name: f.Name}
-	for _, p := range f.Params {
-		fs.params = append(fs.params, schemaParam{p.Name, p.Default})
-	}
-	return fs, true
-}
-
-// canonFamily resolves a family spelling to its canonical (lower-case)
-// name and fully-defaulted parameter map: schema defaults first, the
-// submission's keys on top, unknown keys rejected. The fully-defaulted
-// map is what the job hash covers, so spelled-out defaults cancel out
-// exactly like the topology spelling does.
-func canonFamily(kind, name string, given map[string]int, names []string, lookup func(string) (famSchema, bool)) (string, map[string]int, error) {
-	f, ok := lookup(name)
-	if !ok {
-		return "", nil, fmt.Errorf("%s: unknown family %q (supported: %v)", kind, name, names)
-	}
-	full := make(map[string]int, len(f.params))
-	valid := make([]string, len(f.params))
-	for i, p := range f.params {
-		full[p.name] = p.def
-		valid[i] = p.name
-	}
-	var unknown []string
-	for k, v := range given {
-		if _, ok := full[k]; !ok {
-			unknown = append(unknown, k)
-			continue
-		}
-		full[k] = v
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return "", nil, fmt.Errorf("%s: family %q: unknown parameter(s) %v (valid: %v)", kind, f.name, unknown, valid)
-	}
-	return f.name, full, nil
 }
 
 // RequestError is a rejected request: a message plus the HTTP status it

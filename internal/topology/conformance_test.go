@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -159,6 +160,24 @@ func checkCensusMatchesDescriptor(t *testing.T, m Machine) {
 		}
 		if rd := rebuilt.Describe(); fmt.Sprintf("%+v", descWithoutParams(rd)) != fmt.Sprintf("%+v", descWithoutParams(desc)) {
 			t.Errorf("descriptor does not round-trip through Build: %+v vs %+v", rd, desc)
+		}
+	}
+}
+
+// TestBuildFoldsFamilyCase: the family name folds case, as the traffic
+// and workload names do, so "Dragonfly" builds the canonical dragonfly.
+func TestBuildFoldsFamilyCase(t *testing.T) {
+	want, err := Build("dragonfly", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spelling := range []string{"Dragonfly", "DRAGONFLY"} {
+		got, err := Build(spelling, nil)
+		if err != nil {
+			t.Fatalf("Build(%q): %v", spelling, err)
+		}
+		if !reflect.DeepEqual(got.Describe(), want.Describe()) {
+			t.Errorf("Build(%q) describes %+v, want %+v", spelling, got.Describe(), want.Describe())
 		}
 	}
 }

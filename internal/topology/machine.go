@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "dragonfly/internal/registry"
 
 // Machine is the pluggable topology contract: everything the rest of
 // the system — routing algorithms, the cycle-accurate simulator, the
@@ -89,38 +86,19 @@ type Descriptor struct {
 	GlobalChannels   int `json:"global_channels"`
 }
 
-// ParamSpec describes one integer build parameter of a topology family.
-type ParamSpec struct {
-	// Name is the parameter key accepted by Family.Build.
-	Name string `json:"name"`
-	// Doc is a one-line description.
-	Doc string `json:"doc"`
-	// Default is the value used when the key is omitted.
-	Default int `json:"default"`
-}
+// build is the topology registry's build signature: it constructs a
+// machine from a complete parameter map (every schema key present;
+// Build applies the defaults).
+type build = func(params map[string]int) (Machine, error)
 
-// Family is a registered topology family: a named builder plus its
-// parameter schema, the unit the CLI flags and the service's
-// /v1/topologies endpoint expose.
-type Family struct {
-	// Name is the registry key ("dragonfly", "swapped", ...).
-	Name string
-	// Doc is a one-line description of the family.
-	Doc string
-	// Params is the parameter schema, in canonical order.
-	Params []ParamSpec
-	// Build constructs a machine from a complete parameter map (every
-	// key of Params present; Families' Build wrapper applies defaults).
-	Build func(params map[string]int) (Machine, error)
-}
-
-// families is the registry, in presentation order: the canonical
-// topology first, then the variants.
-var families = []Family{
+// Families is the topology registry, in presentation order: the
+// canonical topology first, then the variants. It is the unit the CLI
+// flags and the service's /v1/topologies endpoint expose.
+var Families = registry.New("topology", []registry.Family[build]{
 	{
 		Name: "dragonfly",
 		Doc:  "canonical dragonfly (ISCA 2008): fully connected groups of a routers, h global channels each",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "p", Doc: "terminals per router", Default: 4},
 			{Name: "a", Doc: "routers per group", Default: 8},
 			{Name: "h", Doc: "global channels per router", Default: 4},
@@ -133,7 +111,7 @@ var families = []Family{
 	{
 		Name: "dragonflyfb",
 		Doc:  "dragonfly variant of Figure 6(b): flattened-butterfly groups (d1 x d2 x d3 routers)",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "p", Doc: "terminals per router", Default: 4},
 			{Name: "d1", Doc: "group dimension 1 size", Default: 2},
 			{Name: "d2", Doc: "group dimension 2 size (0 = one-dimensional group)", Default: 4},
@@ -154,7 +132,7 @@ var families = []Family{
 	{
 		Name: "dragonflyplus",
 		Doc:  "Dragonfly+ (leaf/spine groups): bipartite leaves with terminals, spines with global channels",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "p", Doc: "terminals per leaf router", Default: 4},
 			{Name: "leaves", Doc: "leaf routers per group", Default: 4},
 			{Name: "spines", Doc: "spine routers per group", Default: 4},
@@ -168,7 +146,7 @@ var families = []Family{
 	{
 		Name: "swapped",
 		Doc:  "swapped dragonfly D3(K,M) (arXiv 2202.01843): OTIS wiring, router (g,i) linked to (i,g)",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "p", Doc: "terminals per router", Default: 4},
 			{Name: "k", Doc: "routers per group", Default: 8},
 			{Name: "m", Doc: "groups, at most k (0 = k)", Default: 0},
@@ -180,7 +158,7 @@ var families = []Family{
 	{
 		Name: "aries",
 		Doc:  "Aries-style cascade machine: chassis x blade groups, bundled inter-chassis and global links",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "p", Doc: "terminals per router", Default: 4},
 			{Name: "blades", Doc: "blades (routers) per chassis", Default: 16},
 			{Name: "chassis", Doc: "chassis per group", Default: 6},
@@ -192,64 +170,17 @@ var families = []Family{
 			return NewAries(ps["p"], ps["blades"], ps["chassis"], ps["bundle"], ps["h"], ps["g"])
 		},
 	},
-}
-
-// Families returns the registered topology families in presentation
-// order. The slice is a copy; the Family values share the registry's
-// immutable schema slices.
-func Families() []Family {
-	out := make([]Family, len(families))
-	copy(out, families)
-	return out
-}
-
-// FamilyNames returns the registered family names in order.
-func FamilyNames() []string {
-	names := make([]string, len(families))
-	for i, f := range families {
-		names[i] = f.Name
-	}
-	return names
-}
-
-// FamilyByName looks up a registered family.
-func FamilyByName(name string) (Family, bool) {
-	for _, f := range families {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return Family{}, false
-}
+})
 
 // Build constructs a machine of the named family from a (possibly
-// partial) parameter map: omitted keys take the schema defaults,
-// unknown keys are rejected with the valid set in the error. A nil map
-// builds the family's default configuration.
+// partial) parameter map, resolved by Families.Resolve: the name folds
+// case, omitted keys take the schema defaults and unknown keys are
+// rejected with the valid set in the error. A nil map builds the
+// family's default configuration.
 func Build(family string, params map[string]int) (Machine, error) {
-	f, ok := FamilyByName(family)
-	if !ok {
-		return nil, fmt.Errorf("topology: unknown family %q (supported: %v)", family, FamilyNames())
-	}
-	full := make(map[string]int, len(f.Params))
-	for _, p := range f.Params {
-		full[p.Name] = p.Default
-	}
-	var unknown []string
-	for k, v := range params {
-		if _, ok := full[k]; !ok {
-			unknown = append(unknown, k)
-			continue
-		}
-		full[k] = v
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		valid := make([]string, len(f.Params))
-		for i, p := range f.Params {
-			valid[i] = p.Name
-		}
-		return nil, fmt.Errorf("topology: family %q: unknown parameter(s) %v (valid: %v)", family, unknown, valid)
+	f, full, err := Families.Resolve(family, params)
+	if err != nil {
+		return nil, err
 	}
 	return f.Build(full)
 }

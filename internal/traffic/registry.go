@@ -2,9 +2,8 @@ package traffic
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
+	"dragonfly/internal/registry"
 	"dragonfly/internal/topology"
 )
 
@@ -33,36 +32,17 @@ type Env struct {
 	Seed uint64
 }
 
-// ParamSpec describes one integer parameter of a traffic family,
-// mirroring topology.ParamSpec.
-type ParamSpec struct {
-	// Name is the parameter key accepted by Family.Build.
-	Name string `json:"name"`
-	// Doc is a one-line description.
-	Doc string `json:"doc"`
-	// Default is the value used when the key is omitted.
-	Default int `json:"default"`
-}
+// build is the traffic registry's build signature: it constructs the
+// pattern from a complete parameter map (every schema key present;
+// Build applies the defaults).
+type build = func(env Env, params map[string]int) (Pattern, error)
 
-// Family is one registered traffic pattern family.
-type Family struct {
-	// Name is the registry key ("ur", "wc", "hotspot", ...), always
-	// lower-case; lookups fold case so legacy spellings ("UR") resolve.
-	Name string
-	// Doc is a one-line description of the family.
-	Doc string
-	// Params is the parameter schema, in canonical order.
-	Params []ParamSpec
-	// Build constructs the pattern from a complete parameter map (every
-	// key of Params present; the package-level Build applies defaults).
-	Build func(env Env, params map[string]int) (Pattern, error)
-}
-
-// families is the registry, in listing order. The constructors are the
-// same ones the pre-registry enum path called, so a registry-built
-// pattern is the enum-built pattern — bit for bit (golden-pinned in
-// internal/core).
-var families = []Family{
+// Families is the traffic registry, in listing order. Names are
+// lower-case and lookups fold case, so legacy spellings ("UR") resolve.
+// The constructors are the same ones the pre-registry enum path called,
+// so a registry-built pattern is the enum-built pattern — bit for bit
+// (golden-pinned in internal/core).
+var Families = registry.New("traffic", []registry.Family[build]{
 	{
 		Name: "ur",
 		Doc:  "uniform random: every packet to a uniformly chosen other terminal (benign baseline, Figure 8(a))",
@@ -83,7 +63,7 @@ var families = []Family{
 	{
 		Name: "groupoffset",
 		Doc:  "group G_i sends to random nodes of G_i+offset (offset 1 = worst case, g/2 = tornado)",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "offset", Doc: "group displacement; must not be a multiple of the group count", Default: 1},
 		},
 		Build: func(env Env, p map[string]int) (Pattern, error) {
@@ -120,7 +100,7 @@ var families = []Family{
 	{
 		Name: "hotspot",
 		Doc:  "a fraction of packets target a small, evenly spaced set of hot terminals; the rest go uniform random",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "hot", Doc: "number of hot terminals, spread evenly over the machine", Default: 1},
 			{Name: "pct", Doc: "percentage of packets aimed at the hot set, in [0,100]", Default: 10},
 		},
@@ -146,35 +126,7 @@ var families = []Family{
 			return NewPermutation(env.Terminals, env.Seed), nil
 		},
 	},
-}
-
-// Families returns the registered traffic families in listing order.
-func Families() []Family {
-	out := make([]Family, len(families))
-	copy(out, families)
-	return out
-}
-
-// FamilyNames returns the registered family names in order.
-func FamilyNames() []string {
-	names := make([]string, len(families))
-	for i, f := range families {
-		names[i] = f.Name
-	}
-	return names
-}
-
-// FamilyByName looks up a registered family. Lookup is case-insensitive
-// so the legacy enum spellings ("UR", "WC") resolve to their families.
-func FamilyByName(name string) (Family, bool) {
-	name = strings.ToLower(name)
-	for _, f := range families {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return Family{}, false
-}
+})
 
 // legacyNames are the pattern spellings of the paper-era front doors
 // (dfly-sim -pattern, the job service's "pattern" field), in listing
@@ -203,36 +155,19 @@ func LegacyFamily(spelling string) (string, error) {
 }
 
 // Build constructs a pattern of the named family from a (possibly
-// partial) parameter map: omitted keys take the schema defaults,
-// unknown keys are rejected with the valid set in the error. A nil map
-// builds the family's default configuration.
+// partial) parameter map, resolved by Families.Resolve: the name folds
+// case, omitted keys take the schema defaults and unknown keys are
+// rejected with the valid set in the error. A nil map builds the
+// family's default configuration.
 func Build(family string, env Env, params map[string]int) (Pattern, error) {
-	f, ok := FamilyByName(family)
-	if !ok {
-		return nil, fmt.Errorf("traffic: unknown family %q (supported: %v)", family, FamilyNames())
-	}
-	if env.Terminals <= 0 {
+	f, full, err := Families.Resolve(family, params)
+	switch { // a known family checks the terminal count before the keys
+	case f.Name == "":
+		return nil, err
+	case env.Terminals <= 0:
 		return nil, fmt.Errorf("traffic: family %q: terminal count %d must be positive", f.Name, env.Terminals)
-	}
-	full := make(map[string]int, len(f.Params))
-	for _, p := range f.Params {
-		full[p.Name] = p.Default
-	}
-	var unknown []string
-	for k, v := range params {
-		if _, ok := full[k]; !ok {
-			unknown = append(unknown, k)
-			continue
-		}
-		full[k] = v
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		valid := make([]string, len(f.Params))
-		for i, p := range f.Params {
-			valid[i] = p.Name
-		}
-		return nil, fmt.Errorf("traffic: family %q: unknown parameter(s) %v (valid: %v)", f.Name, unknown, valid)
+	case err != nil:
+		return nil, err
 	}
 	return f.Build(env, full)
 }

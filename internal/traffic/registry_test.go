@@ -8,7 +8,7 @@ import (
 func TestRegistryBuildsEveryFamily(t *testing.T) {
 	d := testDF(t)
 	env := Env{Terminals: d.Nodes(), Machine: d, Seed: 7}
-	for _, f := range Families() {
+	for _, f := range Families.List() {
 		if f.Name != strings.ToLower(f.Name) {
 			t.Errorf("family %q is not lower-case", f.Name)
 		}
@@ -65,11 +65,11 @@ func TestRegistryMatchesDirectConstruction(t *testing.T) {
 
 func TestRegistryLookupFoldsCase(t *testing.T) {
 	for _, spelling := range []string{"UR", "ur", "Ur"} {
-		if _, ok := FamilyByName(spelling); !ok {
-			t.Errorf("FamilyByName(%q) did not resolve", spelling)
+		if f, _, err := Families.Resolve(spelling, nil); err != nil || f.Name != "ur" {
+			t.Errorf("Families.Resolve(%q) = %q, %v; want ur", spelling, f.Name, err)
 		}
 	}
-	if _, ok := FamilyByName("no-such-pattern"); ok {
+	if _, _, err := Families.Resolve("no-such-pattern", nil); err == nil {
 		t.Error("unknown family resolved")
 	}
 }
@@ -86,7 +86,7 @@ func TestLegacyFamily(t *testing.T) {
 		if err != nil || got != want {
 			t.Errorf("LegacyFamily(%q) = %q, %v; want %q", spelling, got, err, want)
 		}
-		if _, ok := FamilyByName(got); !ok {
+		if _, _, err := Families.Resolve(got, nil); err != nil {
 			t.Errorf("LegacyFamily(%q) = %q, which is not a registered family", spelling, got)
 		}
 	}

@@ -6,16 +6,15 @@
 // traces in a simple timestamped-flow format. Every source implements
 // sim.Source — deterministic per terminal, snapshot-able word for word,
 // allocation-free on the steady path — and is reachable through a
-// Families/Build registry mirroring topology.Families, so CLIs and the
+// Families/Build registry like topology.Families, so CLIs and the
 // job service can compose workloads from (family, integer parameters)
 // without package-level switches.
 package workload
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
+	"dragonfly/internal/registry"
 	"dragonfly/internal/sim"
 )
 
@@ -32,32 +31,14 @@ type Env struct {
 	Trace *Trace
 }
 
-// ParamSpec describes one integer parameter of a workload family,
-// mirroring topology.ParamSpec and traffic.ParamSpec.
-type ParamSpec struct {
-	// Name is the parameter key accepted by Family.Build.
-	Name string `json:"name"`
-	// Doc is a one-line description.
-	Doc string `json:"doc"`
-	// Default is the value used when the key is omitted.
-	Default int `json:"default"`
-}
+// build is the workload registry's build signature: it constructs the
+// source from a complete parameter map (every schema key present;
+// Build applies the defaults).
+type build = func(env Env, params map[string]int) (sim.Source, error)
 
-// Family is one registered arrival-process family.
-type Family struct {
-	// Name is the registry key ("bernoulli", "onoff", ...), lower-case;
-	// lookups fold case.
-	Name string
-	// Doc is a one-line description of the family.
-	Doc string
-	// Params is the parameter schema, in canonical order.
-	Params []ParamSpec
-	// Build constructs the source from a complete parameter map (every
-	// key of Params present; the package-level Build applies defaults).
-	Build func(env Env, params map[string]int) (sim.Source, error)
-}
-
-var families = []Family{
+// Families is the arrival-process registry, in listing order. Names are
+// lower-case; lookups fold case.
+var Families = registry.New("workload", []registry.Family[build]{
 	{
 		Name: "bernoulli",
 		Doc:  "memoryless injection: each terminal offers a packet with probability load every cycle (the legacy default)",
@@ -68,7 +49,7 @@ var families = []Family{
 	{
 		Name: "onoff",
 		Doc:  "two-state bursty injection: seeded ON/OFF dwell times, ON bursts scaled so the long-run offered load stays at the load scalar",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "on", Doc: "mean ON-dwell in cycles", Default: 100},
 			{Name: "off", Doc: "mean OFF-dwell in cycles", Default: 300},
 			{Name: "pareto", Doc: "dwell distribution: 0 = exponential, 1 = Pareto (alpha=1.5, heavy-tailed)", Default: 0},
@@ -80,7 +61,7 @@ var families = []Family{
 	{
 		Name: "drift",
 		Doc:  "time-drifting hot-spot: a contiguous hot set moves to a new pseudo-random position every period cycles; cold packets defer to the traffic pattern",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "hot", Doc: "number of hot terminals", Default: 1},
 			{Name: "pct", Doc: "percentage of packets aimed at the hot set, in [0,100]", Default: 50},
 			{Name: "period", Doc: "cycles between hot-set moves", Default: 1000},
@@ -92,7 +73,7 @@ var families = []Family{
 	{
 		Name: "collective",
 		Doc:  "phased collective: every terminal sends to its phase partner (ring all-reduce, recursive-doubling tree, or rotating all-to-all) at the load scalar's intensity",
-		Params: []ParamSpec{
+		Params: []registry.Param{
 			{Name: "op", Doc: "collective schedule: 0 = ring all-reduce, 1 = recursive-doubling tree, 2 = rotating all-to-all", Default: 0},
 			{Name: "phaselen", Doc: "cycles per collective phase", Default: 200},
 		},
@@ -110,66 +91,22 @@ var families = []Family{
 			return NewTraceReplay(env.Trace, env.Terminals)
 		},
 	},
-}
-
-// Families returns the registered workload families in listing order.
-func Families() []Family {
-	out := make([]Family, len(families))
-	copy(out, families)
-	return out
-}
-
-// FamilyNames returns the registered family names in order.
-func FamilyNames() []string {
-	names := make([]string, len(families))
-	for i, f := range families {
-		names[i] = f.Name
-	}
-	return names
-}
-
-// FamilyByName looks up a registered family, folding case.
-func FamilyByName(name string) (Family, bool) {
-	name = strings.ToLower(name)
-	for _, f := range families {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return Family{}, false
-}
+})
 
 // Build constructs a source of the named family from a (possibly
-// partial) parameter map: omitted keys take the schema defaults,
-// unknown keys are rejected with the valid set in the error. A nil map
-// builds the family's default configuration.
+// partial) parameter map, resolved by Families.Resolve: the name folds
+// case, omitted keys take the schema defaults and unknown keys are
+// rejected with the valid set in the error. A nil map builds the
+// family's default configuration.
 func Build(family string, env Env, params map[string]int) (sim.Source, error) {
-	f, ok := FamilyByName(family)
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown family %q (supported: %v)", family, FamilyNames())
-	}
-	if env.Terminals <= 0 {
+	f, full, err := Families.Resolve(family, params)
+	switch { // a known family checks the terminal count before the keys
+	case f.Name == "":
+		return nil, err
+	case env.Terminals <= 0:
 		return nil, fmt.Errorf("workload: family %q: terminal count %d must be positive", f.Name, env.Terminals)
-	}
-	full := make(map[string]int, len(f.Params))
-	for _, p := range f.Params {
-		full[p.Name] = p.Default
-	}
-	var unknown []string
-	for k, v := range params {
-		if _, ok := full[k]; !ok {
-			unknown = append(unknown, k)
-			continue
-		}
-		full[k] = v
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		valid := make([]string, len(f.Params))
-		for i, p := range f.Params {
-			valid[i] = p.Name
-		}
-		return nil, fmt.Errorf("workload: family %q: unknown parameter(s) %v (valid: %v)", f.Name, unknown, valid)
+	case err != nil:
+		return nil, err
 	}
 	return f.Build(env, full)
 }

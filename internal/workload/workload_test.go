@@ -14,7 +14,7 @@ func TestRegistryBuildsEveryFamily(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := Env{Terminals: 16, Seed: 7, Trace: tr}
-	for _, f := range Families() {
+	for _, f := range Families.List() {
 		if f.Name != strings.ToLower(f.Name) {
 			t.Errorf("family %q is not lower-case", f.Name)
 		}
@@ -39,8 +39,8 @@ func TestRegistryBuildsEveryFamily(t *testing.T) {
 	if _, err := Build("onoff", env, map[string]int{"burst": 3}); err == nil {
 		t.Error("unknown parameter accepted")
 	}
-	if _, ok := FamilyByName("Bernoulli"); !ok {
-		t.Error("FamilyByName does not fold case")
+	if f, _, err := Families.Resolve("Bernoulli", nil); err != nil || f.Name != "bernoulli" {
+		t.Errorf("Families.Resolve does not fold case: %q, %v", f.Name, err)
 	}
 }
 
