@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"dragonfly/internal/metrics"
-	"dragonfly/internal/stats"
 )
 
 // RunConfig controls one simulation run: the standard warm-up →
@@ -103,10 +102,10 @@ func DefaultRunConfig(load float64) RunConfig {
 
 // Result reports one run's measurements.
 type Result struct {
-	stats.Summary
+	Summary
 	// Hist, MinHist and NonminHist are latency histograms of measured
 	// packets (nil unless RunConfig.Histogram).
-	Hist, MinHist, NonminHist *stats.Histogram
+	Hist, MinHist, NonminHist *Histogram
 	// Cycles is the total number of simulated cycles.
 	Cycles int64
 	// DrainTimeout reports that tagged packets were still in flight when
@@ -196,9 +195,9 @@ func RunCtx(ctx context.Context, net *Network, rc RunConfig) (Result, error) {
 	st := &runState{rc: rc}
 	st.res.Offered = rc.Load
 	if rc.Histogram {
-		st.res.Hist = stats.NewHistogram(rc.HistWidth)
-		st.res.MinHist = stats.NewHistogram(rc.HistWidth)
-		st.res.NonminHist = stats.NewHistogram(rc.HistWidth)
+		st.res.Hist = NewHistogram(rc.HistWidth)
+		st.res.MinHist = NewHistogram(rc.HistWidth)
+		st.res.NonminHist = NewHistogram(rc.HistWidth)
 	}
 	return runPhases(ctx, net, rc, st, false)
 }
