@@ -95,6 +95,7 @@ func (n *Network) SetTimeline(epochs []Epoch) error {
 	n.epochs = epochs
 	n.epochIdx = 0
 	n.routerDead = make([]bool, len(n.routers))
+	n.fp = n.fingerprint()
 	// Adopt epoch 0. The network is empty before the first Step, so
 	// this only recomputes link and terminal liveness (there is nothing
 	// to kill or rescue yet) — including undoing any liveness New

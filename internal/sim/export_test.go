@@ -4,6 +4,10 @@ package sim
 // to the external tests.
 func (n *Network) SnapshotSizeHint() int { return n.snapshotSizeHint() }
 
+// Fingerprints returns the snapshot fingerprint the network stores and
+// a fresh hash of its inputs.
+func (n *Network) Fingerprints() (stored, fresh uint64) { return n.fp, n.fingerprint() }
+
 // SnapshotSized encodes a drained network into a first buffer of size
 // bytes, for tests of a size hint that falls short.
 func (n *Network) SnapshotSized(size int) []byte { return n.encode(nil, size) }

@@ -28,6 +28,9 @@ type Network struct {
 	cfg     Config
 	routing Routing
 	traffic Traffic
+	// fp is the snapshot fingerprint, rehashed by New, SetSource and
+	// SetTimeline, after which its inputs no longer change.
+	fp uint64
 
 	now     int64
 	routers []Router
@@ -211,6 +214,7 @@ func New(topo Topology, cfg Config, routing Routing, traffic Traffic) (*Network,
 			return nil, fmt.Errorf("sim: fault plan leaves no live terminals")
 		}
 	}
+	n.fp = n.fingerprint()
 	n.buildShards(cfg.Shards)
 	return n, nil
 }
@@ -279,6 +283,7 @@ func (n *Network) SetSource(s Source) error {
 	n.source = s
 	g, ok := s.(loadGated)
 	n.srcGated = ok && g.LoadGated()
+	n.fp = n.fingerprint()
 	return nil
 }
 

@@ -64,40 +64,6 @@ func BalancedRadixForNodes(n int) int {
 	}
 }
 
-// DragonflyDiameter returns the hop diameter (router-to-router channels)
-// of a canonical dragonfly: local + global + local = 3 whenever the
-// network has more than one group and more than one router per group.
-func DragonflyDiameter(a, g int) int {
-	switch {
-	case g <= 1 && a <= 1:
-		return 0
-	case g <= 1:
-		return 1
-	case a <= 1:
-		return 1
-	default:
-		return 3
-	}
-}
-
-// Log2Ceil returns ⌈log2 n⌉ for n ≥ 1.
-func Log2Ceil(n int) int {
-	k := 0
-	for v := 1; v < n; v <<= 1 {
-		k++
-	}
-	return k
-}
-
-// IntPow returns b**e for small non-negative integer exponents.
-func IntPow(b, e int) int {
-	r := 1
-	for i := 0; i < e; i++ {
-		r *= b
-	}
-	return r
-}
-
 // Sqrt returns the integer square root helper used by layout models.
 func Sqrt(n int) int {
 	if n < 0 {
