@@ -6,6 +6,7 @@ package dragonfly_test
 // table of the metric the choice moves.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func ablationRun(b *testing.B, d *topology.Dragonfly, cfg sim.Config, rt sim.Rou
 		b.Fatal(err)
 	}
 	s := benchScale()
-	res, err := sim.Run(net, sim.RunConfig{
+	res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{
 		Load: load, WarmupCycles: s.Warmup, MeasureCycles: s.Measure, DrainCycles: s.Drain, StallLimit: s.StallLimit,
 	})
 	if err != nil {

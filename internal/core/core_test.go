@@ -11,7 +11,7 @@ func TestNewSystemDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	cfg := sys.Config()
+	cfg := sys.cfg
 	if cfg.P != 4 || cfg.A != 8 || cfg.H != 4 {
 		t.Errorf("default parameters %+v, want the paper's 1K config", cfg)
 	}

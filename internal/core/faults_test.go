@@ -106,7 +106,7 @@ func TestFailedRouterKeepsNetworkUsable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with a failed router: %v", err)
 	}
-	wantAlive := sys.Topo.Nodes() - sys.Config().P
+	wantAlive := sys.Topo.Nodes() - sys.cfg.P
 	if res.AliveTerminals != wantAlive {
 		t.Errorf("AliveTerminals = %d, want %d", res.AliveTerminals, wantAlive)
 	}

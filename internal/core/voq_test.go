@@ -22,7 +22,7 @@ func TestVOQGrowsPastBufDepth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNetworkFor: %v", err)
 	}
-	cfg := net.Config()
+	cfg := sys.SimConfig(core.AlgMIN)
 	outDepth := cfg.OutDepth
 	if outDepth == 0 {
 		outDepth = 4 // sim's default output-buffer depth
@@ -36,7 +36,7 @@ func TestVOQGrowsPastBufDepth(t *testing.T) {
 		}
 		for id := 0; id < sys.Topo.Routers(); id++ {
 			r := net.RouterAt(id)
-			for p := 0; p < r.Radix(); p++ {
+			for p := 0; p < sys.Topo.Radix(id); p++ {
 				for vc := 0; vc < cfg.VCs; vc++ {
 					if q := r.PendingOutVC(p, vc); q > peak {
 						peak = q

@@ -114,17 +114,6 @@ func TestLayoutValidate(t *testing.T) {
 
 func TestLayoutDistances(t *testing.T) {
 	l := DefaultLayout()
-	if d := l.CabinetDistanceM(0, 0, 16); d != l.BackplaneM {
-		t.Errorf("same-cabinet distance %v, want backplane %v", d, l.BackplaneM)
-	}
-	// Adjacent cabinets on a 4x4 grid: one pitch plus overhead.
-	if d := l.CabinetDistanceM(0, 1, 16); d != l.CabinetPitchM+l.CableOverheadM {
-		t.Errorf("adjacent distance %v", d)
-	}
-	// Opposite corners: 6 pitches plus overhead.
-	if d := l.CabinetDistanceM(0, 15, 16); d != 6*l.CabinetPitchM+l.CableOverheadM {
-		t.Errorf("corner distance %v", d)
-	}
 	if m := l.MeanPairDistanceM(1); m != l.BackplaneM {
 		t.Errorf("single-cabinet mean %v", m)
 	}

@@ -70,20 +70,6 @@ func (l Layout) MachineDimensionM(n int) float64 {
 	return float64(l.GridSide(l.Cabinets(n))) * l.CabinetPitchM
 }
 
-// CabinetDistanceM returns the cable length between cabinets a and b
-// (indices in row-major grid order): Manhattan distance plus overhead.
-// A zero distance (same cabinet) returns the backplane length.
-func (l Layout) CabinetDistanceM(a, b, cabinets int) float64 {
-	if a == b {
-		return l.BackplaneM
-	}
-	side := l.GridSide(cabinets)
-	ax, ay := a%side, a/side
-	bx, by := b%side, b/side
-	manhattan := math.Abs(float64(ax-bx)) + math.Abs(float64(ay-by))
-	return manhattan*l.CabinetPitchM + l.CableOverheadM
-}
-
 // MeanPairDistanceM returns the average inter-cabinet cable length over
 // all unordered cabinet pairs, the expected length of a cable between
 // two uniformly random distinct cabinets.

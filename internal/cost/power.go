@@ -74,27 +74,3 @@ func (pm PowerModel) Power(b Breakdown) PowerBreakdown {
 		float64(p.BackplaneChannels)*pm.BackplaneWPerChannel
 	return p
 }
-
-// ComparePower returns the per-node power of the four Figure 19
-// topologies at the given machine size.
-func (m Model) ComparePower(n int) ([]PowerBreakdown, error) {
-	pm := DefaultPowerModel()
-	type gen struct {
-		name string
-		fn   func(int) (Breakdown, error)
-	}
-	var out []PowerBreakdown
-	for _, g := range []gen{
-		{"dragonfly", m.Dragonfly},
-		{"flattened butterfly", m.FlattenedButterfly},
-		{"folded Clos", m.FoldedClos},
-		{"3-D torus", m.Torus3D},
-	} {
-		b, err := g.fn(n)
-		if err != nil {
-			return nil, fmt.Errorf("cost: power for %s: %w", g.name, err)
-		}
-		out = append(out, pm.Power(b))
-	}
-	return out, nil
-}

@@ -25,13 +25,14 @@ func TestPowerModelClassifiesCables(t *testing.T) {
 func TestPowerComparisonFavoursDragonflyOverButterflyAtScale(t *testing.T) {
 	// Fewer optical transceivers -> lower power at 64K, the paper's
 	// Section 5 claim (via [14]).
-	m := DefaultModel()
-	ps, err := m.ComparePower(65536)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 4 {
-		t.Fatalf("got %d breakdowns", len(ps))
+	m, pm := DefaultModel(), DefaultPowerModel()
+	var ps []PowerBreakdown
+	for _, price := range []func(int) (Breakdown, error){m.Dragonfly, m.FlattenedButterfly, m.FoldedClos, m.Torus3D} {
+		b, err := price(65536)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, pm.Power(b))
 	}
 	df, fb := ps[0], ps[1]
 	if df.PerNodeW() >= fb.PerNodeW() {

@@ -61,9 +61,6 @@ func (p *Plan) PortDown(r, port int) bool { return p.ports[portKey{r, port}] }
 // Empty reports whether the plan fails nothing.
 func (p *Plan) Empty() bool { return len(p.routers) == 0 && len(p.ports) == 0 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // FailRouter marks router r failed: every channel it terminates is dead
 // and its terminals are unreachable. Repeated calls are idempotent.
 func (p *Plan) FailRouter(r int) {
@@ -268,16 +265,6 @@ func (p *Plan) RecoverAll() {
 	p.ports = make(map[portKey]bool)
 	p.failedRouters = 0
 	p.failedClass = [3]int{}
-}
-
-// Counts returns the failed router count and the explicitly failed
-// channel counts by class (channels dead only because a router failed
-// are not included; topology.Degraded.FaultCounts reports those).
-func (p *Plan) Counts() (routers, global, local, terminal int) {
-	return p.failedRouters,
-		p.failedClass[topology.ClassGlobal],
-		p.failedClass[topology.ClassLocal],
-		p.failedClass[topology.ClassTerminal]
 }
 
 // FailedRouters returns the failed router ids in ascending order.

@@ -170,8 +170,8 @@ func TestEmptyAndString(t *testing.T) {
 	if !p.Empty() {
 		t.Error("fresh plan not empty")
 	}
-	if p.Seed() != 1 {
-		t.Errorf("Seed() = %d", p.Seed())
+	if p.seed != 1 {
+		t.Errorf("seed = %d", p.seed)
 	}
 	if p.String() == "" {
 		t.Error("empty String()")
@@ -183,4 +183,14 @@ func TestEmptyAndString(t *testing.T) {
 	if p.String() == "" {
 		t.Error("empty String() for non-empty plan")
 	}
+}
+
+// Counts returns the failed router count and the explicitly failed
+// channel counts by class (channels dead only because a router failed
+// are not included; topology.Degraded.FaultCounts reports those).
+func (p *Plan) Counts() (routers, global, local, terminal int) {
+	return p.failedRouters,
+		p.failedClass[topology.ClassGlobal],
+		p.failedClass[topology.ClassLocal],
+		p.failedClass[topology.ClassTerminal]
 }

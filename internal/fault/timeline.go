@@ -56,9 +56,6 @@ func NewTimeline(seed uint64) *Timeline {
 	return &Timeline{seed: seed}
 }
 
-// Seed returns the timeline's seed.
-func (tl *Timeline) Seed() uint64 { return tl.seed }
-
 // Empty reports whether the timeline schedules no events.
 func (tl *Timeline) Empty() bool { return len(tl.events) == 0 }
 
@@ -169,15 +166,6 @@ type Schedule struct {
 	// Seed is the timeline seed the draws derived from.
 	Seed   uint64
 	Epochs []Epoch
-}
-
-// EpochAt returns the index of the epoch governing the given cycle.
-func (s *Schedule) EpochAt(cycle int64) int {
-	i := sort.Search(len(s.Epochs), func(i int) bool { return s.Epochs[i].Start > cycle })
-	if i == 0 {
-		return 0
-	}
-	return i - 1
 }
 
 // Compile resolves the timeline's draws against d and returns the

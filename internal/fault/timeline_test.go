@@ -45,26 +45,6 @@ func TestTimelineCompileEpochs(t *testing.T) {
 	}
 }
 
-func TestTimelineEpochAt(t *testing.T) {
-	d := testDF(t)
-	sched, err := NewTimeline(1).
-		FailChannelsAt(50, topology.ClassGlobal, 1).
-		RecoverAllAt(200).
-		Compile(d)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	cases := []struct {
-		cycle int64
-		want  int
-	}{{0, 0}, {49, 0}, {50, 1}, {199, 1}, {200, 2}, {1 << 40, 2}}
-	for _, c := range cases {
-		if got := sched.EpochAt(c.cycle); got != c.want {
-			t.Errorf("EpochAt(%d) = %d, want %d", c.cycle, got, c.want)
-		}
-	}
-}
-
 func TestTimelineRecoverAllRestoresPristine(t *testing.T) {
 	d := testDF(t)
 	sched, err := NewTimeline(3).

@@ -225,9 +225,6 @@ func (u *ChannelUtil) CycleEnd(int64) {
 // Busy returns the flit count recorded on link id since the last Reset.
 func (u *ChannelUtil) Busy(link int) int64 { return u.busy[link] }
 
-// Links returns the number of tracked channels.
-func (u *ChannelUtil) Links() int { return len(u.busy) }
-
 // DeadCycles returns the number of observed cycles link id spent dead
 // since the last Reset (0 without LinkState/CycleEnd feeds).
 func (u *ChannelUtil) DeadCycles(link int) int64 {
@@ -254,7 +251,7 @@ func (u *ChannelUtil) Reset() {
 // SetWindow records the measurement window length used to normalise
 // Utilization. The window is the number of cycles the collector was
 // attached for (equivalently: the CycleEnd events it received) —
-// sim.Run sets MeasureCycles because it attaches the collector for
+// sim.RunCtx sets MeasureCycles because it attaches the collector for
 // exactly the measurement phase.
 func (u *ChannelUtil) SetWindow(cycles int64) { u.window = cycles }
 

@@ -24,8 +24,8 @@ var (
 
 func TestChannelUtil(t *testing.T) {
 	u := NewChannelUtil(4)
-	if u.Links() != 4 {
-		t.Fatalf("Links = %d, want 4", u.Links())
+	if len(u.busy) != 4 {
+		t.Fatalf("tracking %d links, want 4", len(u.busy))
 	}
 	u.ChannelFlit(1)
 	u.ChannelFlit(1)

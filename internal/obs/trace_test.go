@@ -90,7 +90,7 @@ func TestTraceReplay(t *testing.T) {
 	if n := len(tr.Records()); n == 1<<16 {
 		t.Fatal("trace ring filled up: the replay needs complete histories")
 	}
-	topo := net.Topology()
+	topo := sys.Topo
 	replayed := 0
 	for _, pid := range ids {
 		hops := tr.Trace(pid)

@@ -159,7 +159,7 @@ func NewUGAL(d topology.Machine, mode UGALMode) *UGAL {
 
 // NewUGALCR returns the UGAL-L_CR configuration: UGAL-L_VCH decisions
 // designed to run with the credit round-trip latency mechanism enabled
-// (sim.Config.DelayCredits = true; see NeedsCreditDelay).
+// (sim.Config.DelayCredits = true), which core enables for it.
 func NewUGALCR(d topology.Machine) *UGAL {
 	return &UGAL{base: newBase(d), Mode: UGALLocalVCH, CreditRT: true}
 }
@@ -171,10 +171,6 @@ func (u *UGAL) Name() string {
 	}
 	return u.Mode.String()
 }
-
-// NeedsCreditDelay reports that the simulator should enable the delayed-
-// credit mechanism for this algorithm.
-func (u *UGAL) NeedsCreditDelay() bool { return u.CreditRT }
 
 // Decide implements sim.Routing: the source-router adaptive choice.
 // Each candidate's global slot is resolved once, and both its first hop

@@ -52,8 +52,6 @@ type DegradedTopo interface {
 	// Alive reports whether the channel attached at (router, port) can
 	// carry flits.
 	Alive(router, port int) bool
-	// RouterDown reports that router r failed entirely.
-	RouterDown(r int) bool
 	// TerminalDown reports that terminal t is unreachable.
 	TerminalDown(t int) bool
 	// LiveSlots returns the surviving global-channel slots of every

@@ -18,10 +18,9 @@ func testDF(t *testing.T) *topology.Dragonfly {
 	return d
 }
 
+// testCfg returns the paper's baseline simulation parameters.
 func testCfg() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.VCs = VCs
-	return cfg
+	return sim.Config{BufDepth: 16, VCs: VCs, LocalLatency: 1, GlobalLatency: 2, Seed: 1}
 }
 
 // traceHops runs a network and records, for every delivered packet, the
@@ -185,10 +184,10 @@ func TestUGALModeNames(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", alg.Name(), want)
 		}
 	}
-	if !NewUGALCR(d).NeedsCreditDelay() {
+	if !NewUGALCR(d).CreditRT {
 		t.Error("UGAL-L_CR must request the credit-delay mechanism")
 	}
-	if NewUGAL(d, UGALLocalVCH).NeedsCreditDelay() {
+	if NewUGAL(d, UGALLocalVCH).CreditRT {
 		t.Error("UGAL-L_VCH must not request the credit-delay mechanism")
 	}
 }

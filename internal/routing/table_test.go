@@ -45,11 +45,12 @@ func TestBaseReadsMachineTable(t *testing.T) {
 		}
 		sw := topology.NewSwitched(m)
 		b := newBase(sw)
-		if !shares(b) || b.pairSlots() != sw.Epoch().LiveSlots() {
+		if !shares(b) || b.pairSlots() != sw.LiveSlots() {
 			t.Errorf("%s: switched routing does not read the first epoch's live slots", f.Name)
 		}
-		sw.SetEpoch(degradedView(t, m, 4))
-		if b.pairSlots() != sw.Epoch().LiveSlots() {
+		next := degradedView(t, m, 4)
+		sw.SetEpoch(next)
+		if b.pairSlots() != next.LiveSlots() {
 			t.Errorf("%s: switched routing does not read the current epoch's live slots", f.Name)
 		}
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"testing"
 
 	"dragonfly/internal/sim"
@@ -33,14 +34,14 @@ func TestDragonflyFBEndToEnd(t *testing.T) {
 	} {
 		alg := mk()
 		cfg := testCfg()
-		if u, ok := alg.(*UGAL); ok && u.NeedsCreditDelay() {
+		if u, ok := alg.(*UGAL); ok && u.CreditRT {
 			cfg.DelayCredits = true
 		}
 		net, err := sim.New(d, cfg, alg, traffic.NewUniformRandom(d.Nodes()))
 		if err != nil {
 			t.Fatalf("%s: sim.New: %v", alg.Name(), err)
 		}
-		res, err := sim.Run(net, sim.RunConfig{Load: 0.15, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 15000, StallLimit: 5000})
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.15, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 15000, StallLimit: 5000})
 		if err != nil {
 			t.Fatalf("%s: Run: %v", alg.Name(), err)
 		}
@@ -88,7 +89,7 @@ func TestDragonflyFBWorstCaseAdaptivity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
 		}
-		res, err := sim.Run(net, sim.RunConfig{Load: 0.25, WarmupCycles: 800, MeasureCycles: 800, DrainCycles: 4000, StallLimit: 5000})
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.25, WarmupCycles: 800, MeasureCycles: 800, DrainCycles: 4000, StallLimit: 5000})
 		if err != nil {
 			t.Fatalf("%s: Run: %v", alg.Name(), err)
 		}

@@ -59,7 +59,7 @@ func TestServerLoad(t *testing.T) {
 	settleBaseline := runtime.NumGoroutine()
 
 	pool := parallel.New(4)
-	srv := New(Config{
+	srv := newServer(Config{
 		QueueDepth: 16,
 		Workers:    4,
 		Pool:       pool,
@@ -254,7 +254,7 @@ func TestServerLoad(t *testing.T) {
 	}
 	cachedRep := getReport(t, ts, cachedSt.ID)
 
-	fresh := New(Config{Workers: 1, CacheSize: -1, Pool: pool})
+	fresh := newServer(Config{Workers: 1, CacheSize: -1, Pool: pool})
 	fts := httptest.NewServer(fresh)
 	freshSt, code := submit(t, fts, spec)
 	if code != http.StatusAccepted {
@@ -453,7 +453,7 @@ func TestServerLoadRestart(t *testing.T) {
 	}
 	recoveredRep := getReport(t, ts2, cachedSt.ID)
 
-	fresh := New(Config{Workers: 1, CacheSize: -1, Pool: pool})
+	fresh := newServer(Config{Workers: 1, CacheSize: -1, Pool: pool})
 	fts := httptest.NewServer(fresh)
 	freshSt, code := submit(t, fts, spec)
 	if code != http.StatusAccepted {

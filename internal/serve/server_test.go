@@ -26,11 +26,21 @@ func tinySubmission() Submission {
 	}
 }
 
+// newServer opens an in-memory Server; without a DataDir, Open cannot
+// fail.
+func newServer(cfg Config) *Server {
+	s, err := Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // testServer builds a Server plus an httptest front end and tears both
 // down at test end (Shutdown first, so no job outlives the test).
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(cfg)
+	srv := newServer(cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -545,7 +555,7 @@ func TestSSEStream(t *testing.T) {
 }
 
 func TestShutdownRefusesNewWork(t *testing.T) {
-	srv := New(Config{Workers: 1})
+	srv := newServer(Config{Workers: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -588,7 +598,7 @@ func TestShutdownRefusesNewWork(t *testing.T) {
 // deadline is canceled through its context, Shutdown returns promptly,
 // and the job lands in canceled — never lost, never still running.
 func TestShutdownDeadlineCancelsStragglers(t *testing.T) {
-	srv := New(Config{Workers: 1})
+	srv := newServer(Config{Workers: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -90,7 +90,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	// The network is a valid paused simulation: with the cancellation
 	// cleared, a fresh Run on the same network must complete.
 	net.AttachMetrics(nil)
-	if _, err := sim.Run(net, sim.RunConfig{Load: 0.1, WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 20000}); err != nil {
+	if _, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.1, WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 20000}); err != nil {
 		t.Fatalf("run after a canceled run on the same network: %v", err)
 	}
 }

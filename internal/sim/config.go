@@ -63,17 +63,6 @@ type Config struct {
 	Shards int
 }
 
-// DefaultConfig returns the paper's baseline simulation parameters.
-func DefaultConfig() Config {
-	return Config{
-		BufDepth:      16,
-		VCs:           3,
-		LocalLatency:  1,
-		GlobalLatency: 2,
-		Seed:          1,
-	}
-}
-
 // Validate reports the first problem with the configuration as a
 // *ConfigError.
 func (c Config) Validate() error {

@@ -61,8 +61,6 @@ type SwitchedTopology interface {
 	DegradedTopology
 	// SetEpoch swaps the active fault view.
 	SetEpoch(*topology.Degraded)
-	// Epoch returns the active fault view.
-	Epoch() *topology.Degraded
 }
 
 // SetTimeline installs a compiled fault timeline. It must be called

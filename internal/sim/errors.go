@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Phase identifies the measurement phase a Run error occurred in.
+// Phase identifies the measurement phase a run error occurred in.
 type Phase uint8
 
 const (

@@ -105,3 +105,32 @@ const (
 	FlagPhase1  = pfPhase1
 	FlagDecided = pfDecided
 )
+
+// TD returns the current congestion estimate t_d of output port: the
+// smoothed local crossing wait plus the downstream credit round-trip
+// excess.
+func (r *Router) TD(port int) int64 { return r.crossTd[port] + r.td[port] }
+
+// IsTerminalPort reports whether port p attaches a terminal.
+func (r *Router) IsTerminalPort(p int) bool { return r.isTerm[p] }
+
+// Credits returns the free downstream slots for (port, vc).
+func (r *Router) Credits(port, vc int) int { return int(r.credits[r.pv(port, vc)]) }
+
+// TotalSourceBacklog sums the source-queue lengths across all terminals.
+func (n *Network) TotalSourceBacklog() int {
+	total := 0
+	for i := range n.routers {
+		r := &n.routers[i]
+		for p := 0; p < r.radix; p++ {
+			if r.isTerm[p] {
+				total += r.srcQ[p].len()
+			}
+		}
+	}
+	return total
+}
+
+// Phase1 reports whether the packet was heading for its final
+// destination group (true) or still for its Valiant intermediate group.
+func (p *Packet) Phase1() bool { return p.phase1 }

@@ -245,12 +245,6 @@ func (n *Network) SetContext(ctx context.Context) {
 // Now returns the current cycle.
 func (n *Network) Now() int64 { return n.now }
 
-// Config returns the simulation configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// Topology returns the wiring the network was built over.
-func (n *Network) Topology() Topology { return n.topo }
-
 // RouterAt returns the simulation state of router id. Routing algorithms
 // use it for remote (UGAL-G) or local congestion queries.
 func (n *Network) RouterAt(id int) *Router { return &n.routers[id] }
@@ -355,10 +349,6 @@ func (n *Network) InFlight() int { return n.totalInFlight() }
 // Dropped returns the number of packets abandoned because routing found
 // no live path (fault plans only; always 0 on a pristine topology).
 func (n *Network) Dropped() int64 { return n.totalDropped() }
-
-// AliveTerminals returns the number of terminals that can inject and
-// eject under the current fault plan.
-func (n *Network) AliveTerminals() int { return n.aliveTerms }
 
 // loadHop fills the shard's routing scratch from arena slot ref.
 func (n *Network) loadHop(sh *shard, ref int32) {
@@ -951,19 +941,4 @@ func (n *Network) stallError(phase Phase, limit int64) *StallError {
 		e.Hot = e.Hot[:keep:keep]
 	}
 	return e
-}
-
-// TotalSourceBacklog sums the source-queue lengths across all terminals,
-// a cheap saturation indicator.
-func (n *Network) TotalSourceBacklog() int {
-	total := 0
-	for i := range n.routers {
-		r := &n.routers[i]
-		for p := 0; p < r.radix; p++ {
-			if r.isTerm[p] {
-				total += r.srcQ[p].len()
-			}
-		}
-	}
-	return total
 }

@@ -185,9 +185,5 @@ type Packet struct {
 	hops int
 }
 
-// Phase1 reports whether the packet was heading for its final
-// destination group (true) or still for its Valiant intermediate group.
-func (p *Packet) Phase1() bool { return p.phase1 }
-
 // Hops counts the router-to-router channels the packet traversed.
 func (p *Packet) Hops() int { return p.hops }

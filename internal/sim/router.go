@@ -212,15 +212,6 @@ func (r *Router) queued(port int) (wait, out int32) {
 	return wait, out
 }
 
-// Radix returns the number of ports (terminal ports included).
-func (r *Router) Radix() int { return r.radix }
-
-// IsTerminalPort reports whether port p attaches a terminal.
-func (r *Router) IsTerminalPort(p int) bool { return r.isTerm[p] }
-
-// Credits returns the free downstream slots for (port, vc).
-func (r *Router) Credits(port, vc int) int { return int(r.credits[r.pv(port, vc)]) }
-
 // DownstreamQueueVC estimates the occupancy of the downstream buffer fed
 // by output `port`, VC `vc`: buffer depth minus available credits. It
 // counts flits buffered downstream plus flits and credits in flight.
@@ -267,42 +258,6 @@ func (r *Router) OutputQueue(port int) int {
 func (r *Router) OutputQueueVC(port, vc int) int {
 	return r.PendingOutVC(port, vc) + r.DownstreamQueueVC(port, vc)
 }
-
-// InputOccupancy returns the occupied slots of input buffer (port, vc).
-func (r *Router) InputOccupancy(port, vc int) int { return int(r.inOcc[r.pv(port, vc)]) }
-
-// SourceQueueLen returns the backlog of the source queue on terminal
-// port p (0 for non-terminal ports).
-func (r *Router) SourceQueueLen(p int) int {
-	if !r.isTerm[p] {
-		return 0
-	}
-	return r.srcQ[p].len()
-}
-
-// BufferedPackets returns the number of packets held at the router,
-// source queues included.
-func (r *Router) BufferedPackets() int {
-	n := 0
-	for p := 0; p < r.radix; p++ {
-		n += r.srcQ[p].len()
-	}
-	for i := range r.waitQ {
-		n += r.waitQ[i].len() + r.outQ[i].len()
-	}
-	return n
-}
-
-// TD returns the current congestion estimate t_d of output `port`: the
-// smoothed local crossing wait plus the downstream credit round-trip
-// excess.
-func (r *Router) TD(port int) int64 { return r.crossTd[port] + r.td[port] }
-
-// CrossTD returns the smoothed crossing wait of output `port`.
-func (r *Router) CrossTD(port int) int64 { return r.crossTd[port] }
-
-// RTTTD returns the smoothed credit round-trip excess of output `port`.
-func (r *Router) RTTTD(port int) int64 { return r.td[port] }
 
 // minTD returns min over non-terminal outputs of t_d, the baseline the
 // credit-delay mechanism subtracts so the least-congested output sees no

@@ -53,7 +53,7 @@ type RunConfig struct {
 }
 
 // Validate reports the first problem with the run parameters as a
-// *ConfigError. Run calls it before touching the network, so a NaN load
+// *ConfigError. RunCtx calls it before touching the network, so a NaN load
 // or a non-positive measurement window is rejected up front instead of
 // surfacing as a division by zero or a run that silently never injects.
 // A zero warm-up is valid (deliberately cold-started stress tests use
@@ -168,18 +168,12 @@ type runState struct {
 	iterDone int64
 }
 
-// Run executes the full warm-up/measure/drain sequence on net and
+// RunCtx executes the full warm-up/measure/drain sequence on net and
 // returns the measurements. The network keeps its state afterwards, so
 // successive runs at increasing load on a fresh network per load point
-// are the intended usage. Run cannot be canceled; long-running callers
-// should use RunCtx.
-func Run(net *Network, rc RunConfig) (Result, error) {
-	return RunCtx(context.Background(), net, rc)
-}
-
-// RunCtx is Run observing ctx: the engine polls the context at
-// cycle-batch checkpoints (every few dozen cycles, between cycle
-// bodies) in all three phases, and returns a *CanceledError — wrapping
+// are the intended usage. The engine polls ctx at cycle-batch
+// checkpoints (every few dozen cycles, between cycle bodies) in all
+// three phases, and returns a *CanceledError — wrapping
 // both ErrCanceled and the context's cause, tagged with the phase it
 // stopped in — once ctx is done. The partial Result accompanies the
 // error: measurements accumulated up to the checkpoint (latency

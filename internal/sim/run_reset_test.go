@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,8 +34,7 @@ func wedgedNetwork(t *testing.T) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.BufDepth = 1
+	cfg := Config{BufDepth: 1, VCs: 3, LocalLatency: 1, GlobalLatency: 2, Seed: 1}
 	net, err := New(d, cfg, loopRouting{}, ringTraffic{n: d.Terminals()})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func wedgedNetwork(t *testing.T) *Network {
 // mis-counted its window.
 func TestRunResetsMeasurementStateOnStallError(t *testing.T) {
 	net := wedgedNetwork(t)
-	_, err := Run(net, RunConfig{
+	_, err := RunCtx(context.Background(), net, RunConfig{
 		Load:          1,
 		WarmupCycles:  0,
 		MeasureCycles: 100000,
@@ -77,7 +77,7 @@ func TestRunResetsMeasurementStateOnStallError(t *testing.T) {
 // stall during warm-up must also clear the ejection observer.
 func TestRunResetsObserverOnWarmupError(t *testing.T) {
 	net := wedgedNetwork(t)
-	_, err := Run(net, RunConfig{
+	_, err := RunCtx(context.Background(), net, RunConfig{
 		Load:          1,
 		WarmupCycles:  100000,
 		MeasureCycles: 100,

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"testing"
 
 	"dragonfly/internal/sim"
@@ -80,7 +81,7 @@ func TestShardedRunMatchesSerial(t *testing.T) {
 		if err := net.SetShards(shards); err != nil {
 			t.Fatalf("SetShards(%d): %v", shards, err)
 		}
-		res, err := sim.Run(net, sim.RunConfig{
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{
 			Load: 0.25, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000,
 		})
 		if err != nil {

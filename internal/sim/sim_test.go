@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -21,10 +22,9 @@ func testDragonfly(t *testing.T) *topology.Dragonfly {
 	return d
 }
 
+// testConfig returns the paper's baseline simulation parameters.
 func testConfig() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.VCs = routing.VCs
-	return cfg
+	return sim.Config{BufDepth: 16, VCs: routing.VCs, LocalLatency: 1, GlobalLatency: 2, Seed: 1}
 }
 
 func newNet(t *testing.T, d *topology.Dragonfly, cfg sim.Config, rt sim.Routing, tr sim.Traffic) *sim.Network {
@@ -49,8 +49,8 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
 	}
-	if err := sim.DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	if err := testConfig().Validate(); err != nil {
+		t.Errorf("baseline config rejected: %v", err)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestRunDeliversEverything(t *testing.T) {
 		cfg := testConfig()
 		cfg.DelayCredits = algName == "UGAL-L_CR"
 		net := newNet(t, d, cfg, alg, traffic.NewUniformRandom(d.Nodes()))
-		res, err := sim.Run(net, sim.RunConfig{
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{
 			Load: 0.2, WarmupCycles: 500, MeasureCycles: 500, DrainCycles: 20000, StallLimit: 5000,
 		})
 		if err != nil {
@@ -109,7 +109,7 @@ func TestDeterminism(t *testing.T) {
 	d := testDragonfly(t)
 	run := func() sim.Result {
 		net := newNet(t, d, testConfig(), routing.NewUGAL(d, routing.UGALLocalVCH), traffic.NewWorstCase(d))
-		res, err := sim.Run(net, sim.RunConfig{Load: 0.25, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000})
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.25, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -131,7 +131,7 @@ func TestSeedChangesResults(t *testing.T) {
 		cfg := testConfig()
 		cfg.Seed = seed
 		net := newNet(t, d, cfg, routing.NewMIN(d), traffic.NewUniformRandom(d.Nodes()))
-		res, err := sim.Run(net, sim.RunConfig{Load: 0.3, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000})
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.3, WarmupCycles: 400, MeasureCycles: 400, DrainCycles: 20000})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -280,7 +280,7 @@ func TestWorstCaseMinimalThroughputBound(t *testing.T) {
 	// one global channel.
 	d := testDragonfly(t) // a*h = 8
 	net := newNet(t, d, testConfig(), routing.NewMIN(d), traffic.NewWorstCase(d))
-	res, err := sim.Run(net, sim.RunConfig{Load: 0.5, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 2000})
+	res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.5, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 2000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -297,7 +297,7 @@ func TestValiantHalvesCapacity(t *testing.T) {
 	// VAL doubles global-channel load, so UR traffic saturates near 0.5.
 	d := testDragonfly(t)
 	net := newNet(t, d, testConfig(), routing.NewVAL(d), traffic.NewUniformRandom(d.Nodes()))
-	res, err := sim.Run(net, sim.RunConfig{Load: 0.42, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 30000})
+	res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.42, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 30000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -305,7 +305,7 @@ func TestValiantHalvesCapacity(t *testing.T) {
 		t.Errorf("VAL/UR saturated at 0.42; should sustain just below 0.5 (accepted %v)", res.Accepted)
 	}
 	net2 := newNet(t, d, testConfig(), routing.NewVAL(d), traffic.NewUniformRandom(d.Nodes()))
-	res2, err := sim.Run(net2, sim.RunConfig{Load: 0.65, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 3000})
+	res2, err := sim.RunCtx(context.Background(), net2, sim.RunConfig{Load: 0.65, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 3000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -323,7 +323,7 @@ func TestUGALAdaptsOnWorstCase(t *testing.T) {
 		cfg := testConfig()
 		cfg.DelayCredits = algName == "UGAL-L_CR"
 		net := newNet(t, d, cfg, alg, traffic.NewWorstCase(d))
-		res, err := sim.Run(net, sim.RunConfig{Load: 0.3, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 30000})
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.3, WarmupCycles: 1500, MeasureCycles: 1000, DrainCycles: 30000})
 		if err != nil {
 			t.Fatalf("%s: Run: %v", algName, err)
 		}
@@ -342,7 +342,7 @@ func TestUGALPrefersMinimalOnUniform(t *testing.T) {
 	for _, algName := range []string{"UGAL-L", "UGAL-G", "UGAL-L_VCH"} {
 		alg := buildAlg(t, d, algName)
 		net := newNet(t, d, testConfig(), alg, traffic.NewUniformRandom(d.Nodes()))
-		res, err := sim.Run(net, sim.RunConfig{Load: 0.3, WarmupCycles: 1000, MeasureCycles: 1000, DrainCycles: 30000})
+		res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.3, WarmupCycles: 1000, MeasureCycles: 1000, DrainCycles: 30000})
 		if err != nil {
 			t.Fatalf("%s: Run: %v", algName, err)
 		}
@@ -381,7 +381,7 @@ func TestChannelUtilizationCounting(t *testing.T) {
 		t.Error("no utilization recorded")
 	}
 	util.Reset()
-	for l := 0; l < util.Links(); l++ {
+	for l := 0; l < net.NumLinks(); l++ {
 		if util.Busy(l) > 0 {
 			t.Fatal("reset did not clear counters")
 		}
@@ -391,7 +391,7 @@ func TestChannelUtilizationCounting(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		net.Step()
 	}
-	for l := 0; l < util.Links(); l++ {
+	for l := 0; l < net.NumLinks(); l++ {
 		if util.Busy(l) > 0 {
 			t.Fatal("detached collector still counting")
 		}
@@ -419,7 +419,7 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative stall limit", sim.RunConfig{Load: 0.1, MeasureCycles: 10, StallLimit: -1}, "StallLimit"},
 	}
 	for _, c := range cases {
-		_, err := sim.Run(net, c.rc)
+		_, err := sim.RunCtx(context.Background(), net, c.rc)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -456,7 +456,7 @@ func TestConfigErrorTyped(t *testing.T) {
 func TestHistogramCollection(t *testing.T) {
 	d := testDragonfly(t)
 	net := newNet(t, d, testConfig(), routing.NewMIN(d), traffic.NewUniformRandom(d.Nodes()))
-	res, err := sim.Run(net, sim.RunConfig{
+	res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{
 		Load: 0.2, WarmupCycles: 300, MeasureCycles: 500, DrainCycles: 20000,
 		Histogram: true, HistWidth: 2,
 	})
@@ -503,7 +503,7 @@ func TestTwoGroupDragonflySimulates(t *testing.T) {
 		t.Fatalf("NewDragonfly: %v", err)
 	}
 	net := newNet(t, d, testConfig(), routing.NewMIN(d), traffic.NewUniformRandom(d.Nodes()))
-	res, err := sim.Run(net, sim.RunConfig{Load: 0.2, WarmupCycles: 200, MeasureCycles: 400, DrainCycles: 10000})
+	res, err := sim.RunCtx(context.Background(), net, sim.RunConfig{Load: 0.2, WarmupCycles: 200, MeasureCycles: 400, DrainCycles: 10000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -532,7 +532,7 @@ func TestMetricsRunThenPlainRunBitIdentical(t *testing.T) {
 		net := newNet(t, d, testConfig(), routing.NewUGAL(d, routing.UGALLocalVCH), traffic.NewUniformRandom(d.Nodes()))
 		rc := sim.RunConfig{Load: 0.2, WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
 		rc.Utilization = firstUtil
-		first, err := sim.Run(net, rc)
+		first, err := sim.RunCtx(context.Background(), net, rc)
 		if err != nil {
 			t.Fatalf("first run: %v", err)
 		}
@@ -543,7 +543,7 @@ func TestMetricsRunThenPlainRunBitIdentical(t *testing.T) {
 			t.Fatal("collector still attached after Run returned")
 		}
 		rc.Utilization = false
-		res, err := sim.Run(net, rc)
+		res, err := sim.RunCtx(context.Background(), net, rc)
 		if err != nil {
 			t.Fatalf("second run: %v", err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // phase it fired in, and include a diagnostic snapshot.
 func TestStallErrorTypedWarmup(t *testing.T) {
 	net := wedgedNetwork(t)
-	_, err := Run(net, RunConfig{
+	_, err := RunCtx(context.Background(), net, RunConfig{
 		Load:          1,
 		WarmupCycles:  100000,
 		MeasureCycles: 100,
@@ -51,7 +52,7 @@ func TestStallErrorTypedWarmup(t *testing.T) {
 
 func TestStallErrorPhaseMeasure(t *testing.T) {
 	net := wedgedNetwork(t)
-	_, err := Run(net, RunConfig{
+	_, err := RunCtx(context.Background(), net, RunConfig{
 		Load:          1,
 		WarmupCycles:  0,
 		MeasureCycles: 100000,
@@ -72,7 +73,7 @@ func TestStallErrorPhaseDrain(t *testing.T) {
 	// detector cannot fire inside it), then a long drain over a network
 	// that will never deliver its tagged packets.
 	net := wedgedNetwork(t)
-	_, err := Run(net, RunConfig{
+	_, err := RunCtx(context.Background(), net, RunConfig{
 		Load:          1,
 		WarmupCycles:  0,
 		MeasureCycles: 30,

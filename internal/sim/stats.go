@@ -58,9 +58,6 @@ func (a Accumulator) Variance() float64 {
 	return a.m2 / float64(a.n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func (a Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
 // Histogram counts integer-valued samples in fixed-width buckets,
 // matching the latency-distribution plots of Figure 12.
 type Histogram struct {

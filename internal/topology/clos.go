@@ -38,15 +38,6 @@ func NewFoldedClos(n, k int) (*FoldedClos, error) {
 	return &FoldedClos{Terminals: n, Radix: k, Levels: levels}, nil
 }
 
-// MaxNodes returns the terminal capacity of the sized network.
-func (c *FoldedClos) MaxNodes() int {
-	cap := c.Radix
-	for l := 1; l < c.Levels; l++ {
-		cap *= c.Radix / 2
-	}
-	return cap
-}
-
 // Routers returns the total router count: N/(k/2) routers at each of the
 // lower levels and N/k at the top (which uses all ports downward).
 func (c *FoldedClos) Routers() int {
@@ -65,11 +56,6 @@ func (c *FoldedClos) LevelChannels(l int) int {
 		return 0
 	}
 	return c.Terminals
-}
-
-// Channels returns the total router-to-router channel count.
-func (c *FoldedClos) Channels() int {
-	return c.Terminals * (c.Levels - 1)
 }
 
 // String describes the configuration.
@@ -116,29 +102,3 @@ func (t *Torus3D) Nodes() int { return t.X * t.Y * t.Z }
 // Channels returns the number of bidirectional inter-router channels, 3
 // per node.
 func (t *Torus3D) Channels() int { return 3 * t.Nodes() }
-
-// Diameter returns the hop diameter: sum of half of each dimension.
-func (t *Torus3D) Diameter() int { return t.X/2 + t.Y/2 + t.Z/2 }
-
-// AverageHops returns the mean shortest-path hop count, dim/4 per
-// dimension for even dimensions (the standard torus result).
-func (t *Torus3D) AverageHops() float64 {
-	avg := func(d int) float64 {
-		// Mean ring distance over all offsets 0..d-1.
-		total := 0
-		for o := 0; o < d; o++ {
-			f := o
-			if d-o < f {
-				f = d - o
-			}
-			total += f
-		}
-		return float64(total) / float64(d)
-	}
-	return avg(t.X) + avg(t.Y) + avg(t.Z)
-}
-
-// String describes the configuration.
-func (t *Torus3D) String() string {
-	return fmt.Sprintf("torus3d(%dx%dx%d N=%d)", t.X, t.Y, t.Z, t.Nodes())
-}

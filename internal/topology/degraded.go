@@ -15,11 +15,11 @@ type FaultView interface {
 
 // Degraded is a fault-aware view over any Machine: the pristine wiring
 // table plus precomputed liveness of every port, the surviving global
-// channels of every group pair, and group-level reachability over live
-// global channels. It implements the same structural interface as the
-// underlying machine (by embedding), so routing algorithms and the
-// simulator can consume it in place of the pristine topology; both
-// detect the degradation through the Alive method.
+// channels of every group pair, and router-level connectivity. It
+// implements the same structural interface as the underlying machine
+// (by embedding), so routing algorithms and the simulator can consume
+// it in place of the pristine topology; both detect the degradation
+// through the Alive method.
 //
 // The view is immutable once built, like the Graph it wraps: one
 // Degraded corresponds to one fault scenario.
@@ -35,7 +35,6 @@ type Degraded struct {
 	// group pair in the path table's order, so with an empty fault plan
 	// it equals the pristine pairs exactly.
 	live      PairSlots
-	reach     [][]bool // group-level reachability over live global channels
 	connected bool
 
 	deadRouters, deadGlobal, deadLocal, deadTerm int
@@ -89,32 +88,8 @@ func NewDegraded(d Machine, fv FaultView) *Degraded {
 		}
 	}
 	dg.live = d.Paths().livePairs(dg.Alive)
-	dg.buildReachability()
 	dg.connected = dg.computeConnected()
 	return dg
-}
-
-// buildReachability runs one BFS per group over the group graph whose
-// edges are pairs with at least one live global channel.
-func (dg *Degraded) buildReachability() {
-	g := dg.live.Groups
-	dg.reach = make([][]bool, g)
-	for src := 0; src < g; src++ {
-		seen := make([]bool, g)
-		seen[src] = true
-		queue := []int{src}
-		for len(queue) > 0 {
-			ga := queue[0]
-			queue = queue[1:]
-			for gb := 0; gb < g; gb++ {
-				if !seen[gb] && dg.live.Count(ga, gb) > 0 {
-					seen[gb] = true
-					queue = append(queue, gb)
-				}
-			}
-		}
-		dg.reach[src] = seen
-	}
 }
 
 // computeConnected reports whether every live router can reach every
@@ -180,10 +155,6 @@ func (dg *Degraded) AliveTerminals() int { return dg.aliveTerms }
 // empty fault plan the lists equal the pristine pairs, so routing over
 // an all-alive view is bit-identical to pristine routing.
 func (dg *Degraded) LiveSlots() *PairSlots { return &dg.live }
-
-// GroupsReachable reports whether group gb can be reached from group ga
-// over live global channels (any number of group hops).
-func (dg *Degraded) GroupsReachable(ga, gb int) bool { return dg.reach[ga][gb] }
 
 // Connected reports whether all live routers form one component over
 // live channels. A false report guarantees drops; a true report still

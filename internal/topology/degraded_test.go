@@ -55,7 +55,7 @@ func TestDegradedEmptyPlanIsPristine(t *testing.T) {
 	}
 	for ga := 0; ga < d.G; ga++ {
 		for gb := 0; gb < d.G; gb++ {
-			if ga != gb && !dg.GroupsReachable(ga, gb) {
+			if ga != gb && !groupsReachable(dg, ga, gb) {
 				t.Fatalf("groups %d,%d unreachable under empty plan", ga, gb)
 			}
 		}
@@ -140,14 +140,14 @@ func TestDegradedDisconnection(t *testing.T) {
 	}
 	dg := NewDegraded(d, fakeFault{ports: ports})
 	for gb := 1; gb < d.G; gb++ {
-		if dg.GroupsReachable(0, gb) {
+		if groupsReachable(dg, 0, gb) {
 			t.Errorf("group 0 still reaches group %d with all its cables cut", gb)
 		}
 		if n := dg.LiveSlots().Count(0, gb); n != 0 {
 			t.Errorf("live slots (0,%d): %d, want 0", gb, n)
 		}
 	}
-	if !dg.GroupsReachable(1, 2) {
+	if !groupsReachable(dg, 1, 2) {
 		t.Error("isolating group 0 broke reachability between other groups")
 	}
 	if dg.Connected() {
@@ -157,4 +157,24 @@ func TestDegradedDisconnection(t *testing.T) {
 	if dg.AliveTerminals() != d.Terminals() {
 		t.Errorf("AliveTerminals = %d, want %d (terminal links untouched)", dg.AliveTerminals(), d.Terminals())
 	}
+}
+
+// groupsReachable reports whether group gb can be reached from group ga
+// over dg's live global channels, any number of group hops.
+func groupsReachable(dg *Degraded, ga, gb int) bool {
+	live := dg.LiveSlots()
+	seen := make([]bool, live.Groups)
+	seen[ga] = true
+	queue := []int{ga}
+	for len(queue) > 0 {
+		g := queue[0]
+		queue = queue[1:]
+		for next := 0; next < live.Groups; next++ {
+			if !seen[next] && live.Count(g, next) > 0 {
+				seen[next] = true
+				queue = append(queue, next)
+			}
+		}
+	}
+	return seen[gb]
 }

@@ -83,9 +83,8 @@ func NewDragonfly(p, a, h, groups int) (*Dragonfly, error) {
 	g := NewGraph(routers, terminals)
 
 	// The canonical port layout is fully determined, so the port table is
-	// written directly rather than via incremental AddLink calls (which
-	// append ports in link-insertion order and cannot guarantee that both
-	// endpoints of a channel land on their canonical port index).
+	// written directly, each channel's two endpoints at their canonical
+	// port indices.
 	radix := p + (a - 1) + h
 	for r := 0; r < routers; r++ {
 		grp, idx := r/a, r%a
@@ -127,13 +126,6 @@ func NewDragonfly(p, a, h, groups int) (*Dragonfly, error) {
 	return d, nil
 }
 
-// NewBalancedDragonfly builds the balanced configuration a = 2p = 2h the
-// paper recommends for load-balanced channel utilisation, from the
-// per-router global-channel count h. groups as in NewDragonfly.
-func NewBalancedDragonfly(h, groups int) (*Dragonfly, error) {
-	return NewDragonfly(h, 2*h, h, groups)
-}
-
 // RouterRadix returns the router radix k = p + a + h - 1 (terminal ports
 // included, as in the paper's definition). A single-group machine has no
 // global ports, so its routers stop at p + a - 1.
@@ -150,10 +142,6 @@ func (d *Dragonfly) EffectiveRadix() int { return d.A * (d.P + d.H) }
 
 // Nodes returns the number of terminals N = a·p·g.
 func (d *Dragonfly) Nodes() int { return d.A * d.P * d.G }
-
-// MaxNodes returns the size of the maximal configuration ap(ah+1) for the
-// dragonfly's per-router parameters, regardless of its actual group count.
-func (d *Dragonfly) MaxNodes() int { return d.A * d.P * (d.A*d.H + 1) }
 
 // LocalPort returns the port index on the router with in-group index from
 // that connects it to the router with in-group index to of the same group.

@@ -175,14 +175,14 @@ func TestDragonflyGlobalSlotRoundTrip(t *testing.T) {
 				t.Fatalf("group %d has slots to itself", grp)
 			}
 			for dst := 0; dst < d.G; dst++ {
-				for _, c := range tb.Pairs().Pair(grp, dst) {
+				for _, c := range tb.Pairs().pair(grp, dst) {
 					s := tb.Slot(grp, int(c))
 					if c < 0 || int(c) >= d.A*d.H || s.Slot != c {
 						t.Fatalf("slot %d of group %d out of range or misfiled (%+v)", c, grp, s)
 					}
 					pt := d.Port(grp*d.A+int(s.Owner), int(s.Port))
 					back := -1
-					for _, c2 := range tb.Pairs().Pair(dst, grp) {
+					for _, c2 := range tb.Pairs().pair(dst, grp) {
 						if s2 := tb.Slot(dst, int(c2)); int(s2.Owner) == int(s.Entry) && int(s2.Port) == pt.PeerPort {
 							back = int(s2.Entry)
 						}
@@ -206,7 +206,7 @@ func TestDragonflyGlobalWiringMatchesGraph(t *testing.T) {
 		for grp := 0; grp < d.G; grp++ {
 			n := 0
 			for dst := 0; dst < d.G; dst++ {
-				for _, c := range tb.Pairs().Pair(grp, dst) {
+				for _, c := range tb.Pairs().pair(grp, dst) {
 					s := tb.Slot(grp, int(c))
 					r := grp*d.A + int(s.Owner)
 					pt := d.Port(r, int(s.Port))
@@ -287,7 +287,7 @@ func TestDragonflyMinimalHops(t *testing.T) {
 			gs, gd := src/d.A, dst/d.A
 			hops := tb.Hops(src%d.A, dst%d.A)
 			if gs != gd {
-				s := tb.Slot(gs, int(tb.Pairs().Pair(gs, gd)[0]))
+				s := tb.Slot(gs, int(tb.Pairs().pair(gs, gd)[0]))
 				hops = tb.Hops(src%d.A, int(s.Owner)) + 1 + tb.Hops(int(s.Entry), dst%d.A)
 			}
 			want := [2]int{1, 3}
@@ -301,19 +301,6 @@ func TestDragonflyMinimalHops(t *testing.T) {
 				t.Fatalf("minimal hops %d -> %d = %d, want within %v", src, dst, hops, want)
 			}
 		}
-	}
-}
-
-func TestBalancedDragonfly(t *testing.T) {
-	d, err := NewBalancedDragonfly(2, 0)
-	if err != nil {
-		t.Fatalf("NewBalancedDragonfly: %v", err)
-	}
-	if d.A != 2*d.P || d.A != 2*d.H {
-		t.Errorf("not balanced: p=%d a=%d h=%d", d.P, d.A, d.H)
-	}
-	if got := d.Nodes(); got != 72 {
-		t.Errorf("balanced h=2 Nodes() = %d, want 72", got)
 	}
 }
 

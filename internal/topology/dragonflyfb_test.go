@@ -159,7 +159,7 @@ func TestDragonflyFBGlobalWiring(t *testing.T) {
 				t.Fatal("asymmetric wiring")
 			}
 			total += n
-			for _, slot := range tb.Pairs().Pair(grp, dst) {
+			for _, slot := range tb.Pairs().pair(grp, dst) {
 				s := tb.Slot(grp, int(slot))
 				pt := d.Port(grp*d.A+int(s.Owner), int(s.Port))
 				if pt.Class != ClassGlobal || pt.PeerRouter != dst*d.A+int(s.Entry) {

@@ -7,10 +7,10 @@ import "dragonfly/internal/registry"
 // fault planner, the shard partitioner, the cost model and the service
 // layer — needs from a concrete topology. It has three parts:
 //
-//   - the wiring (Routers/Radix/Port/Terminal*/CountChannels): the flat
-//     channel table the simulator executes and the fault planner
-//     enumerates. It is the one place a family states how its groups
-//     are built and wired;
+//   - the wiring (Routers/Radix/Port/Terminal*): the flat channel
+//     table the simulator executes and the fault planner enumerates.
+//     It is the one place a family states how its groups are built and
+//     wired;
 //   - Paths: the path table derived from that wiring once, at
 //     construction, from the family's group size and its in-group
 //     routing policy (LocalRoute). Routing, the shard partitioner, the
@@ -35,7 +35,6 @@ type Machine interface {
 	Port(router, port int) Port
 	TerminalRouter(t int) int
 	TerminalPort(t int) int
-	CountChannels() (terminal, local, global int)
 
 	// Paths returns the path table derived from the wiring.
 	Paths() *PathTable

@@ -69,12 +69,6 @@ type PairSlots struct {
 	Slots  []int32
 }
 
-// Pair returns the slots from group ga to group gb.
-func (ps *PairSlots) Pair(ga, gb int) []int32 {
-	i := ga*ps.Groups + gb
-	return ps.Slots[ps.Start[i]:ps.Start[i+1]]
-}
-
 // Count returns the number of slots from group ga to group gb.
 func (ps *PairSlots) Count(ga, gb int) int {
 	i := ga*ps.Groups + gb

@@ -43,7 +43,7 @@ func pairMismatch(ps *PairSlots, m Machine, keep func(grp int, s SlotInfo) bool)
 	}
 	for ga := 0; ga < g; ga++ {
 		for gb := 0; gb < g; gb++ {
-			got, n := ps.Pair(ga, gb), 0
+			got, n := ps.pair(ga, gb), 0
 			for s, to := range dst[ga] {
 				if to != gb || !keep(ga, slots[ga][s]) {
 					continue
@@ -193,7 +193,7 @@ func tableDigest(tb *PathTable) string {
 	}
 	for ga := 0; ga < tb.groups; ga++ {
 		for gb := 0; gb < tb.groups; gb++ {
-			list := tb.pairs.Pair(ga, gb)
+			list := tb.pairs.pair(ga, gb)
 			w(len(list))
 			for _, s := range list {
 				si := tb.Slot(ga, int(s))
@@ -406,4 +406,10 @@ func BenchmarkPathTableBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// pair returns the slots from group ga to group gb.
+func (ps *PairSlots) pair(ga, gb int) []int32 {
+	i := ga*ps.Groups + gb
+	return ps.Slots[ps.Start[i]:ps.Start[i+1]]
 }

@@ -32,40 +32,17 @@ func (s *Switched) SetEpoch(v *Degraded) {
 	s.cur = v
 }
 
-// Epoch returns the current view.
-func (s *Switched) Epoch() *Degraded { return s.cur }
-
 // Alive reports whether the channel attached at (router, port) can
 // carry flits under the current epoch.
 func (s *Switched) Alive(router, port int) bool { return s.cur.Alive(router, port) }
-
-// RouterDown reports that router r is failed in the current epoch.
-func (s *Switched) RouterDown(r int) bool { return s.cur.RouterDown(r) }
 
 // TerminalDown reports that terminal t is unreachable in the current
 // epoch.
 func (s *Switched) TerminalDown(t int) bool { return s.cur.TerminalDown(t) }
 
-// AliveTerminals returns the live terminal count of the current epoch.
-func (s *Switched) AliveTerminals() int { return s.cur.AliveTerminals() }
-
 // LiveSlots returns the current epoch's surviving slots of every
 // ordered group pair (see Degraded.LiveSlots).
 func (s *Switched) LiveSlots() *PairSlots { return s.cur.LiveSlots() }
-
-// GroupsReachable reports group-level reachability over the live global
-// channels of the current epoch.
-func (s *Switched) GroupsReachable(ga, gb int) bool { return s.cur.GroupsReachable(ga, gb) }
-
-// Connected reports whether the current epoch's live routers form one
-// component.
-func (s *Switched) Connected() bool { return s.cur.Connected() }
-
-// FaultCounts returns the current epoch's failed router count and dead
-// channel counts by class.
-func (s *Switched) FaultCounts() (routers, global, local, terminal int) {
-	return s.cur.FaultCounts()
-}
 
 // LocalRouteSeeded forwards the optional bundle-spreading capability of
 // the wrapped machine (see Degraded.LocalRouteSeeded).

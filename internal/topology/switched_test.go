@@ -10,15 +10,15 @@ func TestSwitchedDelegatesToCurrentEpoch(t *testing.T) {
 	sw := NewSwitched(d)
 
 	// Pristine start: everything alive.
-	if sw.AliveTerminals() != d.Terminals() {
-		t.Fatalf("pristine AliveTerminals = %d, want %d", sw.AliveTerminals(), d.Terminals())
+	if n := aliveTerminals(sw); n != d.Terminals() {
+		t.Fatalf("pristine live terminals = %d, want %d", n, d.Terminals())
 	}
 	for p := 0; p < d.Radix(0); p++ {
 		if !sw.Alive(0, p) {
 			t.Fatalf("pristine port (0,%d) dead", p)
 		}
 	}
-	if r, g, l, term := sw.FaultCounts(); r+g+l+term != 0 {
+	if r, g, l, term := sw.cur.FaultCounts(); r+g+l+term != 0 {
 		t.Fatal("pristine view reports faults")
 	}
 
@@ -26,25 +26,28 @@ func TestSwitchedDelegatesToCurrentEpoch(t *testing.T) {
 	// new view's answers.
 	faulted := NewDegraded(d, routerDownView{5})
 	sw.SetEpoch(faulted)
-	if sw.Epoch() != faulted {
-		t.Fatal("Epoch() does not return the swapped view")
+	if sw.cur != faulted {
+		t.Fatal("SetEpoch did not install the swapped view")
 	}
-	if !sw.RouterDown(5) {
-		t.Error("router 5 alive after swap")
+	if !sw.TerminalDown(5 * d.P) {
+		t.Error("terminal of router 5 alive after swap")
 	}
 	if sw.Alive(5, 0) {
 		t.Error("port of a down router alive after swap")
 	}
-	if sw.AliveTerminals() != d.Terminals()-d.P {
-		t.Errorf("AliveTerminals = %d, want %d", sw.AliveTerminals(), d.Terminals()-d.P)
+	if n := aliveTerminals(sw); n != d.Terminals()-d.P {
+		t.Errorf("live terminals = %d, want %d", n, d.Terminals()-d.P)
 	}
-	if r, _, _, _ := sw.FaultCounts(); r != 1 {
+	if sw.LiveSlots() != faulted.LiveSlots() {
+		t.Error("LiveSlots does not read the swapped view")
+	}
+	if r, _, _, _ := sw.cur.FaultCounts(); r != 1 {
 		t.Errorf("FaultCounts routers = %d, want 1", r)
 	}
 
 	// Swap back: the pristine answers return.
 	sw.SetEpoch(NewDegraded(d, nil))
-	if sw.RouterDown(5) || !sw.Alive(5, 0) {
+	if sw.TerminalDown(5*d.P) || !sw.Alive(5, 0) {
 		t.Error("swap back to pristine did not restore liveness")
 	}
 }
@@ -65,6 +68,17 @@ func TestSwitchedRejectsForeignView(t *testing.T) {
 		}
 	}()
 	sw.SetEpoch(NewDegraded(d2, nil))
+}
+
+// aliveTerminals counts the terminals sw reports reachable.
+func aliveTerminals(sw *Switched) int {
+	n := 0
+	for t := 0; t < sw.Terminals(); t++ {
+		if !sw.TerminalDown(t) {
+			n++
+		}
+	}
+	return n
 }
 
 // routerDownView is a minimal FaultView failing one router.

@@ -77,7 +77,8 @@ type Graph struct {
 }
 
 // NewGraph creates an empty graph with the given number of routers and
-// terminals. Ports are added with AddLink and AddTerminal.
+// terminals. Builders then write each router's port table and each
+// terminal's attachment directly.
 func NewGraph(routers, terminals int) *Graph {
 	return &Graph{
 		ports:      make([][]Port, routers),
@@ -104,63 +105,6 @@ func (g *Graph) TerminalRouter(t int) int { return g.termRouter[t] }
 // TerminalPort returns the port on TerminalRouter(t) that terminal t
 // attaches to.
 func (g *Graph) TerminalPort(t int) int { return g.termPort[t] }
-
-// AddTerminal attaches terminal t to router r, appending a terminal port,
-// and returns the new port's index. Out-of-range indices and double
-// attachment are builder bugs; AddTerminal panics with the offending
-// terminal, router and port so a new topology's construction error is
-// diagnosable at the call site.
-func (g *Graph) AddTerminal(t, r int) int {
-	if t < 0 || t >= len(g.termRouter) {
-		panic(fmt.Sprintf("topology: AddTerminal(t=%d, r=%d): terminal %d out of range [0,%d)", t, r, t, len(g.termRouter)))
-	}
-	if r < 0 || r >= len(g.ports) {
-		panic(fmt.Sprintf("topology: AddTerminal(t=%d, r=%d): router %d out of range [0,%d)", t, r, r, len(g.ports)))
-	}
-	if p := g.ports[g.termRouter[t]]; g.termPort[t] < len(p) &&
-		p[g.termPort[t]].Class == ClassTerminal && p[g.termPort[t]].Terminal == t {
-		panic(fmt.Sprintf("topology: AddTerminal(t=%d, r=%d): terminal %d already attached at router %d port %d",
-			t, r, t, g.termRouter[t], g.termPort[t]))
-	}
-	i := len(g.ports[r])
-	g.ports[r] = append(g.ports[r], Port{Class: ClassTerminal, PeerRouter: -1, PeerPort: -1, Terminal: t})
-	g.termRouter[t] = r
-	g.termPort[t] = i
-	return i
-}
-
-// AddLink connects routers a and b with a bidirectional channel of the
-// given class, appending one port on each side, and returns the two new
-// port indices. Out-of-range routers and a terminal class are builder
-// bugs; AddLink panics naming both endpoints (router and would-be port
-// on each side) so a mis-wired topology builder fails loudly at the
-// offending link, not later in Validate.
-func (g *Graph) AddLink(a, b int, class Class) (portA, portB int) {
-	if a < 0 || a >= len(g.ports) || b < 0 || b >= len(g.ports) {
-		aPort, bPort := -1, -1
-		if a >= 0 && a < len(g.ports) {
-			aPort = len(g.ports[a])
-		}
-		if b >= 0 && b < len(g.ports) {
-			bPort = len(g.ports[b])
-		}
-		panic(fmt.Sprintf("topology: AddLink(a=%d, b=%d, %v): router out of range [0,%d) (endpoints: router %d port %d <-> router %d port %d)",
-			a, b, class, len(g.ports), a, aPort, b, bPort))
-	}
-	if class == ClassTerminal {
-		panic(fmt.Sprintf("topology: AddLink(a=%d, b=%d, %v): terminal channels are added with AddTerminal (endpoints: router %d port %d <-> router %d port %d)",
-			a, b, class, a, len(g.ports[a]), b, len(g.ports[b])))
-	}
-	portA = len(g.ports[a])
-	portB = len(g.ports[b])
-	if a == b {
-		// A self-link still needs two distinct ports.
-		portB = portA + 1
-	}
-	g.ports[a] = append(g.ports[a], Port{Class: class, PeerRouter: b, PeerPort: portB, Terminal: -1})
-	g.ports[b] = append(g.ports[b], Port{Class: class, PeerRouter: a, PeerPort: portA, Terminal: -1})
-	return portA, portB
-}
 
 // Validate checks the structural invariants of the graph: every non-
 // terminal port must name a peer whose matching port points back, and
