@@ -296,9 +296,10 @@ func main() {
 		opts = append(opts, core.WithTrace(tr))
 	}
 	if *checkpoint != "" {
-		opts = append(opts, core.WithCheckpoint(*checkpointEvery, func(snap []byte) error {
+		rc.CheckpointEvery = *checkpointEvery
+		rc.CheckpointSink = func(snap []byte) error {
 			return writeFileAtomic(*checkpoint, snap)
-		}))
+		}
 	}
 	if *resume != "" {
 		snap, err := os.ReadFile(*resume)

@@ -14,14 +14,12 @@ import (
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	ctx             context.Context
-	collector       metrics.Collector
-	tracer          *obs.Tracer
-	progress        func(ProgressEvent)
-	source          sim.Source
-	checkpointEvery int64
-	checkpointSink  func(snapshot []byte) error
-	resume          []byte
+	ctx       context.Context
+	collector metrics.Collector
+	tracer    *obs.Tracer
+	progress  func(ProgressEvent)
+	source    sim.Source
+	resume    []byte
 }
 
 // context returns the option's context, Background when none was set.
@@ -97,28 +95,15 @@ func WithSource(src sim.Source) RunOption {
 	return func(o *runOptions) { o.source = src }
 }
 
-// WithCheckpoint captures a dfly-snap/1 checkpoint — complete engine
-// state plus the run's accumulated measurement state — every `every`
-// cycles and hands the encoded bytes to sink. Checkpoints are taken
-// between cycles, so resuming one via WithResume finishes bit-identical
-// to a run that was never interrupted, at any shard count. A sink error
-// aborts the run (the right behaviour for unwritable checkpoint
-// storage). Applies to single runs; SweepW/SweepPoolW reject it — a sweep
-// is many runs, and a single snapshot stream would interleave them.
-func WithCheckpoint(every int64, sink func(snapshot []byte) error) RunOption {
-	return func(o *runOptions) {
-		o.checkpointEvery = every
-		o.checkpointSink = sink
-	}
-}
-
 // WithResume starts the run from a checkpoint captured by a
-// WithCheckpoint sink instead of from cycle 0. The run must be
+// RunConfig.CheckpointSink instead of from cycle 0. The run must be
 // configured identically to the checkpointed one (same system, load,
 // algorithm, pattern, faults and timeline; the shard count is free to
 // differ), and finishes bit-identical to the uninterrupted run. A
 // snapshot that does not match is a typed error wrapping
-// sim.ErrBadSnapshot. Applies to single runs only, like WithCheckpoint.
+// sim.ErrBadSnapshot. Applies to single runs only, like checkpointing:
+// SweepW/SweepPoolW reject both, because a sweep is many runs and one
+// snapshot stream would interleave them.
 func WithResume(snapshot []byte) RunOption {
 	return func(o *runOptions) { o.resume = snapshot }
 }

@@ -28,6 +28,18 @@ import (
 // process at the checkpoint.
 var errStopAfterSnapshot = errors.New("stop after first snapshot")
 
+// checkpointRC is goldenRC with a checkpoint every `every` cycles whose
+// sink keeps the first snapshot in *snap and stops the run.
+func checkpointRC(every int64, snap *[]byte) sim.RunConfig {
+	rc := goldenRC()
+	rc.CheckpointEvery = every
+	rc.CheckpointSink = func(b []byte) error {
+		*snap = append([]byte(nil), b...)
+		return errStopAfterSnapshot
+	}
+	return rc
+}
+
 // restoreScenario is one row of the matrix: how to build the system
 // (at a given engine shard count) and which run to measure on it.
 type restoreScenario struct {
@@ -102,11 +114,7 @@ func TestRestoreEquivalenceGolden(t *testing.T) {
 				{4, 1, 700},
 			} {
 				var snap []byte
-				_, err := sc.build(t, seed, pair.snapShards).RunW(sc.alg, sc.wl, sc.load, goldenRC(),
-					core.WithCheckpoint(pair.every, func(b []byte) error {
-						snap = append([]byte(nil), b...)
-						return errStopAfterSnapshot
-					}))
+				_, err := sc.build(t, seed, pair.snapShards).RunW(sc.alg, sc.wl, sc.load, checkpointRC(pair.every, &snap))
 				if !errors.Is(err, errStopAfterSnapshot) {
 					t.Fatalf("%s seed %d %+v: capture run: %v, want the sink's sentinel", sc.name, seed, pair, err)
 				}
@@ -133,11 +141,7 @@ func TestRestoreEquivalenceGolden(t *testing.T) {
 func TestResumeRejectsMismatchedSystem(t *testing.T) {
 	sc := restoreScenarios()[0]
 	var snap []byte
-	_, err := sc.build(t, 1, 0).RunW(sc.alg, sc.wl, sc.load, goldenRC(),
-		core.WithCheckpoint(300, func(b []byte) error {
-			snap = append([]byte(nil), b...)
-			return errStopAfterSnapshot
-		}))
+	_, err := sc.build(t, 1, 0).RunW(sc.alg, sc.wl, sc.load, checkpointRC(300, &snap))
 	if !errors.Is(err, errStopAfterSnapshot) {
 		t.Fatalf("capture run: %v", err)
 	}
@@ -156,16 +160,31 @@ func TestResumeRejectsMismatchedSystem(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsCheckpointOptions pins the documented scope: the
-// checkpoint options apply to single runs only.
+// TestSweepRejectsCheckpointOptions pins the documented scope: a single
+// run takes its checkpoints from the RunConfig it is given, and a sweep
+// refuses both checkpoints and WithResume.
 func TestSweepRejectsCheckpointOptions(t *testing.T) {
 	sys, err := core.NewSystem(core.SystemConfig{P: 2, A: 4, H: 2, Seed: 1})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	if _, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, []float64{0.1}, goldenRC(), 0,
-		core.WithCheckpoint(100, func([]byte) error { return nil })); err == nil {
-		t.Error("SweepW accepted WithCheckpoint")
+	snapshots := 0
+	rc := goldenRC()
+	rc.CheckpointEvery = 100
+	rc.CheckpointSink = func([]byte) error { snapshots++; return nil }
+	res, err := sys.RunW(core.AlgMIN, core.Workload{Traffic: "ur"}, 0.1, rc)
+	if err != nil {
+		t.Fatalf("RunW with RunConfig checkpoints: %v", err)
+	}
+	if want := int(res.Cycles / 100); snapshots < want || want == 0 {
+		t.Errorf("RunW took %d checkpoints over %d cycles, want at least %d", snapshots, res.Cycles, want)
+	}
+	snapshots = 0
+	if _, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, []float64{0.1}, rc, 0); err == nil {
+		t.Error("SweepW accepted RunConfig checkpoints")
+	}
+	if snapshots != 0 {
+		t.Errorf("the refused sweep took %d checkpoints", snapshots)
 	}
 	if _, err := sys.SweepW(core.AlgMIN, core.Workload{Traffic: "ur"}, []float64{0.1}, goldenRC(), 0,
 		core.WithResume([]byte("x"))); err == nil {

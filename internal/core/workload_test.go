@@ -196,11 +196,7 @@ func TestWorkloadRestoreEquivalence(t *testing.T) {
 				{4, 1, 700},
 			} {
 				var snap []byte
-				_, err := build(seed, pair.snapShards).RunW(core.AlgUGALLVCH, sc.wl, 0.3, goldenRC(),
-					core.WithCheckpoint(pair.every, func(b []byte) error {
-						snap = append([]byte(nil), b...)
-						return errStopAfterSnapshot
-					}))
+				_, err := build(seed, pair.snapShards).RunW(core.AlgUGALLVCH, sc.wl, 0.3, checkpointRC(pair.every, &snap))
 				if !errors.Is(err, errStopAfterSnapshot) {
 					t.Fatalf("%s seed %d %+v: capture run: %v, want the sink's sentinel", sc.name, seed, pair, err)
 				}
@@ -228,11 +224,7 @@ func TestWorkloadSnapshotRejectsDifferentSource(t *testing.T) {
 	}
 	onoff := core.Workload{Traffic: "ur", Source: "onoff"}
 	var snap []byte
-	_, err = sys.RunW(core.AlgUGALLVCH, onoff, 0.3, goldenRC(),
-		core.WithCheckpoint(300, func(b []byte) error {
-			snap = append([]byte(nil), b...)
-			return errStopAfterSnapshot
-		}))
+	_, err = sys.RunW(core.AlgUGALLVCH, onoff, 0.3, checkpointRC(300, &snap))
 	if !errors.Is(err, errStopAfterSnapshot) {
 		t.Fatalf("capture run: %v", err)
 	}

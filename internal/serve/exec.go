@@ -160,7 +160,8 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 			// runs are excluded — the live collector is not part of a
 			// snapshot — and recover from scratch instead.
 			id, hash := job.ID, job.Hash
-			opts = append(opts, core.WithCheckpoint(s.cfg.CheckpointEvery, func(snap []byte) error {
+			rc.CheckpointEvery = s.cfg.CheckpointEvery
+			rc.CheckpointSink = func(snap []byte) error {
 				if err := s.store.writeCheckpoint(id, hash, snap); err != nil && !errors.Is(err, errStoreClosed) {
 					s.cfg.Logf("serve: job %s: write checkpoint: %v", id, err)
 				}
@@ -168,7 +169,7 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 				// must not fail the run, it only means recovery starts
 				// further back.
 				return nil
-			}))
+			}
 		}
 		if snap := job.resumeSnapshot(); snap != nil {
 			opts = append(opts, core.WithResume(snap))
