@@ -25,8 +25,8 @@ const (
 
 // MultiTenant is the slice-placement interference exhibit (not a paper
 // figure — the paper simulates one job at a time): two tenants share
-// the evaluation machine under group-aligned slice placement, the
-// SlicedDragonfly planning model applied to terminals. Tenant A drives
+// the evaluation machine under group-aligned slice placement, each
+// tenant owning a contiguous range of whole groups. Tenant A drives
 // steady Bernoulli traffic from the first third of the groups; tenant B
 // drives ON/OFF bursty traffic from the second third; the last third is
 // silent headroom. B runs either confined to its slice (deferred

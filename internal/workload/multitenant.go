@@ -30,9 +30,9 @@ type Tenant struct {
 
 // MultiTenant composes per-tenant sources over a partition of the
 // machine's terminals, the workload model behind the multi-tenant
-// interference exhibit: each job gets a slice of the machine (in the
-// SlicedDragonfly placement sense — group-aligned terminal ranges) and
-// its own arrival process, and terminals outside every slice stay
+// interference exhibit: each job gets a slice of the machine (a
+// group-aligned terminal range) and its own arrival process, and
+// terminals outside every slice stay
 // silent. Snapshot state is the union of the tenants' states, padded
 // to the widest tenant.
 type MultiTenant struct {
