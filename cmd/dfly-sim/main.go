@@ -79,6 +79,7 @@ import (
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/fault"
+	"dragonfly/internal/metrics"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/parallel"
 	"dragonfly/internal/sim"
@@ -289,11 +290,17 @@ func main() {
 			Terminals:   sys.Topo.Nodes(),
 			LinkClasses: obs.LinkClasses(probe),
 		})
-		opts = append(opts, core.WithCollector(win))
 	}
 	if *trace > 0 {
 		tr = obs.NewTracer(*trace, *traceSeed, *traceBuf)
-		opts = append(opts, core.WithTrace(tr))
+	}
+	switch {
+	case win != nil && tr != nil:
+		opts = append(opts, core.WithCollector(metrics.Multi{win, tr}))
+	case win != nil:
+		opts = append(opts, core.WithCollector(win))
+	case tr != nil:
+		opts = append(opts, core.WithCollector(tr))
 	}
 	if *checkpoint != "" {
 		rc.CheckpointEvery = *checkpointEvery

@@ -312,7 +312,7 @@ func withSource(net *sim.Network, src sim.Source) (*sim.Network, error) {
 
 // RunW builds a fresh network and executes one measured simulation of
 // workload w at the given load. Trailing options attach observability
-// (WithCollector, WithTrace) and progress reporting (WithProgress).
+// (WithCollector) and progress reporting (WithProgress).
 func (s *System) RunW(alg Algorithm, w Workload, load float64, rc sim.RunConfig, opts ...RunOption) (sim.Result, error) {
 	o := applyOptions(opts)
 	res, err := s.runWith(alg, w, load, rc, &o)
@@ -340,9 +340,8 @@ func (s *System) runWith(alg Algorithm, w Workload, load float64, rc sim.RunConf
 			return sim.Result{}, err
 		}
 	}
-	sink := o.sink()
-	if sink != nil {
-		net.AttachMetrics(sink)
+	if o.collector != nil {
+		net.AttachMetrics(o.collector)
 	}
 	rc.Load = load
 	var res sim.Result
@@ -355,10 +354,10 @@ func (s *System) runWith(alg Algorithm, w Workload, load float64, rc sim.RunConf
 	} else {
 		res, err = sim.RunCtx(o.context(), net, rc)
 	}
-	if err == nil && sink != nil {
+	if err == nil && o.collector != nil {
 		// Close trailing partial state (obs.Windows' final short window)
 		// now that the run's cycle count is final.
-		flushSinks(sink, res.Cycles)
+		flushSinks(o.collector, res.Cycles)
 	}
 	return res, err
 }
@@ -392,7 +391,7 @@ func (s *System) SweepW(alg Algorithm, w Workload, loads []float64, rc sim.RunCo
 // sweep would have stopped. Errors behave like the serial sweep too: the
 // points before the first failing load are returned alongside the error.
 //
-// Options: a WithCollector/WithTrace sink observes every load point
+// Options: a WithCollector sink observes every load point
 // (concurrently, when the pool runs several jobs — see WithCollector);
 // a WithProgress callback fires in the serial fold, in load order, and
 // never sees points a truncation discarded. Progress events and errors

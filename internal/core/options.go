@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"dragonfly/internal/metrics"
-	"dragonfly/internal/obs"
 	"dragonfly/internal/sim"
 )
 
@@ -16,7 +15,6 @@ type RunOption func(*runOptions)
 type runOptions struct {
 	ctx       context.Context
 	collector metrics.Collector
-	tracer    *obs.Tracer
 	progress  func(ProgressEvent)
 	source    sim.Source
 	resume    []byte
@@ -58,21 +56,14 @@ func WithContext(ctx context.Context) RunOption {
 }
 
 // WithCollector attaches c to every network the call builds, for the
-// whole run (warm-up included), stacking with any collector the run
-// itself attaches (RunConfig.Utilization). Under SweepW/SweepPoolW the
-// same collector observes every load point — and with more than one
-// pool worker, concurrently; share a collector across sweep points
-// only if it is synchronised or the pool runs one job.
+// whole run (warm-up included); combine several collectors, such as
+// obs.Windows and obs.Tracer, with metrics.Multi. Under
+// SweepW/SweepPoolW the same collector observes every load point — and
+// with more than one pool worker, concurrently; share a collector
+// across sweep points only if it is synchronised or the pool runs one
+// job.
 func WithCollector(c metrics.Collector) RunOption {
 	return func(o *runOptions) { o.collector = c }
-}
-
-// WithTrace attaches the sampled packet tracer, enabling the engine's
-// per-hop instrumentation (hop records with credit-stall cycles) for
-// the sampled packets. Combines with WithCollector via metrics.Multi.
-// The sharing caveat of WithCollector applies.
-func WithTrace(t *obs.Tracer) RunOption {
-	return func(o *runOptions) { o.tracer = t }
 }
 
 // WithProgress registers a callback invoked after each load point
@@ -114,20 +105,6 @@ func applyOptions(opts []RunOption) runOptions {
 		opt(&o)
 	}
 	return o
-}
-
-// sink folds the collector and tracer options into the single
-// collector value attached to a network, nil when neither is set.
-func (o *runOptions) sink() metrics.Collector {
-	switch {
-	case o.collector != nil && o.tracer != nil:
-		return metrics.Multi{o.collector, o.tracer}
-	case o.collector != nil:
-		return o.collector
-	case o.tracer != nil:
-		return o.tracer
-	}
-	return nil
 }
 
 // flusher is the finish hook a collector may implement to close

@@ -164,15 +164,9 @@ func (n *Network) applyEpoch(v *topology.Degraded) error {
 				n.killPacket(n.shardForRouter(l.dst), e.ref, l.dst)
 			}
 			l.dead = true
-			if n.mcLink != nil {
-				n.mcLink.LinkState(i, false, n.now)
-			}
 		case !dead && l.dead:
 			n.reviveLink(l)
 			l.dead = false
-			if n.mcLink != nil {
-				n.mcLink.LinkState(i, true, n.now)
-			}
 		}
 	}
 
@@ -213,9 +207,6 @@ func (n *Network) applyEpoch(v *topology.Degraded) error {
 	// The event reshaped the network; give the stall watchdog a fresh
 	// horizon to observe the reconfigured state.
 	n.touchLastMove()
-	if n.mcEpoch != nil {
-		n.mcEpoch.EpochSwitch(n.now, n.epochIdx)
-	}
 	// The passes above rewrite queues wholesale, bypassing the
 	// occupancy counters the cycle pipeline skips on and UGAL's queue
 	// estimates (Router.PendingOut) read; rebuild them before the next

@@ -102,11 +102,9 @@ type Network struct {
 	// a nil check per event site instead of a type assertion per event.
 	mc      metrics.Collector
 	mcFault metrics.FaultObserver
-	mcEpoch metrics.EpochObserver
 	mcCycle metrics.CycleObserver
 	mcEject metrics.EjectObserver
 	mcHop   metrics.HopObserver
-	mcLink  metrics.LinkStateObserver
 
 	// OnEject, when non-nil, observes every ejected packet before its
 	// arena slot is recycled; the *Packet is a reused view and must not
@@ -287,20 +285,14 @@ func (n *Network) SetSource(s Source) error {
 //
 // The extension interfaces (metrics.FaultObserver and friends) are
 // resolved here, once: a collector subscribes to an event family by
-// implementing its interface. If c implements
-// metrics.LinkStateObserver, every currently-dead link is reported to
-// it immediately, so collectors see standing fault plans (and the
-// in-progress epoch of a timeline) without waiting for the next
-// transition.
+// implementing its interface.
 func (n *Network) AttachMetrics(c metrics.Collector) (prev metrics.Collector) {
 	prev = n.mc
 	n.mc = c
 	n.mcFault, _ = c.(metrics.FaultObserver)
-	n.mcEpoch, _ = c.(metrics.EpochObserver)
 	n.mcCycle, _ = c.(metrics.CycleObserver)
 	n.mcEject, _ = c.(metrics.EjectObserver)
 	n.mcHop, _ = c.(metrics.HopObserver)
-	n.mcLink, _ = c.(metrics.LinkStateObserver)
 	if n.mcHop != nil {
 		// Fresh tracer: discard credit-stall cycles accrued while no
 		// tracer was listening (or destined for a previous tracer).
@@ -311,19 +303,8 @@ func (n *Network) AttachMetrics(c metrics.Collector) (prev metrics.Collector) {
 			}
 		}
 	}
-	if n.mcLink != nil {
-		for i := range n.links {
-			if n.links[i].dead {
-				n.mcLink.LinkState(i, false, n.now)
-			}
-		}
-	}
 	return prev
 }
-
-// Metrics returns the currently attached collector, nil when metrics are
-// off.
-func (n *Network) Metrics() metrics.Collector { return n.mc }
 
 // NumLinks returns the number of directed router-to-router channels.
 func (n *Network) NumLinks() int { return len(n.links) }
@@ -529,16 +510,7 @@ func (n *Network) deliver(sh *shard) error {
 				// timestamp and refresh t_d for this output.
 				if rt.ctq[l.srcPort].len() > 0 {
 					_, sent := rt.ctq[l.srcPort].pop()
-					tcrt := n.now - sent
-					if n.mc != nil {
-						if n.inPhase {
-							sh.ev = append(sh.ev, evRec{kind: evRTT, hop: metrics.Hop{
-								Router: l.src, Port: l.srcPort, CreditStall: tcrt}})
-						} else {
-							n.mc.CreditRTT(l.src, l.srcPort, tcrt)
-						}
-					}
-					td := tcrt - rt.tcrt0[l.srcPort]
+					td := n.now - sent - rt.tcrt0[l.srcPort]
 					if td < 0 {
 						td = 0
 					}
@@ -887,9 +859,6 @@ func (n *Network) allocate(sh *shard, r *Router) {
 // tripped it, how many packets are wedged, and the most occupied
 // input-buffer VCs (the likely deadlock participants).
 func (n *Network) stallError(phase Phase, limit int64) *StallError {
-	if n.mc != nil {
-		n.mc.Stall(n.now)
-	}
 	e := &StallError{
 		Phase:      phase,
 		Cycle:      n.now,

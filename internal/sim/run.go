@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"dragonfly/internal/metrics"
 )
 
 // RunConfig controls one simulation run: the standard warm-up →
@@ -27,13 +25,6 @@ type RunConfig struct {
 	Histogram bool
 	// HistWidth is the histogram bucket width in cycles (default 2).
 	HistWidth int64
-	// Utilization, when true, attaches a metrics.ChannelUtil collector
-	// for exactly the measurement phase and reports it in
-	// Result.ChannelUtil (Figure 9). Any collector already attached via
-	// Network.AttachMetrics keeps receiving events alongside it and is
-	// restored when the measurement window closes. Incompatible with
-	// CheckpointEvery: collector state is not part of a snapshot.
-	Utilization bool
 	// StallLimit aborts the run if no flit moves for this many cycles
 	// while packets are in flight — a deadlock detector. Default 10000.
 	StallLimit int64
@@ -81,8 +72,6 @@ func (rc RunConfig) Validate() error {
 		return &ConfigError{Param: "CheckpointSink", Value: "nil", Reason: "a checkpoint interval needs a sink to receive the snapshots"}
 	case rc.CheckpointSink != nil && rc.CheckpointEvery == 0:
 		return &ConfigError{Param: "CheckpointEvery", Value: "0", Reason: "a checkpoint sink needs an interval (CheckpointEvery > 0)"}
-	case rc.CheckpointEvery > 0 && rc.Utilization:
-		return &ConfigError{Param: "CheckpointEvery", Value: fmt.Sprint(rc.CheckpointEvery), Reason: "utilization collection cannot be checkpointed (collector state is not part of a snapshot)"}
 	}
 	return nil
 }
@@ -130,13 +119,6 @@ type Result struct {
 	// active fault plan; Accepted is normalised by it, so a degraded
 	// network is judged on the capacity it still has.
 	AliveTerminals int
-	// ChannelUtil holds the per-channel flit counts collected over
-	// exactly the measurement phase (nil unless RunConfig.Utilization).
-	// Its window is set to MeasureCycles, so Utilization(link) is the
-	// fraction of the measurement window the channel was busy — of the
-	// cycles it was alive, under a fault timeline (dead cycles are
-	// excluded from the denominator via the link-state events).
-	ChannelUtil *metrics.ChannelUtil
 }
 
 // Phase positions as stored in a checkpoint's run section.
@@ -212,9 +194,6 @@ func ResumeCtx(ctx context.Context, net *Network, rc RunConfig, snap []byte) (Re
 	if err := rc.Validate(); err != nil {
 		return Result{}, err
 	}
-	if rc.Utilization {
-		return Result{}, &ConfigError{Param: "Utilization", Value: "true", Reason: "utilization collection cannot resume from a checkpoint (collector state is not part of a snapshot)"}
-	}
 	normalizeRunConfig(&rc)
 	rs, err := net.restore(snap, true)
 	if err != nil {
@@ -275,21 +254,16 @@ func runPhases(ctx context.Context, net *Network, rc RunConfig, st *runState, re
 	// Reset the measurement state on every exit path, error returns
 	// included: a stall error inside the measurement loop must not leave
 	// net.measuring/net.countWindow set (tagging warm-up packets and
-	// corrupting window counts of any later run on this network), the
+	// corrupting window counts of any later run on this network), and the
 	// ejection observer must never outlive the run whose Result it
-	// captures, and the collector this run attached must not keep
-	// counting (or keep costing) in later runs on the same network — a
-	// Utilization run followed by a plain run must leave the plain run on
-	// the zero-cost path. The observer is cleared first so no packet can
-	// be counted against a half-reset window.
-	prevCollector := net.Metrics()
+	// captures. The observer is cleared first so no packet can be
+	// counted against a half-reset window.
 	prevCtx := net.ctx
 	net.SetContext(ctx)
 	defer func() {
 		net.OnEject = nil
 		net.measuring = false
 		net.countWindow = false
-		net.AttachMetrics(prevCollector)
 		net.SetContext(prevCtx)
 	}()
 
@@ -350,15 +324,6 @@ func runPhases(ctx context.Context, net *Network, rc RunConfig, st *runState, re
 		// Measurement setup. A resume into the measurement phase skips
 		// this: the window flags and counters were restored with the
 		// engine.
-		if rc.Utilization {
-			st.res.ChannelUtil = metrics.NewChannelUtil(net.NumLinks())
-			st.res.ChannelUtil.SetWindow(int64(rc.MeasureCycles))
-			if prevCollector != nil {
-				net.AttachMetrics(metrics.Multi{prevCollector, st.res.ChannelUtil})
-			} else {
-				net.AttachMetrics(st.res.ChannelUtil)
-			}
-		}
 		net.measuring = true
 		net.countWindow = true
 		net.resetWindowCounts()
@@ -372,11 +337,6 @@ func runPhases(ctx context.Context, net *Network, rc RunConfig, st *runState, re
 		}
 		net.measuring = false
 		net.countWindow = false
-		if rc.Utilization {
-			// The utilization window is exactly the measurement phase: detach
-			// so the drain neither counts flits nor accrues dead time.
-			net.AttachMetrics(prevCollector)
-		}
 		st.res.Accepted = float64(net.totalEjectedWindow()) / (float64(net.aliveTerms) * float64(rc.MeasureCycles))
 		st.phaseIdx, st.iterDone = phaseDrainIdx, 0
 	}

@@ -79,12 +79,11 @@ type credXfer struct {
 }
 
 // Buffered-event kinds (evRec.kind). Non-hop kinds reuse metrics.Hop
-// fields as scratch: VCOccupancy and CreditRTT store their value in
-// CreditStall, Drop uses only Router, Eject carries the arena ref.
+// fields as scratch: VCOccupancy stores the occupancy in CreditStall,
+// Drop uses only Router, Eject carries the arena ref.
 const (
 	evFlit uint8 = iota
 	evVCOcc
-	evRTT
 	evDrop
 	evHop
 	evEject
@@ -466,8 +465,6 @@ func (n *Network) replayShard(sh *shard) {
 			n.mc.ChannelFlit(e.hop.Link)
 		case evVCOcc:
 			n.mc.VCOccupancy(e.hop.Router, e.hop.Port, e.hop.VC, int(e.hop.CreditStall))
-		case evRTT:
-			n.mc.CreditRTT(e.hop.Router, e.hop.Port, e.hop.CreditStall)
 		case evDrop:
 			n.mc.Drop(e.hop.Router)
 		case evHop:

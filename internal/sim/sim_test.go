@@ -380,21 +380,23 @@ func TestChannelUtilizationCounting(t *testing.T) {
 	if !seen || total == 0 {
 		t.Error("no utilization recorded")
 	}
-	util.Reset()
-	for l := 0; l < net.NumLinks(); l++ {
-		if util.Busy(l) > 0 {
-			t.Fatal("reset did not clear counters")
-		}
-	}
-	// Detach: later steps must not count.
+	// Replace, then detach: neither the replaced collector nor the fresh
+	// one may count the steps that follow.
+	fresh := metrics.NewChannelUtil(net.NumLinks())
+	net.AttachMetrics(fresh)
 	net.AttachMetrics(nil)
 	for i := 0; i < 100; i++ {
 		net.Step()
 	}
+	after := int64(0)
 	for l := 0; l < net.NumLinks(); l++ {
-		if util.Busy(l) > 0 {
+		after += util.Busy(l)
+		if fresh.Busy(l) > 0 {
 			t.Fatal("detached collector still counting")
 		}
+	}
+	if after != total {
+		t.Fatalf("replaced collector kept counting: %d flits, want %d", after, total)
 	}
 }
 
@@ -522,27 +524,34 @@ func TestMixIsDeterministic(t *testing.T) {
 }
 
 // TestMetricsRunThenPlainRunBitIdentical proves the zero-cost
-// instrumentation never changes results: on the same network, a
-// Utilization run followed by a plain run produces exactly the numbers
-// the plain-plain sequence does — Run's cleanup must fully detach the
-// collector it attached.
+// instrumentation never changes results: on the same network, a run
+// with a ChannelUtil attached followed by a plain run produces exactly
+// the numbers the plain-plain sequence does.
 func TestMetricsRunThenPlainRunBitIdentical(t *testing.T) {
 	second := func(firstUtil bool) sim.Result {
 		d := testDragonfly(t)
 		net := newNet(t, d, testConfig(), routing.NewUGAL(d, routing.UGALLocalVCH), traffic.NewUniformRandom(d.Nodes()))
 		rc := sim.RunConfig{Load: 0.2, WarmupCycles: 300, MeasureCycles: 300, DrainCycles: 10000}
-		rc.Utilization = firstUtil
-		first, err := sim.RunCtx(context.Background(), net, rc)
-		if err != nil {
+		var util *metrics.ChannelUtil
+		if firstUtil {
+			util = metrics.NewChannelUtil(net.NumLinks())
+			net.AttachMetrics(util)
+		}
+		if _, err := sim.RunCtx(context.Background(), net, rc); err != nil {
 			t.Fatalf("first run: %v", err)
 		}
-		if firstUtil && first.ChannelUtil == nil {
-			t.Fatal("Utilization run did not collect channel utilization")
+		if firstUtil {
+			if prev := net.AttachMetrics(nil); prev != util {
+				t.Fatal("the attached collector was replaced during the run")
+			}
+			busy := int64(0)
+			for l := 0; l < net.NumLinks(); l++ {
+				busy += util.Busy(l)
+			}
+			if busy == 0 {
+				t.Fatal("attached ChannelUtil counted no flits")
+			}
 		}
-		if net.Metrics() != nil {
-			t.Fatal("collector still attached after Run returned")
-		}
-		rc.Utilization = false
 		res, err := sim.RunCtx(context.Background(), net, rc)
 		if err != nil {
 			t.Fatalf("second run: %v", err)

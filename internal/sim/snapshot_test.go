@@ -506,7 +506,6 @@ func TestCheckpointConfigValidation(t *testing.T) {
 		{"negative interval", func(rc *sim.RunConfig) { rc.CheckpointEvery = -1; rc.CheckpointSink = sink }},
 		{"interval without sink", func(rc *sim.RunConfig) { rc.CheckpointEvery = 100 }},
 		{"sink without interval", func(rc *sim.RunConfig) { rc.CheckpointSink = sink }},
-		{"utilization", func(rc *sim.RunConfig) { rc.CheckpointEvery = 100; rc.CheckpointSink = sink; rc.Utilization = true }},
 	} {
 		rc := base
 		tc.mut(&rc)

@@ -1,6 +1,7 @@
 package dragonfly_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,13 +22,9 @@ import (
 // are "pkg.Name" for package-level identifiers and "pkg.Type.Method" for
 // methods, where pkg is the package name.
 var surfaceAllowlist = map[string]string{
-	"cost.DefaultPowerModel":          "the Section 5 power comparison; tests check its claim, no exhibit prints it yet",
-	"cost.PowerModel.Power":           "the Section 5 power comparison; tests check its claim, no exhibit prints it yet",
-	"metrics.ChannelUtil.Reset":       "opens a fresh window on a caller-owned collector without losing dead-link state",
-	"metrics.ChannelUtil.Utilization": "the documented reading of Result.ChannelUtil, which RunConfig.Utilization fills",
-	"sim.Accumulator.Variance":        "completes the Welford accumulator whose m2 the dfly-snap/1 format carries",
-	"sim.Network.ActiveEpoch":         "the only view of the governing epoch; core's timeline tests assert swaps through it",
-	"sim.Packet.Hops":                 "the OnEject view of a packet's path length; routing tests bound MIN and VAL paths with it",
+	"sim.Accumulator.Variance": "completes the Welford accumulator whose m2 the dfly-snap/1 format carries",
+	"sim.Network.ActiveEpoch":  "the only view of the governing epoch; core's timeline tests assert swaps through it",
+	"sim.Packet.Hops":          "the OnEject view of a packet's path length; routing tests bound MIN and VAL paths with it",
 }
 
 // surfaceDynamic holds the method names the standard library calls
@@ -56,33 +54,9 @@ var surfaceDynamic = map[string]bool{
 // logs the exported count (package-level identifiers plus concrete
 // methods), the size figure quoted next to .github/loc.sh.
 func TestExportedSurface(t *testing.T) {
-	dirs := surfacePackageDirs(t)
-	fset := token.NewFileSet()
-	files := map[string]*ast.File{}
-	std := importer.ForCompiler(fset, "gc", nil)
-
 	declared := map[string]surfaceDecl{}
 	referenced := map[string]bool{}
-	for _, tags := range [][]string{nil, {"dflydebug"}} {
-		s := &surfaceScan{
-			fset: fset, files: files, std: std, dirs: dirs,
-			pkgs: map[string]*types.Package{},
-			info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
-		}
-		s.ctx = build.Default
-		s.ctx.BuildTags = tags
-		for path := range dirs {
-			if _, err := s.Import(path); err != nil {
-				t.Fatalf("tags %v: %v", tags, err)
-			}
-		}
-		byName := map[string]string{} // the keys name packages by name
-		for path, p := range s.pkgs {
-			if other, ok := byName[p.Name()]; ok && p.Name() != "main" {
-				t.Fatalf("packages %s and %s share the name %s", path, other, p.Name())
-			}
-			byName[p.Name()] = path
-		}
+	for _, s := range surfaceScans(t) {
 		s.collect(declared, referenced)
 	}
 
@@ -116,6 +90,126 @@ func TestExportedSurface(t *testing.T) {
 		count, len(declared)-count, len(surfaceAllowlist))
 }
 
+// TestCollectorEventsHaveReaders keeps the engine from emitting events
+// nothing consumes. Every method of metrics.Collector and of each
+// metrics.*Observer interface must be declared, under both build
+// contexts TestExportedSurface checks, by some non-test type that
+// implements the interface and is neither metrics.Nop nor metrics.Multi,
+// which only stub or fan an event out; perfbench's types count. An
+// event without such a reader costs an emission site in internal/sim
+// and feeds no result: delete it there and from the interface, or add
+// the reader that needs it.
+func TestCollectorEventsHaveReaders(t *testing.T) {
+	unread := map[string]token.Position{}
+	for _, s := range surfaceScans(t) {
+		mp := s.pkgs["dragonfly/internal/metrics"]
+		if mp == nil {
+			t.Fatal("package dragonfly/internal/metrics was not type-checked")
+		}
+		for _, name := range mp.Scope().Names() {
+			tn, ok := mp.Scope().Lookup(name).(*types.TypeName)
+			if !ok || name != "Collector" && !strings.HasSuffix(name, "Observer") {
+				continue
+			}
+			iface, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				if !s.hasReader(mp, iface, m.Name()) {
+					unread["metrics."+name+"."+m.Name()] = s.fset.Position(m.Pos())
+				}
+			}
+		}
+	}
+	names := make([]string, 0, len(unread))
+	for name := range unread {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Errorf("%s: %s is declared by no non-test type but metrics.Nop and metrics.Multi; delete the event and its emission sites, or add its reader", unread[name], name)
+	}
+}
+
+// hasReader reports whether a type of the scan other than metrics.Nop
+// and metrics.Multi declares method name itself (promotion from an
+// embedded Nop does not count) and implements iface.
+func (s *surfaceScan) hasReader(metricsPkg *types.Package, iface *types.Interface, name string) bool {
+	for _, p := range s.order {
+		for _, tname := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(tname).(*types.TypeName)
+			if !ok || tn.IsAlias() || p == metricsPkg && (tname == "Nop" || tname == "Multi") {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if named.Method(i).Name() == name &&
+					(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// surfaceScans type-checks every non-test package of the module and of
+// perfbench/ once for the default build and once with the dflydebug
+// tag, and shares the result among the tests of this file.
+func surfaceScans(t *testing.T) []*surfaceScan {
+	t.Helper()
+	surfaceCache.once.Do(func() { surfaceCache.scans, surfaceCache.err = checkSurface() })
+	if surfaceCache.err != nil {
+		t.Fatal(surfaceCache.err)
+	}
+	return surfaceCache.scans
+}
+
+var surfaceCache struct {
+	once  sync.Once
+	scans []*surfaceScan
+	err   error
+}
+
+func checkSurface() ([]*surfaceScan, error) {
+	dirs, err := surfacePackageDirs()
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	std := importer.ForCompiler(fset, "gc", nil)
+	var scans []*surfaceScan
+	for _, tags := range [][]string{nil, {"dflydebug"}} {
+		s := &surfaceScan{
+			fset: fset, files: files, std: std, dirs: dirs,
+			pkgs: map[string]*types.Package{},
+			info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		}
+		s.ctx = build.Default
+		s.ctx.BuildTags = tags
+		for path := range dirs {
+			if _, err := s.Import(path); err != nil {
+				return nil, fmt.Errorf("tags %v: %w", tags, err)
+			}
+		}
+		byName := map[string]string{} // the keys name packages by name
+		for path, p := range s.pkgs {
+			if other, ok := byName[p.Name()]; ok && p.Name() != "main" {
+				return nil, fmt.Errorf("packages %s and %s share the name %s", path, other, p.Name())
+			}
+			byName[p.Name()] = path
+		}
+		scans = append(scans, s)
+	}
+	return scans, nil
+}
+
 // surfaceDecl is one checked exported name.
 type surfaceDecl struct {
 	pos         token.Position
@@ -124,8 +218,7 @@ type surfaceDecl struct {
 
 // surfacePackageDirs maps the import path of every Go package of the
 // module and of perfbench/ to its directory.
-func surfacePackageDirs(t *testing.T) map[string]string {
-	t.Helper()
+func surfacePackageDirs() (map[string]string, error) {
 	dirs := map[string]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -148,10 +241,7 @@ func surfacePackageDirs(t *testing.T) map[string]string {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dirs
+	return dirs, err
 }
 
 // surfaceScan type-checks the module's packages under one build context.
