@@ -41,12 +41,8 @@ func renderExhibits(b *testing.B, name string) {
 	var out strings.Builder
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		exhibits, err := r.Run(name)
-		if err != nil {
+		if err := r.RunText(&out, []string{name}); err != nil {
 			b.Fatalf("%s: %v", name, err)
-		}
-		for _, e := range exhibits {
-			e.Render(&out)
 		}
 	}
 	b.Log("\n" + out.String())

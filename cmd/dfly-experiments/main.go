@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"dragonfly/internal/experiments"
@@ -46,36 +45,12 @@ func main() {
 		r.Log = os.Stderr
 	}
 
-	names := flag.Args()
+	run := r.RunText
 	if *jsonOut {
-		if err := r.RunJSON(os.Stdout, names); err != nil {
-			fmt.Fprintln(os.Stderr, "dfly-experiments:", err)
-			os.Exit(1)
-		}
-		return
+		run = r.RunJSON
 	}
-	if len(names) > 0 && !*quiet {
-		workers := *jobs
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		fmt.Fprintf(os.Stderr, "running %d experiments on %d workers\n", len(names), workers)
-	}
-	if len(names) == 0 {
-		if err := r.RunAll(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dfly-experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	for _, name := range names {
-		exhibits, err := r.Run(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dfly-experiments:", err)
-			os.Exit(1)
-		}
-		for _, e := range exhibits {
-			e.Render(os.Stdout)
-		}
+	if err := run(os.Stdout, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "dfly-experiments:", err)
+		os.Exit(1)
 	}
 }

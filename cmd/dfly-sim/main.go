@@ -281,14 +281,10 @@ func main() {
 	var win *obs.Windows
 	var tr *obs.Tracer
 	if *window > 0 {
-		probe, err := sys.NewNetworkFor(alg, wl)
-		if err != nil {
-			fatal(err)
-		}
 		win = obs.NewWindows(obs.WindowsConfig{
 			Width:       *window,
 			Terminals:   sys.Topo.Nodes(),
-			LinkClasses: obs.LinkClasses(probe),
+			LinkClasses: sim.LinkClasses(sys.Topo),
 		})
 	}
 	if *trace > 0 {
@@ -332,7 +328,6 @@ func main() {
 		rep.Seed = *seed
 		rep.Points = []obs.Point{{Load: *load, Result: obs.MakeResult(res)}}
 		if win != nil {
-			win.Flush(res.Cycles)
 			rep.Windows = win.Windows()
 		}
 		if tr != nil {

@@ -26,14 +26,71 @@ type Runner struct {
 	Jobs int
 }
 
+// exhibits is the harness's table of experiments, in paper order: each
+// id with the function that runs it at a given scale.
+var exhibits = []struct {
+	name string
+	run  func(Scale) ([]Exhibit, error)
+}{
+	{"fig1", fixed(Fig01)},
+	{"table1", fixed(Table01)},
+	{"fig2", fixed(Fig02)},
+	{"fig4", fixed(Fig04)},
+	{"fig6", fixed(Fig06)},
+	{"fig8", many(Fig08)},
+	{"fig9", one(Fig09)},
+	{"fig10", many(Fig10)},
+	{"fig11", many(Fig11)},
+	{"fig12", many(Fig12)},
+	{"fig14", one(Fig14)},
+	{"fig16", many(Fig16)},
+	{"fig18", one(func(Scale) (*Table, error) { return Fig18() })},
+	{"fig19", one(func(Scale) (*Figure, error) { return Fig19() })},
+	{"table2", fixed(Table02)},
+	{"resilience", many(Resilience)},
+	{"transient", many(Transient)},
+	{"topozoo", one(TopoZoo)},
+	{"multitenant", many(MultiTenant)},
+}
+
+// fixed adapts an exhibit that needs no simulation.
+func fixed[E Exhibit](f func() E) func(Scale) ([]Exhibit, error) {
+	return func(Scale) ([]Exhibit, error) { return []Exhibit{f()}, nil }
+}
+
+// one adapts an experiment that produces a single exhibit.
+func one[E Exhibit](f func(Scale) (E, error)) func(Scale) ([]Exhibit, error) {
+	return func(s Scale) ([]Exhibit, error) {
+		e, err := f(s)
+		if err != nil {
+			return nil, err
+		}
+		return []Exhibit{e}, nil
+	}
+}
+
+// many adapts an experiment that produces several figures.
+func many(f func(Scale) ([]*Figure, error)) func(Scale) ([]Exhibit, error) {
+	return func(s Scale) ([]Exhibit, error) {
+		fs, err := f(s)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]Exhibit, len(fs))
+		for i, f := range fs {
+			out[i] = f
+		}
+		return out, nil
+	}
+}
+
 // Names lists every experiment id in paper order.
 func Names() []string {
-	return []string{
-		"fig1", "table1", "fig2", "fig4", "fig6",
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig14", "fig16",
-		"fig18", "fig19", "table2", "resilience", "transient", "topozoo",
-		"multitenant",
+	names := make([]string, len(exhibits))
+	for i, e := range exhibits {
+		names[i] = e.name
 	}
+	return names
 }
 
 // scaled returns the runner's scale bound to its worker pool: one pool
@@ -51,89 +108,25 @@ func (r Runner) scaled() Scale {
 	return r.Scale.WithPool(pool)
 }
 
-// Run executes one experiment by id and returns its exhibits.
-func (r Runner) Run(name string) ([]Exhibit, error) {
-	return r.run(r.scaled(), name)
-}
-
-func (r Runner) run(s Scale, name string) ([]Exhibit, error) {
-	wrapF := func(f *Figure, err error) ([]Exhibit, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []Exhibit{f}, nil
-	}
-	wrapFs := func(fs []*Figure, err error) ([]Exhibit, error) {
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Exhibit, len(fs))
-		for i, f := range fs {
-			out[i] = f
-		}
-		return out, nil
-	}
-	switch name {
-	case "fig1":
-		return []Exhibit{Fig01()}, nil
-	case "table1":
-		return []Exhibit{Table01()}, nil
-	case "fig2":
-		return []Exhibit{Fig02()}, nil
-	case "fig4":
-		return []Exhibit{Fig04()}, nil
-	case "fig6":
-		return []Exhibit{Fig06()}, nil
-	case "fig8":
-		return wrapFs(Fig08(s))
-	case "fig9":
-		return wrapF(Fig09(s))
-	case "fig10":
-		return wrapFs(Fig10(s))
-	case "fig11":
-		return wrapFs(Fig11(s))
-	case "fig12":
-		return wrapFs(Fig12(s))
-	case "fig14":
-		return wrapF(Fig14(s))
-	case "fig16":
-		return wrapFs(Fig16(s))
-	case "fig18":
-		t, err := Fig18()
-		if err != nil {
-			return nil, err
-		}
-		return []Exhibit{t}, nil
-	case "fig19":
-		f, err := Fig19()
-		if err != nil {
-			return nil, err
-		}
-		return []Exhibit{f}, nil
-	case "table2":
-		return []Exhibit{Table02()}, nil
-	case "resilience":
-		return wrapFs(Resilience(s))
-	case "transient":
-		return wrapFs(Transient(s))
-	case "multitenant":
-		return wrapFs(MultiTenant(s))
-	case "topozoo":
-		t, err := TopoZoo(s)
-		if err != nil {
-			return nil, err
-		}
-		return []Exhibit{t}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, Names())
-	}
-}
-
 // collect executes the named experiments concurrently on the runner's
 // worker pool (at most Jobs simulations at once across all of them) and
-// returns their exhibits grouped per name, in the given order, with a
-// parallel error slice.
-func (r Runner) collect(s Scale, names []string) ([][]Exhibit, []error) {
+// returns their exhibits grouped per name, in the given order. An
+// unknown name is rejected before anything runs. When an experiment
+// fails, collect returns the exhibits of the experiments before it in
+// the list, and the failure.
+func (r Runner) collect(names []string) ([][]Exhibit, error) {
+	runs := make([]func(Scale) ([]Exhibit, error), len(names))
+	for i, name := range names {
+		for _, e := range exhibits {
+			if e.name == name {
+				runs[i] = e.run
+			}
+		}
+		if runs[i] == nil {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, Names())
+		}
+	}
+	s := r.scaled()
 	var logMu sync.Mutex
 	logf := func(format string, args ...any) {
 		if r.Log == nil {
@@ -145,50 +138,53 @@ func (r Runner) collect(s Scale, names []string) ([][]Exhibit, []error) {
 	}
 	logf("running %d experiments on %d workers\n", len(names), s.Pool().Jobs())
 
-	exhibits := make([][]Exhibit, len(names))
+	out := make([][]Exhibit, len(names))
 	errs := make([]error, len(names))
 	s.Pool().ForEach(len(names), func(i int) error {
 		start := time.Now()
-		exhibits[i], errs[i] = r.run(s, names[i])
+		out[i], errs[i] = runs[i](s)
 		logf("%s done in %.1fs\n", names[i], time.Since(start).Seconds())
 		return nil
 	})
-	return exhibits, errs
+	for i, err := range errs {
+		if err != nil {
+			return out[:i], fmt.Errorf("experiments: %s: %w", names[i], err)
+		}
+	}
+	return out, nil
 }
 
-// RunAll executes every experiment and renders the full report to w.
-// The experiments run concurrently (see collect); the report is
-// rendered strictly in paper order once everything has finished, so the
-// output is byte-identical to a serial run. Like the serial runner,
-// exhibits preceding the first failure are still rendered before the
-// error is returned.
-func (r Runner) RunAll(w io.Writer) error {
-	names := Names()
-	exhibits, errs := r.collect(r.scaled(), names)
-	for i, name := range names {
-		if errs[i] != nil {
-			return fmt.Errorf("experiments: %s: %w", name, errs[i])
-		}
-		for _, e := range exhibits[i] {
+// RunText executes the named experiments (every experiment when names
+// is empty) and renders their exhibits to w. The experiments run
+// concurrently (see collect); the report is rendered strictly in the
+// given order once everything has finished, so the output is
+// byte-identical to a serial run. Like the serial runner, exhibits
+// preceding the first failure are still rendered before the error is
+// returned.
+func (r Runner) RunText(w io.Writer, names []string) error {
+	if len(names) == 0 {
+		names = Names()
+	}
+	exhibits, err := r.collect(names)
+	for _, ex := range exhibits {
+		for _, e := range ex {
 			e.Render(w)
 		}
 	}
-	return nil
+	return err
 }
 
 // RunJSON executes the named experiments (every experiment when names
 // is empty) and writes one machine-readable report to w. Unlike
-// RunAll, nothing is written on error: a JSON consumer either gets a
+// RunText, nothing is written on error: a JSON consumer either gets a
 // well-formed report or none.
 func (r Runner) RunJSON(w io.Writer, names []string) error {
 	if len(names) == 0 {
 		names = Names()
 	}
-	exhibits, errs := r.collect(r.scaled(), names)
-	for i, name := range names {
-		if errs[i] != nil {
-			return fmt.Errorf("experiments: %s: %w", name, errs[i])
-		}
+	exhibits, err := r.collect(names)
+	if err != nil {
+		return err
 	}
 	return WriteJSON(w, names, exhibits)
 }

@@ -141,21 +141,25 @@ func TestQuickSimulationExhibits(t *testing.T) {
 
 func TestRunnerUnknown(t *testing.T) {
 	r := Runner{Scale: Quick()}
-	if _, err := r.Run("nope"); err == nil {
-		t.Error("unknown experiment accepted")
+	var buf bytes.Buffer
+	err := r.RunText(&buf, []string{"fig1", "nope"})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	if want := `experiments: unknown experiment "nope" (known: [`; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q, want prefix %q", err, want)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rendered %d bytes before rejecting the unknown name", buf.Len())
 	}
 }
 
 func TestRunnerAnalyticOnly(t *testing.T) {
 	r := Runner{Scale: Quick()}
 	for _, name := range []string{"fig1", "table1", "fig2", "fig4", "fig6", "fig18", "fig19", "table2"} {
-		ex, err := r.Run(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		var buf bytes.Buffer
-		for _, e := range ex {
-			e.Render(&buf)
+		if err := r.RunText(&buf, []string{name}); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.Len() == 0 {
 			t.Errorf("%s rendered nothing", name)

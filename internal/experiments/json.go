@@ -30,7 +30,7 @@ type jsonExhibit struct {
 
 // WriteJSON writes the exhibits of the named experiments as one
 // versioned JSON report. The two slices are parallel: exhibits[i]
-// holds the exhibits produced by names[i], as returned by Runner.Run.
+// holds the exhibits produced by names[i].
 func WriteJSON(w io.Writer, names []string, exhibits [][]Exhibit) error {
 	rep := jsonReport{SchemaVersion: obs.SchemaVersion, Kind: "experiments"}
 	for i, name := range names {

@@ -106,13 +106,3 @@ func MakeResult(r sim.Result) Result {
 	}
 	return out
 }
-
-// LinkClasses builds the link-id → class table (true = global) a
-// WindowsConfig needs, from a built network.
-func LinkClasses(net *sim.Network) []bool {
-	classes := make([]bool, net.NumLinks())
-	for i := range classes {
-		classes[i] = net.LinkIsGlobal(i)
-	}
-	return classes
-}

@@ -25,7 +25,7 @@ type WindowsConfig struct {
 	Terminals int
 	// LinkClasses, when non-nil, maps link id to class (true = global)
 	// and enables the per-class utilization columns. Build it with
-	// Network.LinkID/LinkIsGlobal, or LinkClasses.
+	// sim.LinkClasses.
 	LinkClasses []bool
 }
 

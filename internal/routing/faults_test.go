@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/fault"
+	"dragonfly/internal/metrics"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
@@ -71,14 +72,16 @@ func TestMINDetoursAroundSeveredPair(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	crossDelivered, detours := 0, 0
-	net.OnEject = func(p *sim.Packet, now int64) {
-		if per := d.A * d.P; p.Src/per == 0 && p.Dst/per == 1 {
+	watchEjections(net, func(e metrics.Eject, _ int) {
+		// The source terminal is the packet id's high half; group g
+		// holds routers [g*A, (g+1)*A).
+		if src := int(e.Packet >> 32); src/(d.A*d.P) == 0 && e.Router/d.A == 1 {
 			crossDelivered++
-			if !p.Minimal {
+			if !e.Minimal {
 				detours++
 			}
 		}
-	}
+	})
 	net.SetLoad(0.2)
 	for i := 0; i < 2000; i++ {
 		if err := net.Step(); err != nil {
@@ -172,10 +175,10 @@ func TestEmptyPlanBitIdenticalRouting(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sim.New: %v", err)
 			}
-			net.OnEject = func(p *sim.Packet, now int64) {
+			watchEjections(net, func(e metrics.Eject, _ int) {
 				ejected++
-				latSum += now - p.CreateTime
-			}
+				latSum += e.Latency
+			})
 			net.SetLoad(0.3)
 			for i := 0; i < 1500; i++ {
 				if err := net.Step(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dragonfly/internal/metrics"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
@@ -23,9 +24,28 @@ func testCfg() sim.Config {
 	return sim.Config{BufDepth: 16, VCs: VCs, LocalLatency: 1, GlobalLatency: 2, Seed: 1}
 }
 
-// traceHops runs a network and records, for every delivered packet, the
-// sequence constraints we care about via the OnEject hook plus a custom
-// NextHop wrapper.
+// watchEjections attaches a collector that hands f every ejection with
+// the number of channels the packet crossed, counted from its
+// PacketHop events.
+func watchEjections(net *sim.Network, f func(e metrics.Eject, hops int)) {
+	net.AttachMetrics(&ejectWatch{f: f, hops: map[uint64]int{}})
+}
+
+type ejectWatch struct {
+	metrics.Nop
+	f    func(metrics.Eject, int)
+	hops map[uint64]int
+}
+
+func (w *ejectWatch) PacketHop(h metrics.Hop) { w.hops[h.Packet]++ }
+
+func (w *ejectWatch) PacketEjected(e metrics.Eject) {
+	w.f(e, w.hops[e.Packet])
+	delete(w.hops, e.Packet)
+}
+
+// hopRecorder wraps a routing algorithm and records, for every packet,
+// the VC sequence constraints we care about from its NextHop calls.
 type hopRecorder struct {
 	inner sim.Routing
 	topo  topology.Machine
@@ -124,15 +144,15 @@ func TestMINAlwaysMinimal(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	checked := 0
-	net.OnEject = func(p *sim.Packet, now int64) {
+	watchEjections(net, func(e metrics.Eject, hops int) {
 		checked++
-		if !p.Minimal {
+		if !e.Minimal {
 			t.Error("MIN produced a non-minimal packet")
 		}
-		if p.Hops() > 3 {
-			t.Errorf("MIN packet took %d hops", p.Hops())
+		if hops > 3 {
+			t.Errorf("MIN packet took %d hops", hops)
 		}
-	}
+	})
 	net.SetLoad(0.2)
 	for i := 0; i < 1000; i++ {
 		net.Step()
@@ -150,15 +170,15 @@ func TestVALAlwaysNonminimalAcrossGroups(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	checked := 0
-	net.OnEject = func(p *sim.Packet, now int64) {
+	watchEjections(net, func(e metrics.Eject, hops int) {
 		checked++
-		if p.Minimal {
+		if e.Minimal {
 			t.Error("VAL produced a minimal packet for cross-group traffic")
 		}
-		if p.Hops() > 5 {
-			t.Errorf("VAL packet took %d hops, want <= 5", p.Hops())
+		if hops > 5 {
+			t.Errorf("VAL packet took %d hops, want <= 5", hops)
 		}
-	}
+	})
 	net.SetLoad(0.2)
 	for i := 0; i < 1000; i++ {
 		net.Step()

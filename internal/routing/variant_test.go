@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"dragonfly/internal/metrics"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
@@ -63,11 +64,9 @@ func TestDragonflyFBHopBound(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	worst := 0
-	net.OnEject = func(p *sim.Packet, now int64) {
-		if p.Hops() > worst {
-			worst = p.Hops()
-		}
-	}
+	watchEjections(net, func(_ metrics.Eject, hops int) {
+		worst = max(worst, hops)
+	})
 	net.SetLoad(0.2)
 	for i := 0; i < 1500; i++ {
 		net.Step()

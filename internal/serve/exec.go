@@ -176,15 +176,11 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 		}
 		var win *liveWindows
 		if spec.Window > 0 {
-			probe, err := sys.NewNetworkFor(alg, wl)
-			if err != nil {
-				return nil, err
-			}
 			win = &liveWindows{
 				Windows: obs.NewWindows(obs.WindowsConfig{
 					Width:       spec.Window,
 					Terminals:   sys.Topo.Nodes(),
-					LinkClasses: obs.LinkClasses(probe),
+					LinkClasses: sim.LinkClasses(sys.Topo),
 				}),
 				job: job,
 			}

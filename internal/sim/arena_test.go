@@ -92,27 +92,3 @@ func TestArenaGrowDoubles(t *testing.T) {
 		t.Fatalf("inUse = %d, want 257", a.inUse())
 	}
 }
-
-func TestArenaViewRoundTrip(t *testing.T) {
-	var a arena
-	ref := a.alloc()
-	a.p[ref] = pkt{
-		id: 99, seed: 0xdead, src: 3, dst: 11, create: 100, inject: 110,
-		flags:    pfMinimal | pfPhase1 | pfDecided | pfMeasured,
-		interGrp: -1, nextPort: 4, nextVC: 2, inPort: 1, bufVC: 1, hops: 3,
-	}
-	var p Packet
-	a.p[ref].view(&p)
-	if p.ID != 99 || p.Seed != 0xdead || p.Src != 3 || p.Dst != 11 {
-		t.Error("identity fields wrong in view")
-	}
-	if p.CreateTime != 100 || p.InjectTime != 110 || p.EjectTime != 0 {
-		t.Error("time fields wrong in view")
-	}
-	if !p.Minimal || !p.Phase1() || !p.Decided || !p.Measured {
-		t.Error("flag fields wrong in view")
-	}
-	if p.InterGroup != -1 || p.NextPort != 4 || p.NextVC != 2 || p.InPort != 1 || p.BufVC != 1 || p.Hops() != 3 {
-		t.Error("hop fields wrong in view")
-	}
-}

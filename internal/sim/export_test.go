@@ -25,6 +25,9 @@ func (c *crew) Run(fns []func()) { c.run(fns) }
 // Stop ends the crew's workers.
 func (c *crew) Stop() { c.stop() }
 
+// LinkGlobal reports whether New built link id as a global channel.
+func (n *Network) LinkGlobal(id int) bool { return n.links[id].global }
+
 // PacketWire is the encoded size of one packet, for tests that patch
 // entries of a snapshot.
 const PacketWire = packetWire
@@ -53,19 +56,25 @@ func (n *Network) CreditRingCaps() (link, ctq int) {
 	return link, ctq
 }
 
+// QueuedRoute is the routing state of a queued packet that
+// QueuedPacket's matcher selects on.
+type QueuedRoute struct {
+	// Minimal is the source decision; Phase1 that the packet heads for
+	// its final destination group.
+	Minimal, Phase1 bool
+}
+
 // QueuedPacket returns the snapshot encoding of the first packet, in
 // snapshot order, that sits in a source queue ("src"), a crossbar wait
 // queue ("wait"), an output buffer ("out") or on a link ("wire") and
 // satisfies match; nil when there is none. Tests use it to find a
 // packet's record in a snapshot and patch it.
-func (n *Network) QueuedPacket(where string, match func(*Packet) bool) []byte {
+func (n *Network) QueuedPacket(where string, match func(QueuedRoute) bool) []byte {
 	enc := func(sh *shard, ref int32, wire bool) []byte {
-		var v Packet
-		sh.ar.p[ref].view(&v)
-		if !match(&v) {
+		p := sh.ar.p[ref]
+		if !match(QueuedRoute{Minimal: p.flags&pfMinimal != 0, Phase1: p.flags&pfPhase1 != 0}) {
 			return nil
 		}
-		p := sh.ar.p[ref]
 		if wire {
 			p = p.onWire()
 		}
@@ -130,7 +139,3 @@ func (n *Network) TotalSourceBacklog() int {
 	}
 	return total
 }
-
-// Phase1 reports whether the packet was heading for its final
-// destination group (true) or still for its Valiant intermediate group.
-func (p *Packet) Phase1() bool { return p.phase1 }

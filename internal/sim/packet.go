@@ -4,9 +4,9 @@ package sim
 // pkt record per slot, indexed by an int32 ref and recycled through a
 // free list. The queues move refs; a hop reads and writes one record,
 // and there is no per-packet heap object. The same record crosses the
-// shard mailboxes and is the unit of the snapshot codec; Packet (below)
-// is the observer view of one, materialised only for the OnEject hook
-// and diagnostics.
+// shard mailboxes and is the unit of the snapshot codec. Nothing outside
+// the engine sees a record: an ejection leaves as a metrics.Eject (see
+// eject), and the slot is recycled at once.
 
 // nilRef is the "no packet" ref.
 const nilRef int32 = -1
@@ -40,29 +40,6 @@ type pkt struct {
 	nextVC int8
 	bufVC  int8
 	flags  uint8
-}
-
-// view materialises the observer Packet for the record. EjectTime is
-// not packet state (the slot is released at ejection); the caller
-// stamps it.
-func (q *pkt) view(p *Packet) {
-	p.ID = q.id
-	p.Seed = q.seed
-	p.Src = int(q.src)
-	p.Dst = int(q.dst)
-	p.CreateTime = q.create
-	p.InjectTime = q.inject
-	p.EjectTime = 0
-	p.Minimal = q.flags&pfMinimal != 0
-	p.InterGroup = int(q.interGrp)
-	p.phase1 = q.flags&pfPhase1 != 0
-	p.Decided = q.flags&pfDecided != 0
-	p.NextPort = int(q.nextPort)
-	p.NextVC = int(q.nextVC)
-	p.InPort = int(q.inPort)
-	p.BufVC = int(q.bufVC)
-	p.Measured = q.flags&pfMeasured != 0
-	p.hops = int(q.hops)
 }
 
 // arena is the packet store: one record per slot. free holds the
@@ -134,56 +111,3 @@ func (a *arena) release(ref int32) {
 	}
 	a.free = append(a.free, ref)
 }
-
-// Packet is the observer view of a single-flit packet (Section 4.2 of
-// the paper evaluates with single-flit packets to separate routing from
-// flow-control effects; the simulator follows suit). The engine stores
-// packet state in its arena; a Packet is materialised from it for the
-// OnEject hook and must not be retained past the call.
-type Packet struct {
-	// ID is unique over the lifetime of a Network.
-	ID uint64
-	// Seed drives the packet's deterministic random choices (intermediate
-	// group, slot selection among parallel global channels).
-	Seed uint64
-	// Src and Dst are terminal ids.
-	Src, Dst int
-
-	// CreateTime is the cycle the packet entered its source queue;
-	// InjectTime the cycle it was admitted into its source router;
-	// EjectTime the cycle it reached its destination terminal. Latency is
-	// Eject-Create, which includes source queueing, as in the paper.
-	CreateTime, InjectTime, EjectTime int64
-
-	// Minimal reports the routing decision made at the source router.
-	Minimal bool
-	// InterGroup is the Valiant intermediate group for non-minimal
-	// packets, -1 for minimal ones.
-	InterGroup int
-	// phase1 reports that the packet was heading for its final
-	// destination group (minimal packets always are).
-	phase1 bool
-
-	// Decided marks that the source-router routing decision has been
-	// made (it happens once, when the packet first reaches the head of
-	// its source queue).
-	Decided bool
-
-	// NextPort and NextVC are the current hop's switch request, set by
-	// the routing algorithm when the packet is buffered at a router.
-	NextPort, NextVC int
-
-	// InPort and BufVC identify the input buffer slot the packet
-	// occupies at its current router: the port it was delivered on and
-	// the virtual channel it travelled in (the NextVC of the previous
-	// hop). InPort is -1 for packets injected from a source queue.
-	InPort, BufVC int
-
-	// Measured marks packets created inside the measurement window.
-	Measured bool
-
-	hops int
-}
-
-// Hops counts the router-to-router channels the packet traversed.
-func (p *Packet) Hops() int { return p.hops }

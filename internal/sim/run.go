@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"dragonfly/internal/metrics"
 )
 
 // RunConfig controls one simulation run: the standard warm-up →
@@ -136,8 +138,8 @@ type runState struct {
 	// rc echoes the run parameters the checkpoint was taken under;
 	// ResumeCtx refuses to continue under different ones.
 	rc RunConfig
-	// res accumulates the Result under construction (the OnEject
-	// observer feeds its accumulators and histograms).
+	// res accumulates the Result under construction (eject feeds its
+	// accumulators and histograms).
 	res Result
 	// minCount and totalCount drive MinimalFraction.
 	minCount, totalCount int64
@@ -148,6 +150,33 @@ type runState struct {
 	// phaseIdx are complete.
 	phaseIdx uint8
 	iterDone int64
+}
+
+// eject folds one ejection into the run's accumulators, in the order
+// the engine replays them (serial router order). Only packets injected
+// inside the measurement window count.
+func (st *runState) eject(e metrics.Eject) {
+	if !e.Measured {
+		return
+	}
+	lat := float64(e.Latency)
+	st.res.Latency.Add(lat)
+	st.totalCount++
+	if e.Minimal {
+		st.res.MinLatency.Add(lat)
+		st.minCount++
+		if st.res.MinHist != nil {
+			st.res.MinHist.Add(e.Latency)
+		}
+	} else {
+		st.res.NonminLatency.Add(lat)
+		if st.res.NonminHist != nil {
+			st.res.NonminHist.Add(e.Latency)
+		}
+	}
+	if st.res.Hist != nil {
+		st.res.Hist.Add(e.Latency)
+	}
 }
 
 // RunCtx executes the full warm-up/measure/drain sequence on net and
@@ -228,40 +257,18 @@ func normalizeRunConfig(rc *RunConfig) {
 // checkpoint was taken, so the first loop iteration re-fires that same
 // checkpoint (bit-identical, harmless) and continues.
 func runPhases(ctx context.Context, net *Network, rc RunConfig, st *runState, resumed bool) (Result, error) {
-	net.OnEject = func(p *Packet, now int64) {
-		if !p.Measured {
-			return
-		}
-		lat := float64(now - p.CreateTime)
-		st.res.Latency.Add(lat)
-		st.totalCount++
-		if p.Minimal {
-			st.res.MinLatency.Add(lat)
-			st.minCount++
-			if st.res.MinHist != nil {
-				st.res.MinHist.Add(now - p.CreateTime)
-			}
-		} else {
-			st.res.NonminLatency.Add(lat)
-			if st.res.NonminHist != nil {
-				st.res.NonminHist.Add(now - p.CreateTime)
-			}
-		}
-		if st.res.Hist != nil {
-			st.res.Hist.Add(now - p.CreateTime)
-		}
-	}
+	net.run = st
 	// Reset the measurement state on every exit path, error returns
 	// included: a stall error inside the measurement loop must not leave
 	// net.measuring/net.countWindow set (tagging warm-up packets and
 	// corrupting window counts of any later run on this network), and the
-	// ejection observer must never outlive the run whose Result it
-	// captures. The observer is cleared first so no packet can be
-	// counted against a half-reset window.
+	// run hook must never outlive the run whose Result it captures. The
+	// hook is cleared first so no packet can be counted against a
+	// half-reset window.
 	prevCtx := net.ctx
 	net.SetContext(ctx)
 	defer func() {
-		net.OnEject = nil
+		net.run = nil
 		net.measuring = false
 		net.countWindow = false
 		net.SetContext(prevCtx)

@@ -68,8 +68,8 @@ func TestRunResetsMeasurementStateOnStallError(t *testing.T) {
 	if net.countWindow {
 		t.Error("net.countWindow still set after failed run")
 	}
-	if net.OnEject != nil {
-		t.Error("net.OnEject still installed after failed run")
+	if net.run != nil {
+		t.Error("net.run still installed after failed run")
 	}
 }
 
@@ -90,7 +90,7 @@ func TestRunResetsObserverOnWarmupError(t *testing.T) {
 	if !strings.Contains(err.Error(), "warm-up") {
 		t.Fatalf("stall not during warm-up: %v", err)
 	}
-	if net.OnEject != nil || net.measuring || net.countWindow {
+	if net.run != nil || net.measuring || net.countWindow {
 		t.Error("measurement state leaked after warm-up failure")
 	}
 }

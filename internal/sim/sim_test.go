@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"dragonfly/internal/fault"
 	"dragonfly/internal/metrics"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
@@ -25,6 +26,57 @@ func testDragonfly(t *testing.T) *topology.Dragonfly {
 // testConfig returns the paper's baseline simulation parameters.
 func testConfig() sim.Config {
 	return sim.Config{BufDepth: 16, VCs: routing.VCs, LocalLatency: 1, GlobalLatency: 2, Seed: 1}
+}
+
+// watchEjections attaches a collector that hands f every ejection with
+// the number of channels the packet crossed, counted from its
+// PacketHop events.
+func watchEjections(net *sim.Network, f func(e metrics.Eject, hops int)) {
+	net.AttachMetrics(&ejectWatch{f: f, hops: map[uint64]int{}})
+}
+
+type ejectWatch struct {
+	metrics.Nop
+	f    func(metrics.Eject, int)
+	hops map[uint64]int
+}
+
+func (w *ejectWatch) PacketHop(h metrics.Hop) { w.hops[h.Packet]++ }
+
+func (w *ejectWatch) PacketEjected(e metrics.Eject) {
+	w.f(e, w.hops[e.Packet])
+	delete(w.hops, e.Packet)
+}
+
+// TestLinkClassesMatchNetwork pins LinkClasses to New's link
+// numbering: for every registered topology family, pristine and behind
+// a Degraded view with failed channels, the classes computed from the
+// topology alone are the ones the built network gave its links.
+func TestLinkClassesMatchNetwork(t *testing.T) {
+	for _, f := range topology.Families.List() {
+		m, err := topology.Build(f.Name, nil)
+		if err != nil {
+			t.Fatalf("Build(%s): %v", f.Name, err)
+		}
+		plan := fault.NewPlan(1)
+		plan.FailFraction(m, topology.ClassGlobal, 0.1)
+		plan.FailFraction(m, topology.ClassLocal, 0.1)
+		for _, topo := range []topology.Machine{m, topology.NewDegraded(m, plan)} {
+			net, err := sim.New(topo, testConfig(), routing.NewMIN(topo), traffic.NewUniformRandom(topo.Terminals()))
+			if err != nil {
+				t.Fatalf("%s: New: %v", f.Name, err)
+			}
+			got := sim.LinkClasses(topo)
+			if len(got) != net.NumLinks() {
+				t.Fatalf("%s (%T): %d link classes for %d links", f.Name, topo, len(got), net.NumLinks())
+			}
+			for id, global := range got {
+				if global != net.LinkGlobal(id) {
+					t.Errorf("%s (%T): link %d global=%t, the network says %t", f.Name, topo, id, global, !global)
+				}
+			}
+		}
+	}
 }
 
 func newNet(t *testing.T, d *topology.Dragonfly, cfg sim.Config, rt sim.Routing, tr sim.Traffic) *sim.Network {
@@ -150,11 +202,9 @@ func TestZeroLoadLatencyMatchesPathLength(t *testing.T) {
 	cfg := testConfig()
 	net := newNet(t, d, cfg, routing.NewMIN(d), traffic.NewUniformRandom(d.Nodes()))
 	maxLat := int64(0)
-	net.OnEject = func(p *sim.Packet, now int64) {
-		if l := now - p.CreateTime; l > maxLat {
-			maxLat = l
-		}
-	}
+	watchEjections(net, func(e metrics.Eject, _ int) {
+		maxLat = max(maxLat, e.Latency)
+	})
 	net.SetLoad(0.005)
 	for i := 0; i < 3000; i++ {
 		net.Step()
@@ -181,11 +231,9 @@ func TestMinimalHopBound(t *testing.T) {
 	} {
 		net := newNet(t, d, testConfig(), tc.alg, traffic.NewUniformRandom(d.Nodes()))
 		worst := 0
-		net.OnEject = func(p *sim.Packet, now int64) {
-			if p.Hops() > worst {
-				worst = p.Hops()
-			}
-		}
+		watchEjections(net, func(_ metrics.Eject, hops int) {
+			worst = max(worst, hops)
+		})
 		net.SetLoad(0.3)
 		for i := 0; i < 2000; i++ {
 			net.Step()
@@ -203,7 +251,7 @@ func TestPacketConservation(t *testing.T) {
 	net := newNet(t, d, testConfig(), routing.NewUGAL(d, routing.UGALLocalVCH), traffic.NewWorstCase(d))
 	injected := 0
 	ejected := 0
-	net.OnEject = func(p *sim.Packet, now int64) { ejected++ }
+	watchEjections(net, func(metrics.Eject, int) { ejected++ })
 	net.SetLoad(0.4)
 	for i := 0; i < 2000; i++ {
 		net.Step()
@@ -264,7 +312,7 @@ func TestDeadlockFreedomUnderStress(t *testing.T) {
 		}
 		// Forward progress: ejections must keep happening at full load.
 		count := 0
-		net.OnEject = func(p *sim.Packet, now int64) { count++ }
+		watchEjections(net, func(metrics.Eject, int) { count++ })
 		for i := 0; i < 500; i++ {
 			net.Step()
 		}
@@ -541,9 +589,7 @@ func TestMetricsRunThenPlainRunBitIdentical(t *testing.T) {
 			t.Fatalf("first run: %v", err)
 		}
 		if firstUtil {
-			if prev := net.AttachMetrics(nil); prev != util {
-				t.Fatal("the attached collector was replaced during the run")
-			}
+			net.AttachMetrics(nil)
 			busy := int64(0)
 			for l := 0; l < net.NumLinks(); l++ {
 				busy += util.Busy(l)

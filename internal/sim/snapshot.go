@@ -641,7 +641,7 @@ func (c *snapCodec) creditQueue(off int, q *creditQueue, vcs int) int {
 
 // code walks the run section: the run parameters (so resume can refuse
 // a mismatched RunConfig), the phase position, the counters, and every
-// accumulator the OnEject observer feeds. Decoding rejects measurement
+// accumulator runState.eject feeds. Decoding rejects measurement
 // state no run produces: a Latency, MinLatency or NonminLatency sample
 // count, or a histogram total, that disagrees with the counters, and a
 // histogram whose width is not the run's or whose buckets do not sum to

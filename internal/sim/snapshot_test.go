@@ -356,15 +356,15 @@ func TestSnapshotRejectsUnreachablePackets(t *testing.T) {
 		recInterGrp = 25
 		recInPort   = 32
 	)
-	all := func(*sim.Packet) bool { return true }
+	all := func(sim.QueuedRoute) bool { return true }
 	finds := []struct {
 		name, where string
-		match       func(*sim.Packet) bool
+		match       func(sim.QueuedRoute) bool
 	}{
 		{"source", "src", all},
 		{"waiting", "wait", all},
-		{"minimal", "out", func(p *sim.Packet) bool { return p.Minimal }},
-		{"valiant", "out", func(p *sim.Packet) bool { return !p.Minimal && !p.Phase1() }},
+		{"minimal", "out", func(p sim.QueuedRoute) bool { return p.Minimal }},
+		{"valiant", "out", func(p sim.QueuedRoute) bool { return !p.Minimal && !p.Phase1 }},
 		{"wire", "wire", all},
 	}
 	orig := snapNet(t, 1)

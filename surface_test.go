@@ -24,7 +24,6 @@ import (
 var surfaceAllowlist = map[string]string{
 	"sim.Accumulator.Variance": "completes the Welford accumulator whose m2 the dfly-snap/1 format carries",
 	"sim.Network.ActiveEpoch":  "the only view of the governing epoch; core's timeline tests assert swaps through it",
-	"sim.Packet.Hops":          "the OnEject view of a packet's path length; routing tests bound MIN and VAL paths with it",
 }
 
 // surfaceDynamic holds the method names the standard library calls
