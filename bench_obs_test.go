@@ -6,10 +6,11 @@ package dragonfly_test
 // moderate uniform-random load, with nothing attached, with the
 // windowed time-series collector, with the sampled packet tracer (the
 // variant that arms the engine's per-hop instrumentation), and with
-// both stacked through metrics.Multi. PERFORMANCE.md quotes these
-// numbers; rerun with
+// both stacked through metrics.Multi. TestMain writes the four records
+// into BENCH_sim.json's obs_overhead section, which PERFORMANCE.md's
+// "Observability overhead" table quotes; rerun with
 //
-//	go test -bench=ObsOverhead -benchtime=200000x -run='^$' .
+//	go test -bench=ObsOverhead -benchtime=20000x -run='^$' .
 
 import (
 	"testing"
@@ -40,7 +41,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			sys, _ := benchSystem(b, simBenchScenario{})
+			sys, netName := benchSystem(b, simBenchScenario{})
 			net, err := sys.NewNetworkFor(core.AlgUGALLVCH, core.Workload{Traffic: "ur"})
 			if err != nil {
 				b.Fatalf("NewNetwork: %v", err)
@@ -49,13 +50,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			if c := v.build(sys); c != nil {
 				net.AttachMetrics(c)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := net.Step(); err != nil {
-					b.Fatalf("Step: %v", err)
-				}
-			}
+			obsBenchRecords = append(obsBenchRecords, timeSteps(b, net, v.name, netName))
 		})
 	}
 }

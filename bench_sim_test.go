@@ -29,6 +29,7 @@ import (
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/fault"
+	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 )
 
@@ -82,7 +83,10 @@ type simBenchFile struct {
 	Engine    string           `json:"engine"`
 	Note      string           `json:"note,omitempty"`
 	Scenarios []simBenchRecord `json:"scenarios"`
-	Baseline  *simBenchFile    `json:"baseline,omitempty"`
+	// ObsOverhead holds BenchmarkObsOverhead's records, one per set of
+	// attached collectors (PERFORMANCE.md "Observability overhead").
+	ObsOverhead []simBenchRecord `json:"obs_overhead,omitempty"`
+	Baseline    *simBenchFile    `json:"baseline,omitempty"`
 	// ScaleDemo holds the hand-recorded paper-scale measurements (the
 	// 40K- and 256K-node runs documented in PERFORMANCE.md and
 	// EXPERIMENTS.md — too slow for the bench harness); writeSimBench
@@ -90,9 +94,10 @@ type simBenchFile struct {
 	ScaleDemo json.RawMessage `json:"scale_demo,omitempty"`
 }
 
-// simBenchRecords collects the sub-benchmark measurements of one
-// `go test -bench` process; TestMain persists them on exit.
-var simBenchRecords []simBenchRecord
+// simBenchRecords and obsBenchRecords collect the sub-benchmark
+// measurements of one `go test -bench` process; TestMain persists them
+// on exit.
+var simBenchRecords, obsBenchRecords []simBenchRecord
 
 type simBenchScenario struct {
 	name       string
@@ -195,30 +200,35 @@ func BenchmarkSimCycle(b *testing.B) {
 				}
 			}
 			net.SetLoad(sc.load)
-			b.ReportAllocs()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := net.Step(); err != nil {
-					b.Fatalf("Step: %v", err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&m1)
-			cps := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(cps, "cycles/sec")
-			simBenchRecords = append(simBenchRecords, simBenchRecord{
-				Name:          sc.name,
-				Network:       netName,
-				Cycles:        b.N,
-				NsPerCycle:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				CyclesPerSec:  cps,
-				AllocsPerCyc:  float64(m1.Mallocs-m0.Mallocs) / float64(b.N),
-				BytesPerCyc:   float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N),
-				InFlightAtEnd: net.InFlight(),
-			})
+			simBenchRecords = append(simBenchRecords, timeSteps(b, net, sc.name, netName))
 		})
+	}
+}
+
+// timeSteps times b.N Steps of net and returns them as a record.
+func timeSteps(b *testing.B, net *sim.Network, name, network string) simBenchRecord {
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.Step(); err != nil {
+			b.Fatalf("Step: %v", err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	cps := float64(b.N) / b.Elapsed().Seconds()
+	b.ReportMetric(cps, "cycles/sec")
+	return simBenchRecord{
+		Name:          name,
+		Network:       network,
+		Cycles:        b.N,
+		NsPerCycle:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+		CyclesPerSec:  cps,
+		AllocsPerCyc:  float64(m1.Mallocs-m0.Mallocs) / float64(b.N),
+		BytesPerCyc:   float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N),
+		InFlightAtEnd: net.InFlight(),
 	}
 }
 
@@ -228,7 +238,7 @@ func BenchmarkSimCycle(b *testing.B) {
 // Scenarios this run did not measure keep their previous records, so a
 // -bench filter refreshes just the rows it selects.
 func writeSimBench() {
-	if len(simBenchRecords) == 0 {
+	if len(simBenchRecords) == 0 && len(obsBenchRecords) == 0 {
 		return
 	}
 	path := os.Getenv("DFLY_BENCH_JSON")
@@ -238,32 +248,19 @@ func writeSimBench() {
 	if path == "" {
 		path = "BENCH_sim.json"
 	}
-	// The bench framework runs a b.N=1 calibration probe before the
-	// timed run; keep only the largest-N record per scenario (under
-	// -benchtime=1x the probe IS the run, so it survives).
 	host := thisHost()
-	best := make(map[string]int)
-	var scenarios []simBenchRecord
-	for _, rec := range simBenchRecords {
-		rec.Host = host
-		if i, ok := best[rec.Name]; ok {
-			if rec.Cycles >= scenarios[i].Cycles {
-				scenarios[i] = rec
-			}
-			continue
-		}
-		best[rec.Name] = len(scenarios)
-		scenarios = append(scenarios, rec)
-	}
+	scenarios := largestRuns(simBenchRecords, host)
 	out := simBenchFile{
-		Engine:    "arena",
-		Note:      "one op = one Network.Step on a cold network; see PERFORMANCE.md",
-		Scenarios: scenarios,
+		Engine:      "arena",
+		Note:        "one op = one Network.Step on a cold network; see PERFORMANCE.md",
+		Scenarios:   scenarios,
+		ObsOverhead: largestRuns(obsBenchRecords, host),
 	}
 	if prev, err := os.ReadFile(path); err == nil {
 		var old simBenchFile
 		if json.Unmarshal(prev, &old) == nil {
 			out.ScaleDemo = old.ScaleDemo
+			out.ObsOverhead = mergeRecords(old.ObsOverhead, out.ObsOverhead)
 			if old.Engine == out.Engine {
 				out.Scenarios = mergeRecords(old.Scenarios, scenarios)
 			}
@@ -283,6 +280,27 @@ func writeSimBench() {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "BENCH_sim.json: %v\n", err)
 	}
+}
+
+// largestRuns stamps recs with host and keeps one record per name. The
+// bench framework runs a b.N=1 calibration probe before the timed run;
+// the largest-N record wins (under -benchtime=1x the probe IS the run,
+// so it survives).
+func largestRuns(recs []simBenchRecord, host *benchHost) []simBenchRecord {
+	best := make(map[string]int)
+	var out []simBenchRecord
+	for _, rec := range recs {
+		rec.Host = host
+		if i, ok := best[rec.Name]; ok {
+			if rec.Cycles >= out[i].Cycles {
+				out[i] = rec
+			}
+			continue
+		}
+		best[rec.Name] = len(out)
+		out = append(out, rec)
+	}
+	return out
 }
 
 // mergeRecords replaces the rows of old that fresh re-measured, in

@@ -12,11 +12,15 @@ package core_test
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/fault"
+	"dragonfly/internal/metrics"
+	"dragonfly/internal/obs"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 )
@@ -125,6 +129,55 @@ func TestShardedTimelineMatchesSerial(t *testing.T) {
 			if got := hash(k); got != want {
 				t.Errorf("timeline seed %d shards %d: hash %s, want serial %s", seed, k, got, want)
 			}
+		}
+	}
+}
+
+// TestShardedCollectorsMatchSerial pins what the collectors see, not
+// just the Result: on the fail-then-recover timeline, a windowed series
+// with link classes, a 1/8 hop tracer and per-channel flit counters,
+// stacked through metrics.Multi, must record identical windows, trace
+// records and per-link busy counts at 1, 2 and 4 shards.
+func TestShardedCollectorsMatchSerial(t *testing.T) {
+	type observed struct {
+		windows []obs.Window
+		trace   []metrics.Hop
+		busy    []int64
+	}
+	observe := func(shards int) observed {
+		sys := failRecoverSystem(t, 1, shards)
+		classes := sim.LinkClasses(sys.Topo)
+		win := obs.NewWindows(obs.WindowsConfig{Width: 50, Terminals: sys.Topo.Nodes(), LinkClasses: classes})
+		tr := obs.NewTracer(8, 1, 1<<14)
+		util := metrics.NewChannelUtil(len(classes))
+		if _, err := sys.RunW(core.AlgUGALL, core.Workload{Traffic: "ur"}, 0.25, goldenRC(),
+			core.WithCollector(metrics.Multi{win, tr, util})); err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
+		}
+		o := observed{windows: win.Windows(), trace: tr.Records(), busy: make([]int64, len(classes))}
+		for l := range o.busy {
+			o.busy[l] = util.Busy(l)
+		}
+		return o
+	}
+	want := observe(1)
+	kills := int64(0)
+	for _, w := range want.windows {
+		kills += w.Kills
+	}
+	if kills == 0 || len(want.trace) == 0 {
+		t.Fatalf("serial run saw %d kills and %d trace records; the scenario is not exercising the collectors", kills, len(want.trace))
+	}
+	for _, k := range []int{2, 4} {
+		got := observe(k)
+		if !reflect.DeepEqual(got.windows, want.windows) {
+			t.Errorf("shards %d: window series differs from the serial engine's", k)
+		}
+		if !slices.Equal(got.trace, want.trace) {
+			t.Errorf("shards %d: %d trace records differ from the serial engine's %d", k, len(got.trace), len(want.trace))
+		}
+		if !slices.Equal(got.busy, want.busy) {
+			t.Errorf("shards %d: per-link busy counts differ from the serial engine's", k)
 		}
 	}
 }

@@ -128,6 +128,57 @@ func TestPerformanceTablesMatchBenchSim(t *testing.T) {
 	}
 }
 
+// TestObsOverheadTableMatchesBenchSim checks PERFORMANCE.md's
+// "Observability overhead" table against BENCH_sim.json's obs_overhead
+// section: one row per record, named by its variant, with ns/cycle in
+// thousands, the change against the "off" record, and allocs/cycle,
+// each at the precision the table shows.
+func TestObsOverheadTableMatchesBenchSim(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench simBenchFile
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatalf("BENCH_sim.json: %v", err)
+	}
+	doc, err := os.ReadFile("PERFORMANCE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := recordsByName(bench.ObsOverhead)
+	off, ok := recs["off"]
+	if !ok {
+		t.Fatal(`BENCH_sim.json: obs_overhead has no "off" record`)
+	}
+	rows := docTable(t, string(doc), "## Observability overhead", "| variant")
+	for _, row := range rows {
+		if len(row) != 5 {
+			t.Errorf("Observability overhead row %q: want 5 cells", row)
+			continue
+		}
+		name := strings.Trim(row[0], "`")
+		rec, ok := recs[name]
+		if !ok {
+			t.Errorf("Observability overhead cites %q, which BENCH_sim.json does not record", name)
+			continue
+		}
+		delete(recs, name)
+		checkShown(t, name+" ns/cycle (k)", rec.NsPerCycle/1000, strings.TrimSuffix(row[2], "k"))
+		delta := "—"
+		if name != "off" {
+			delta = fmt.Sprintf("%+.0f%%", (rec.NsPerCycle/off.NsPerCycle-1)*100)
+		}
+		if row[3] != delta {
+			t.Errorf("%s: vs off %q, BENCH_sim.json gives %q", name, row[3], delta)
+		}
+		checkShown(t, name+" allocs/cycle", rec.AllocsPerCyc, row[4])
+	}
+	for name := range recs {
+		t.Errorf("Observability overhead table has no row for %q", name)
+	}
+}
+
 func recordsByName(recs []simBenchRecord) map[string]simBenchRecord {
 	m := make(map[string]simBenchRecord, len(recs))
 	for _, r := range recs {
