@@ -9,7 +9,16 @@
 // routers by id, and -fail-seed picks which channels die. Routing
 // detours around the holes; truly unreachable packets are dropped and
 // reported. -fault-timeline schedules transient fail/recover events at
-// simulation cycles instead of a standing plan.
+// simulation cycles instead of a standing plan. -fail-seed 0 means 1,
+// as -seed 0 does.
+//
+// One spec, two front doors: the machine, routing, traffic, workload,
+// load, phase, seed, shard, timeline and window flags spell a dfly-serve
+// job (serve.Submission), and dfly-sim normalizes and builds it through
+// the service's own code, so one spec gives one -json report on both.
+// -warmup 0 -measure 0 -drain 0 takes the service's defaults
+// (3000/2000/30000). The other flags layer CLI-only extras on the
+// built run.
 //
 // Observability: -json replaces the text output with one versioned
 // JSON report (schema_version inside; informational prints move to
@@ -70,7 +79,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -82,6 +90,7 @@ import (
 	"dragonfly/internal/metrics"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/parallel"
+	"dragonfly/internal/serve"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
@@ -100,51 +109,6 @@ const (
 )
 
 func main() {
-	var (
-		algName = flag.String("alg", "UGAL-L_VCH", "routing algorithm (MIN, VAL, UGAL-L, UGAL-G, UGAL-L_VC, UGAL-L_VCH, UGAL-L_CR)")
-		pattern = flag.String("pattern", "UR", "traffic pattern (UR, WC, BitComplement, Tornado, Permutation)")
-		trafFam = flag.String("traffic", "", "traffic family from the registry instead of the -pattern enum: "+strings.Join(traffic.Families.Names(), ", "))
-		trafPar = flag.String("traffic-params", "", `build parameters for -traffic as "k=v,k=v" (omitted keys take the family defaults)`)
-		wlFam   = flag.String("workload", "", "arrival-process family (default: bernoulli): "+strings.Join(workload.Families.Names(), ", "))
-		wlPar   = flag.String("workload-params", "", `build parameters for -workload as "k=v,k=v"`)
-		wlTrace = flag.String("trace-file", "", `flow trace file for -workload trace (lines of "cycle src dst count")`)
-		load    = flag.Float64("load", 0.3, "offered load in flits/cycle/terminal")
-		p       = flag.Int("p", 4, "terminals per router")
-		a       = flag.Int("a", 8, "routers per group")
-		h       = flag.Int("h", 4, "global channels per router")
-		groups  = flag.Int("g", 0, "groups (0 = maximal a*h+1)")
-		family  = flag.String("topology", "", "topology family instead of the canonical dragonfly: "+strings.Join(topology.Families.Names(), ", "))
-		fparams = flag.String("topo-params", "", `build parameters for -topology as "k=v,k=v" (omitted keys take the family defaults; exclusive with -p/-a/-h/-g)`)
-		buf     = flag.Int("buf", 16, "input buffer depth per VC (flits)")
-		warmup  = flag.Int("warmup", 3000, "warm-up cycles")
-		measure = flag.Int("measure", 2000, "measurement cycles")
-		drain   = flag.Int("drain", 20000, "drain cycle cap")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		hist    = flag.Bool("hist", false, "print the latency histogram")
-		sweep   = flag.String("sweep", "", "run a load sweep from:to:step (e.g. 0.1:0.9:0.1) instead of a single load")
-		jobs    = flag.Int("jobs", 0, "concurrent simulations for -sweep (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0, "engine shards per simulation, clamped to the group count; results are bit-identical for every value (0 = serial)")
-
-		checkpoint      = flag.String("checkpoint", "", "write a resumable checkpoint to this file every -checkpoint-every cycles (atomically replaced; single runs only)")
-		checkpointEvery = flag.Int64("checkpoint-every", 5000, "cycles between -checkpoint snapshots")
-		resume          = flag.String("resume", "", "resume a killed run from a -checkpoint file instead of starting at cycle 0")
-
-		jsonOut   = flag.Bool("json", false, "emit one versioned JSON report instead of text output")
-		window    = flag.Int64("window", 0, "with -json: collect a windowed time series, W cycles per window")
-		trace     = flag.Int("trace", 0, "with -json: sample ~1/N packets into per-hop trace records")
-		traceBuf  = flag.Int("trace-buf", 0, "trace ring capacity in hop records (0 = 4096)")
-		traceSeed = flag.Uint64("trace-seed", 0, "seed selecting which packets -trace samples")
-
-		failGlobal    = flag.Float64("fail-global", 0, "fail random global channels: a fraction if < 1, a count if >= 1")
-		failRouters   = flag.String("fail-routers", "", "fail whole routers: comma-separated router ids")
-		failSeed      = flag.Uint64("fail-seed", 1, "seed for the random fault draws")
-		faultTimeline = flag.String("fault-timeline", "", `transient fault schedule: ";"-separated "@CYCLE fail|recover ARGS" events (e.g. "@2000 fail global=0.25; @8000 recover all"); random draws use -fail-seed; exclusive with -fail-global/-fail-routers`)
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-
 	// Writes to a closed stdout pipe (head, a dying consumer) must
 	// surface as EPIPE from the JSON encoder — routed to the exit-code-1
 	// path with diagnostics — not kill the process via SIGPIPE with the
@@ -156,16 +120,81 @@ func main() {
 	// the canceled-run path (exit code 4) reports how far it got. A
 	// second signal kills hard, via NotifyContext's restore-on-stop.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stopSignals()
+	os.Exit(code)
+}
+
+// run is the whole command: it parses args, runs what they describe
+// under ctx, writes the output to stdout and stderr and returns the
+// exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("dfly-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		algName = fs.String("alg", "UGAL-L_VCH", "routing algorithm (MIN, VAL, UGAL-L, UGAL-G, UGAL-L_VC, UGAL-L_VCH, UGAL-L_CR)")
+		pattern = fs.String("pattern", "UR", "traffic pattern (UR, WC, BitComplement, Tornado, Permutation)")
+		trafFam = fs.String("traffic", "", "traffic family from the registry instead of the -pattern enum: "+strings.Join(traffic.Families.Names(), ", "))
+		trafPar = fs.String("traffic-params", "", `build parameters for -traffic as "k=v,k=v" (omitted keys take the family defaults)`)
+		wlFam   = fs.String("workload", "", "arrival-process family (default: bernoulli): "+strings.Join(workload.Families.Names(), ", "))
+		wlPar   = fs.String("workload-params", "", `build parameters for -workload as "k=v,k=v"`)
+		wlTrace = fs.String("trace-file", "", `flow trace file for -workload trace (lines of "cycle src dst count")`)
+		load    = fs.Float64("load", 0.3, "offered load in flits/cycle/terminal")
+		p       = fs.Int("p", 4, "terminals per router")
+		a       = fs.Int("a", 8, "routers per group")
+		h       = fs.Int("h", 4, "global channels per router")
+		groups  = fs.Int("g", 0, "groups (0 = maximal a*h+1)")
+		family  = fs.String("topology", "", "topology family instead of the canonical dragonfly: "+strings.Join(topology.Families.Names(), ", "))
+		fparams = fs.String("topo-params", "", `build parameters for -topology as "k=v,k=v" (omitted keys take the family defaults; exclusive with -p/-a/-h/-g)`)
+		buf     = fs.Int("buf", 16, "input buffer depth per VC (flits)")
+		warmup  = fs.Int("warmup", 3000, "warm-up cycles")
+		measure = fs.Int("measure", 2000, "measurement cycles")
+		drain   = fs.Int("drain", 20000, "drain cycle cap")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		hist    = fs.Bool("hist", false, "print the latency histogram")
+		sweep   = fs.String("sweep", "", "run a load sweep from:to:step (e.g. 0.1:0.9:0.1) instead of a single load")
+		jobs    = fs.Int("jobs", 0, "concurrent simulations for -sweep (0 = GOMAXPROCS)")
+		shards  = fs.Int("shards", 0, "engine shards per simulation, clamped to the group count; results are bit-identical for every value (0 = serial)")
+
+		checkpoint      = fs.String("checkpoint", "", "write a resumable checkpoint to this file every -checkpoint-every cycles (atomically replaced; single runs only)")
+		checkpointEvery = fs.Int64("checkpoint-every", 5000, "cycles between -checkpoint snapshots")
+		resume          = fs.String("resume", "", "resume a killed run from a -checkpoint file instead of starting at cycle 0")
+
+		jsonOut   = fs.Bool("json", false, "emit one versioned JSON report instead of text output")
+		window    = fs.Int64("window", 0, "with -json: collect a windowed time series, W cycles per window")
+		trace     = fs.Int("trace", 0, "with -json: sample ~1/N packets into per-hop trace records")
+		traceBuf  = fs.Int("trace-buf", 0, "trace ring capacity in hop records (0 = 4096)")
+		traceSeed = fs.Uint64("trace-seed", 0, "seed selecting which packets -trace samples")
+
+		failGlobal    = fs.Float64("fail-global", 0, "fail random global channels: a fraction if < 1, a count if >= 1")
+		failRouters   = fs.String("fail-routers", "", "fail whole routers: comma-separated router ids")
+		failSeed      = fs.Uint64("fail-seed", 1, "seed for the random fault draws (0 means 1)")
+		faultTimeline = fs.String("fault-timeline", "", `transient fault schedule: ";"-separated "@CYCLE fail|recover ARGS" events (e.g. "@2000 fail global=0.25; @8000 recover all"); random draws use -fail-seed; exclusive with -fail-global/-fail-routers`)
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dfly-sim:", err)
+		return exitBadConfig
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -173,124 +202,148 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fatal(err)
+				code = fail(err)
+				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows live data
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fatal(err)
+				code = fail(err)
 			}
 		}()
 	}
 
-	// In JSON mode stdout carries exactly one JSON document, so the
-	// informational prints (fault plans, timeline epochs) move to stderr.
-	info := io.Writer(os.Stdout)
-	if *jsonOut {
-		info = os.Stderr
+	// Flag combinations the spec cannot express are rejected here, by
+	// flag name, before the spec is built.
+	isTrace := strings.EqualFold(*wlFam, "trace")
+	var clash string
+	switch {
+	case (*window != 0 || *trace != 0) && !*jsonOut:
+		clash = "-window/-trace produce report fields: add -json"
+	case (*window != 0 || *trace != 0) && *sweep != "":
+		clash = "-window/-trace apply to a single run, not -sweep"
+	case *window < 0 || *trace < 0 || *traceBuf < 0:
+		clash = "-window/-trace/-trace-buf want non-negative values"
+	case (*checkpoint != "" || *resume != "") && *sweep != "":
+		clash = "-checkpoint/-resume apply to a single run, not -sweep"
+	case (*checkpoint != "" || *resume != "") && (*window != 0 || *trace != 0):
+		clash = "-checkpoint/-resume cannot be combined with -window/-trace (collector state is not part of a snapshot)"
+	case *checkpoint != "" && *checkpointEvery <= 0:
+		clash = fmt.Sprintf("-checkpoint-every %d: want a positive cycle interval", *checkpointEvery)
+	case *trafFam != "" && set["pattern"]:
+		clash = fmt.Sprintf("-traffic %s replaces -pattern; set one, not both", *trafFam)
+	case *trafFam == "" && *trafPar != "":
+		clash = "-traffic-params needs -traffic"
+	case *wlFam == "" && *wlPar != "":
+		clash = "-workload-params needs -workload"
+	case *wlTrace != "" && !isTrace:
+		clash = "-trace-file needs -workload trace"
+	case isTrace && *wlTrace == "":
+		clash = "-workload trace needs -trace-file"
+	case *family != "" && (set["a"] || set["g"] || set["h"] || set["p"]):
+		for _, name := range []string{"a", "g", "h", "p"} {
+			if set[name] {
+				clash = fmt.Sprintf("-topology %s takes its parameters from -topo-params, not -%s", *family, name)
+				break
+			}
+		}
+	case *family == "" && *fparams != "":
+		clash = "-topo-params needs -topology"
+	case *faultTimeline != "" && (*failGlobal != 0 || *failRouters != ""):
+		clash = "-fault-timeline cannot be combined with -fail-global/-fail-routers (schedule standing faults at @0 instead)"
 	}
-	if (*window != 0 || *trace != 0) && !*jsonOut {
-		fatal(fmt.Errorf("-window/-trace produce report fields: add -json"))
-	}
-	if (*window != 0 || *trace != 0) && *sweep != "" {
-		fatal(fmt.Errorf("-window/-trace apply to a single run, not -sweep"))
-	}
-	if *window < 0 || *trace < 0 || *traceBuf < 0 {
-		fatal(fmt.Errorf("-window/-trace/-trace-buf want non-negative values"))
-	}
-	if (*checkpoint != "" || *resume != "") && *sweep != "" {
-		fatal(fmt.Errorf("-checkpoint/-resume apply to a single run, not -sweep"))
-	}
-	if (*checkpoint != "" || *resume != "") && (*window != 0 || *trace != 0) {
-		fatal(fmt.Errorf("-checkpoint/-resume cannot be combined with -window/-trace (collector state is not part of a snapshot)"))
-	}
-	if *checkpoint != "" && *checkpointEvery <= 0 {
-		fatal(fmt.Errorf("-checkpoint-every %d: want a positive cycle interval", *checkpointEvery))
+	if clash != "" {
+		return fail(errors.New(clash))
 	}
 
-	alg, err := core.ParseAlgorithm(*algName)
-	if err != nil {
-		fatal(err)
+	sub := serve.Submission{
+		Kind:      serve.KindRun,
+		Topology:  serve.TopologySpec{Family: *family, BufDepth: *buf},
+		Algorithm: *algName,
+		Traffic:   *trafFam,
+		Workload:  *wlFam,
+		Seed:      *seed,
+		Shards:    *shards,
+		Load:      *load,
+		Run:       serve.RunSpec{Warmup: *warmup, Measure: *measure, Drain: *drain},
+		Timeline:  *faultTimeline,
+		FailSeed:  *failSeed,
+		Window:    *window,
 	}
-	wl, disp, err := buildWorkload(*pattern, *trafFam, *trafPar, *wlFam, *wlPar, *wlTrace)
-	if err != nil {
-		fatal(err)
+	var err error
+	if *family == "" {
+		sub.Topology.P, sub.Topology.A, sub.Topology.H, sub.Topology.Groups = *p, *a, *h, *groups
+	} else if sub.Topology.Params, err = parseParams("-topo-params", *fparams); err != nil {
+		return fail(err)
 	}
-	scfg := core.SystemConfig{
-		P: *p, A: *a, H: *h, Groups: *groups, BufDepth: *buf, Seed: *seed,
-		Shards: *shards,
+	if *trafFam == "" {
+		sub.Pattern = *pattern
+	} else if sub.TrafficParams, err = parseParams("-traffic-params", *trafPar); err != nil {
+		return fail(err)
 	}
-	if *family != "" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "p", "a", "h", "g":
-				fatal(fmt.Errorf("-topology %s takes its parameters from -topo-params, not -%s", *family, f.Name))
-			}
-		})
-		params, err := parseTopoParams(*fparams)
-		if err != nil {
-			fatal(err)
-		}
-		scfg.Topology, scfg.TopoParams = *family, params
-		scfg.P, scfg.A, scfg.H, scfg.Groups = 0, 0, 0, 0
-	} else if *fparams != "" {
-		fatal(fmt.Errorf("-topo-params needs -topology"))
-	}
-	sys, err := core.NewSystem(scfg)
-	if err != nil {
-		fatal(err)
-	}
-	sys, err = applyFaults(info, sys, *failGlobal, *failRouters, *failSeed)
-	if err != nil {
-		fatal(err)
-	}
-	sys, err = applyTimeline(info, sys, *faultTimeline, *failGlobal, *failRouters, *failSeed)
-	if err != nil {
-		fatal(err)
+	if sub.WorkloadParams, err = parseParams("-workload-params", *wlPar); err != nil {
+		return fail(err)
 	}
 	if *wlTrace != "" {
 		data, err := os.ReadFile(*wlTrace)
 		if err != nil {
-			fatal(fmt.Errorf("-trace-file: %w", err))
+			return fail(fmt.Errorf("-trace-file: %w", err))
 		}
-		tr, err := workload.ParseTrace(data, sys.Topo.Nodes())
-		if err != nil {
-			fatal(fmt.Errorf("-trace-file %s: %w", *wlTrace, err))
+		sub.Trace = string(data)
+	}
+	if *sweep != "" {
+		sub.Kind, sub.Load = serve.KindSweep, 0
+		if sub.Loads, err = parseSweep(*sweep); err != nil {
+			return fail(err)
 		}
+	}
+	spec, err := sub.Normalize(serve.Limits{})
+	if err != nil {
+		return fail(err)
+	}
+	built, err := spec.Build()
+	if err != nil {
+		return fail(err)
+	}
+
+	// In JSON mode stdout carries exactly one JSON document, so the
+	// informational prints (fault plans, timeline epochs) move to stderr.
+	info := stdout
+	if *jsonOut {
+		info = stderr
+	}
+	if built.Sys, err = applyFaults(info, built.Sys, *failGlobal, *failRouters, spec.FailSeed); err != nil {
+		return fail(err)
+	}
+	sys := built.Sys
+	if sched := sys.Timeline(); sched != nil {
+		fmt.Fprintf(info, "fault timeline (seed %d): %d events compiled to %d epochs\n",
+			sched.Seed, sched.Events, len(sched.Epochs))
+		for _, e := range sched.Epochs {
+			r, g, l, tm := e.View.FaultCounts()
+			fmt.Fprintf(info, "  @%-8d %d routers, %d global, %d local, %d terminal channels down; connected=%v\n",
+				e.Start, r, g, l, tm, e.View.Connected())
+		}
+	}
+	if tr := built.Workload.Trace; tr != nil {
 		fmt.Fprintf(info, "trace %s: %d flows over %d terminals (content hash %016x)\n",
 			*wlTrace, tr.Flows(), tr.Terminals(), tr.Hash())
-		wl.Trace = tr
 	}
-
-	rc := sim.RunConfig{
-		WarmupCycles:  *warmup,
-		MeasureCycles: *measure,
-		DrainCycles:   *drain,
-		Histogram:     *hist,
-	}
-
-	if *sweep != "" {
-		runSweep(ctx, sys, alg, wl, disp, *sweep, *jobs, rc, *jsonOut, *seed)
-		return
+	rc := built.Config
+	rc.Histogram = *hist
+	if spec.Kind == serve.KindSweep {
+		return runSweep(ctx, stdout, stderr, built, spec, rc, *jobs, *jsonOut)
 	}
 
 	// The observability collectors attach through run options and watch
 	// the whole run, warm-up and drain included — a time series that
 	// starts at the measurement phase would hide the ramp.
 	opts := []core.RunOption{core.WithContext(ctx)}
-	var win *obs.Windows
 	var tr *obs.Tracer
-	if *window > 0 {
-		win = obs.NewWindows(obs.WindowsConfig{
-			Width:       *window,
-			Terminals:   sys.Topo.Nodes(),
-			LinkClasses: sim.LinkClasses(sys.Topo),
-		})
-	}
 	if *trace > 0 {
 		tr = obs.NewTracer(*trace, *traceSeed, *traceBuf)
 	}
-	switch {
+	switch win := built.Windows; {
 	case win != nil && tr != nil:
 		opts = append(opts, core.WithCollector(metrics.Multi{win, tr}))
 	case win != nil:
@@ -301,109 +354,72 @@ func main() {
 	if *checkpoint != "" {
 		rc.CheckpointEvery = *checkpointEvery
 		rc.CheckpointSink = func(snap []byte) error {
-			return writeFileAtomic(*checkpoint, snap)
+			return serve.WriteFileAtomic(*checkpoint, snap)
 		}
 	}
 	if *resume != "" {
 		snap, err := os.ReadFile(*resume)
 		if err != nil {
-			fatal(fmt.Errorf("-resume: %w", err))
+			return fail(fmt.Errorf("-resume: %w", err))
 		}
 		opts = append(opts, core.WithResume(snap))
 	}
 
+	load0 := spec.Loads[0]
 	if !*jsonOut {
-		fmt.Printf("simulating %v, %s routing, %s traffic, load %.3f\n", sys.Topo, alg, disp, *load)
+		fmt.Fprintf(stdout, "simulating %v, %s routing, %s traffic, load %.3f\n", sys.Topo, built.Algorithm, spec.Pattern, load0)
 	}
-	res, err := sys.RunW(alg, wl, *load, rc, opts...)
+	res, err := sys.RunW(built.Algorithm, built.Workload, load0, rc, opts...)
 	if err != nil {
-		fatalRun(err)
+		return runFailed(stderr, err)
 	}
 
 	if *jsonOut {
-		rep := obs.NewReport("run")
-		rep.Topology = fmt.Sprintf("%v", sys.Topo)
-		rep.Algorithm = string(alg)
-		rep.Pattern = disp
-		rep.Seed = *seed
-		rep.Points = []obs.Point{{Load: *load, Result: obs.MakeResult(res)}}
-		if win != nil {
-			rep.Windows = win.Windows()
+		rep := built.Report
+		rep.Points = []obs.Point{{Load: load0, Result: obs.MakeResult(res)}}
+		if built.Windows != nil {
+			rep.Windows = built.Windows.Windows()
 		}
 		if tr != nil {
 			rep.Trace = tr.Records()
 		}
-		if err := writeReport(rep, os.Stdout); err != nil {
-			fatal(err)
+		if err := writeReport(rep, stdout); err != nil {
+			return fail(err)
 		}
-		checkUnroutable(res.Dropped, res.Latency.Count())
-		return
+		return unroutable(stderr, res.Dropped, res.Latency.Count())
 	}
 
-	fmt.Printf("offered load:      %.3f flits/cycle/terminal\n", res.Offered)
-	fmt.Printf("accepted load:     %.3f flits/cycle/terminal\n", res.Accepted)
-	fmt.Printf("avg latency:       %.1f cycles (%d packets measured)\n", res.Latency.Mean(), res.Latency.Count())
+	fmt.Fprintf(stdout, "offered load:      %.3f flits/cycle/terminal\n", res.Offered)
+	fmt.Fprintf(stdout, "accepted load:     %.3f flits/cycle/terminal\n", res.Accepted)
+	fmt.Fprintf(stdout, "avg latency:       %.1f cycles (%d packets measured)\n", res.Latency.Mean(), res.Latency.Count())
 	if res.MinLatency.Count() > 0 {
-		fmt.Printf("  minimal pkts:    %.1f cycles (%.1f%% of traffic)\n", res.MinLatency.Mean(), 100*res.MinimalFraction)
+		fmt.Fprintf(stdout, "  minimal pkts:    %.1f cycles (%.1f%% of traffic)\n", res.MinLatency.Mean(), 100*res.MinimalFraction)
 	}
 	if res.NonminLatency.Count() > 0 {
-		fmt.Printf("  non-minimal:     %.1f cycles\n", res.NonminLatency.Mean())
+		fmt.Fprintf(stdout, "  non-minimal:     %.1f cycles\n", res.NonminLatency.Mean())
 	}
-	fmt.Printf("latency p99:       %.0f cycles (max %.0f)\n", pctl(res), res.Latency.Max())
-	fmt.Printf("saturated:         %v\n", res.Saturated)
-	fmt.Printf("simulated cycles:  %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "latency p99:       %.0f cycles (max %.0f)\n", pctl(res), res.Latency.Max())
+	fmt.Fprintf(stdout, "saturated:         %v\n", res.Saturated)
+	fmt.Fprintf(stdout, "simulated cycles:  %d\n", res.Cycles)
 	if sys.Timeline() != nil {
-		fmt.Printf("killed in flight:  %d packets (on channels severed by the timeline)\n", res.KilledInFlight)
-		fmt.Printf("rerouted:          %d packets (rescued off failing routers)\n", res.Rerouted)
-		fmt.Printf("dropped packets:   %d (unroutable during degraded epochs)\n", res.Dropped)
+		fmt.Fprintf(stdout, "killed in flight:  %d packets (on channels severed by the timeline)\n", res.KilledInFlight)
+		fmt.Fprintf(stdout, "rerouted:          %d packets (rescued off failing routers)\n", res.Rerouted)
+		fmt.Fprintf(stdout, "dropped packets:   %d (unroutable during degraded epochs)\n", res.Dropped)
 	} else if sys.Degraded() != nil {
-		fmt.Printf("dropped packets:   %d (unroutable under the fault plan)\n", res.Dropped)
+		fmt.Fprintf(stdout, "dropped packets:   %d (unroutable under the fault plan)\n", res.Dropped)
 	}
 	if *hist && res.Hist != nil {
-		fmt.Println("\nlatency histogram:")
+		fmt.Fprintln(stdout, "\nlatency histogram:")
 		buckets := res.Hist.Buckets()
 		for i, c := range buckets {
 			if c == 0 {
 				continue
 			}
-			fmt.Printf("  %4d-%-4d %7d %s\n",
+			fmt.Fprintf(stdout, "  %4d-%-4d %7d %s\n",
 				int64(i)*res.Hist.Width, (int64(i)+1)*res.Hist.Width-1, c, bar(res.Hist.Fraction(i)))
 		}
 	}
-	checkUnroutable(res.Dropped, res.Latency.Count())
-}
-
-// applyTimeline parses the -fault-timeline spec, compiles it against
-// the system's topology and attaches it. Exclusive with the static
-// -fail-* flags: standing faults belong in the timeline's @0 events.
-// Informational lines go to info (stderr in JSON mode).
-func applyTimeline(info io.Writer, sys *core.System, spec string, failGlobal float64, failRouters string, failSeed uint64) (*core.System, error) {
-	if spec == "" {
-		return sys, nil
-	}
-	if failGlobal != 0 || failRouters != "" {
-		return nil, fmt.Errorf("-fault-timeline cannot be combined with -fail-global/-fail-routers (schedule standing faults at @0 instead)")
-	}
-	tl, err := fault.ParseTimeline(spec, failSeed)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := tl.Compile(sys.Topo)
-	if err != nil {
-		return nil, err
-	}
-	tsys, err := sys.WithTimeline(sched)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(info, "fault timeline (seed %d): %d events compiled to %d epochs\n",
-		failSeed, tl.Events(), len(sched.Epochs))
-	for _, e := range sched.Epochs {
-		r, g, l, tm := e.View.FaultCounts()
-		fmt.Fprintf(info, "  @%-8d %d routers, %d global, %d local, %d terminal channels down; connected=%v\n",
-			e.Start, r, g, l, tm, e.View.Connected())
-	}
-	return tsys, nil
+	return unroutable(stderr, res.Dropped, res.Latency.Count())
 }
 
 // applyFaults builds a fault plan from the -fail-* flags and attaches it
@@ -449,134 +465,60 @@ func applyFaults(info io.Writer, sys *core.System, failGlobal float64, failRoute
 
 // runSweep runs a latency-load curve on a worker pool and prints it as
 // an aligned table (or one JSON report), stopping two points after
-// saturation like the paper's plots.
-func runSweep(ctx context.Context, sys *core.System, alg core.Algorithm, wl core.Workload, disp, spec string, jobs int, rc sim.RunConfig, jsonOut bool, seed uint64) {
-	loads, err := parseSweep(spec)
-	if err != nil {
-		fatal(err)
-	}
+// saturation like the paper's plots. It returns the exit code.
+func runSweep(ctx context.Context, stdout, stderr io.Writer, built *serve.Setup, spec serve.JobSpec, rc sim.RunConfig, jobs int, jsonOut bool) int {
+	sys := built.Sys
 	pool := parallel.New(jobs)
-	pool.SetLog(os.Stderr)
+	pool.SetLog(stderr)
 	if !jsonOut {
-		fmt.Printf("sweeping %v, %s routing, %s traffic: %d load points on %d workers\n",
-			sys.Topo, alg, disp, len(loads), pool.Jobs())
+		fmt.Fprintf(stdout, "sweeping %v, %s routing, %s traffic: %d load points on %d workers\n",
+			sys.Topo, built.Algorithm, spec.Pattern, len(spec.Loads), pool.Jobs())
 	}
-	pts, err := sys.SweepPoolW(pool, alg, wl, loads, rc, 2, core.WithContext(ctx))
+	pts, err := sys.SweepPoolW(pool, built.Algorithm, built.Workload, spec.Loads, rc, 2, core.WithContext(ctx))
 	if err != nil {
-		fatalRun(err)
-	}
-	if jsonOut {
-		rep := obs.NewReport("sweep")
-		rep.Topology = fmt.Sprintf("%v", sys.Topo)
-		rep.Algorithm = string(alg)
-		rep.Pattern = disp
-		rep.Seed = seed
-		var dropped, delivered int64
-		for _, p := range pts {
-			rep.Points = append(rep.Points, obs.Point{Load: p.Load, Result: obs.MakeResult(p.Result)})
-			dropped += p.Result.Dropped
-			delivered += p.Result.Latency.Count()
-		}
-		if err := writeReport(rep, os.Stdout); err != nil {
-			fatal(err)
-		}
-		checkUnroutable(dropped, delivered)
-		return
-	}
-	timeline := sys.Timeline() != nil
-	degraded := sys.Degraded() != nil || timeline
-	switch {
-	case timeline:
-		fmt.Printf("%-10s %12s %12s %10s %10s %10s\n", "load", "latency", "accepted", "saturated", "dropped", "killed")
-	case degraded:
-		fmt.Printf("%-10s %12s %12s %10s %10s\n", "load", "latency", "accepted", "saturated", "dropped")
-	default:
-		fmt.Printf("%-10s %12s %12s %10s\n", "load", "latency", "accepted", "saturated")
+		return runFailed(stderr, err)
 	}
 	var dropped, delivered int64
 	for _, p := range pts {
 		dropped += p.Result.Dropped
 		delivered += p.Result.Latency.Count()
-		mark := ""
+	}
+	if jsonOut {
+		rep := built.Report
+		for _, p := range pts {
+			rep.Points = append(rep.Points, obs.Point{Load: p.Load, Result: obs.MakeResult(p.Result)})
+		}
+		if err := writeReport(rep, stdout); err != nil {
+			fmt.Fprintln(stderr, "dfly-sim:", err)
+			return exitBadConfig
+		}
+		return unroutable(stderr, dropped, delivered)
+	}
+	// Faulted sweeps add a dropped column, timeline sweeps a killed one.
+	timeline := sys.Timeline() != nil
+	degraded := sys.Degraded() != nil || timeline
+	head := fmt.Sprintf("%-10s %12s %12s %10s", "load", "latency", "accepted", "saturated")
+	if degraded {
+		head += fmt.Sprintf(" %10s", "dropped")
+	}
+	if timeline {
+		head += fmt.Sprintf(" %10s", "killed")
+	}
+	fmt.Fprintln(stdout, head)
+	for _, p := range pts {
+		row := fmt.Sprintf("%-10.3f %12.1f %12.3f %10v", p.Load, p.Result.Latency.Mean(), p.Result.Accepted, p.Result.Saturated)
+		if degraded {
+			row += fmt.Sprintf(" %10d", p.Result.Dropped)
+		}
+		if timeline {
+			row += fmt.Sprintf(" %10d", p.Result.KilledInFlight)
+		}
 		if p.Result.Saturated {
-			mark = " *"
+			row += " *"
 		}
-		switch {
-		case timeline:
-			fmt.Printf("%-10.3f %12.1f %12.3f %10v %10d %10d%s\n",
-				p.Load, p.Result.Latency.Mean(), p.Result.Accepted, p.Result.Saturated, p.Result.Dropped, p.Result.KilledInFlight, mark)
-		case degraded:
-			fmt.Printf("%-10.3f %12.1f %12.3f %10v %10d%s\n",
-				p.Load, p.Result.Latency.Mean(), p.Result.Accepted, p.Result.Saturated, p.Result.Dropped, mark)
-		default:
-			fmt.Printf("%-10.3f %12.1f %12.3f %10v%s\n",
-				p.Load, p.Result.Latency.Mean(), p.Result.Accepted, p.Result.Saturated, mark)
-		}
+		fmt.Fprintln(stdout, row)
 	}
-	checkUnroutable(dropped, delivered)
-}
-
-// buildWorkload resolves the traffic/workload flags into the Workload
-// the run executes and the pattern string shown in reports. A -pattern
-// spelling resolves to its registry family (traffic.LegacyFamily) and is
-// shown as spelled; -traffic selects a registry family directly and
-// excludes an explicit -pattern. The trace itself is parsed later, once
-// the system (and with it the terminal count) exists.
-func buildWorkload(pattern, trafFam, trafPar, wlFam, wlPar, traceFile string) (core.Workload, string, error) {
-	var wl core.Workload
-	disp := pattern
-	if trafFam != "" {
-		var clash error
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "pattern" {
-				clash = fmt.Errorf("-traffic %s replaces -pattern; set one, not both", trafFam)
-			}
-		})
-		if clash != nil {
-			return wl, disp, clash
-		}
-		params, err := parseParams("-traffic-params", trafPar)
-		if err != nil {
-			return wl, disp, err
-		}
-		wl.Traffic, wl.TrafficParams = trafFam, params
-	} else {
-		if trafPar != "" {
-			return wl, disp, fmt.Errorf("-traffic-params needs -traffic")
-		}
-		fam, err := traffic.LegacyFamily(pattern)
-		if err != nil {
-			return wl, disp, err
-		}
-		wl.Traffic = fam
-	}
-	if wlFam != "" {
-		params, err := parseParams("-workload-params", wlPar)
-		if err != nil {
-			return wl, disp, err
-		}
-		wl.Source, wl.SourceParams = wlFam, params
-	} else if wlPar != "" {
-		return wl, disp, fmt.Errorf("-workload-params needs -workload")
-	}
-	isTrace := strings.EqualFold(wlFam, "trace")
-	if traceFile != "" && !isTrace {
-		return wl, disp, fmt.Errorf("-trace-file needs -workload trace")
-	}
-	if isTrace && traceFile == "" {
-		return wl, disp, fmt.Errorf("-workload trace needs -trace-file")
-	}
-	if trafFam != "" || wlFam != "" {
-		disp = wl.Label()
-	}
-	return wl, disp, nil
-}
-
-// parseTopoParams parses the -topo-params "k=v,k=v" list into the
-// parameter map topology.Build consumes (key validation happens there,
-// against the family's schema).
-func parseTopoParams(spec string) (map[string]int, error) {
-	return parseParams("-topo-params", spec)
+	return unroutable(stderr, dropped, delivered)
 }
 
 // parseParams parses a "k=v,k=v" flag value into a parameter map (key
@@ -654,85 +596,49 @@ func writeReport(rep *obs.Report, w io.Writer) error {
 	return nil
 }
 
-// fatal reports a configuration-level failure (bad flags, bad
-// topology/run parameters) and exits with the bad-config status.
-// writeFileAtomic replaces path with data via a temp file in the same
-// directory, fsync'd before the rename, so a -checkpoint file is always
-// a complete snapshot from some cycle — never a torn write — even if
-// the process dies mid-checkpoint.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dfly-sim:", err)
-	os.Exit(exitBadConfig)
-}
-
-// fatalRun reports a failed simulation run. A SIGINT/SIGTERM
-// cancellation gets the canceled exit status with partial diagnostics
-// (phase, cycle reached, packets abandoned in flight) on stderr; a
-// deadlock-detector stall gets its own exit status plus a diagnostics
-// dump (cycle, phase, active fault epoch, hottest input-buffer VCs) so
-// a wedged run can be debugged from the output alone; everything else
-// is a plain fatal.
-func fatalRun(err error) {
+// runFailed reports a failed simulation run and returns its exit code.
+// A SIGINT/SIGTERM cancellation gets the canceled exit status with
+// partial diagnostics (phase, cycle reached, packets abandoned in
+// flight) on stderr; a deadlock-detector stall gets its own exit status
+// plus a diagnostics dump (cycle, phase, active fault epoch, hottest
+// input-buffer VCs) so a wedged run can be debugged from the output
+// alone; everything else is a bad-config failure.
+func runFailed(stderr io.Writer, err error) int {
 	if errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "dfly-sim: interrupted:", err)
+		fmt.Fprintln(stderr, "dfly-sim: interrupted:", err)
 		var ce *sim.CanceledError
 		if errors.As(err, &ce) {
-			fmt.Fprintf(os.Stderr, "partial run diagnostics:\n  stopped in the %s phase at cycle %d, %d packets abandoned in flight\n",
+			fmt.Fprintf(stderr, "partial run diagnostics:\n  stopped in the %s phase at cycle %d, %d packets abandoned in flight\n",
 				ce.Phase, ce.Cycle, ce.InFlight)
 		}
-		os.Exit(exitCanceled)
+		return exitCanceled
 	}
+	fmt.Fprintln(stderr, "dfly-sim:", err)
 	var se *sim.StallError
 	if !errors.As(err, &se) {
-		fatal(err)
+		return exitBadConfig
 	}
-	fmt.Fprintln(os.Stderr, "dfly-sim:", err)
-	fmt.Fprintln(os.Stderr, "stall diagnostics:")
-	fmt.Fprintf(os.Stderr, "  cycle %d (%s phase): no flit moved for %d cycles, %d packets in flight\n",
+	fmt.Fprintln(stderr, "stall diagnostics:")
+	fmt.Fprintf(stderr, "  cycle %d (%s phase): no flit moved for %d cycles, %d packets in flight\n",
 		se.Cycle, se.Phase, se.StallLimit, se.InFlight)
-	fmt.Fprintf(os.Stderr, "  epoch %d: %d routers, %d global / %d local / %d terminal channels dead\n",
+	fmt.Fprintf(stderr, "  epoch %d: %d routers, %d global / %d local / %d terminal channels dead\n",
 		se.Epoch, se.DeadRouters, se.DeadGlobal, se.DeadLocal, se.DeadTerminal)
 	for _, h := range se.Hot {
-		fmt.Fprintf(os.Stderr, "  router %d port %d vc %d: %d flits buffered, %d packets waiting on the port\n",
+		fmt.Fprintf(stderr, "  router %d port %d vc %d: %d flits buffered, %d packets waiting on the port\n",
 			h.Router, h.Port, h.VC, h.Occupancy, h.Waiting)
 	}
-	os.Exit(exitStalled)
+	return exitStalled
 }
 
-// checkUnroutable exits with the unroutable status when a completed
-// run (or sweep) dropped at least as many packets as it delivered —
-// the topology is so degraded that the results measure packet loss,
-// not network performance.
-func checkUnroutable(dropped, delivered int64) {
+// unroutable returns the unroutable exit status when a completed run
+// (or sweep) dropped at least as many packets as it delivered — the
+// topology is so degraded that the results measure packet loss, not
+// network performance — and 0 otherwise.
+func unroutable(stderr io.Writer, dropped, delivered int64) int {
 	if dropped == 0 || dropped < delivered {
-		return
+		return 0
 	}
-	fmt.Fprintf(os.Stderr, "dfly-sim: unroutable drops dominate: %d packets dropped vs %d delivered\n",
+	fmt.Fprintf(stderr, "dfly-sim: unroutable drops dominate: %d packets dropped vs %d delivered\n",
 		dropped, delivered)
-	os.Exit(exitUnroutable)
+	return exitUnroutable
 }

@@ -151,17 +151,21 @@ func Fig09(s Scale) (*Figure, error) {
 			return err
 		}
 		ser := Series{Name: string(alg)}
+		var stepErr error
 		s.Pool().Work(func() {
 			net.SetLoad(0.2)
-			for i := 0; i < s.Warmup; i++ {
-				net.Step()
+			for i := 0; i < s.Warmup && stepErr == nil; i++ {
+				stepErr = net.Step()
 			}
 			util := metrics.NewChannelUtil(net.NumLinks())
 			net.AttachMetrics(util)
-			for i := 0; i < s.Measure; i++ {
-				net.Step()
+			for i := 0; i < s.Measure && stepErr == nil; i++ {
+				stepErr = net.Step()
 			}
 			net.AttachMetrics(nil)
+			if stepErr != nil {
+				return
+			}
 			// Slot c of every group leads to group (g+1+c mod (g-1)); slot 0
 			// is the minimal channel for the WC pattern. Average per slot
 			// across groups.
@@ -176,6 +180,9 @@ func Fig09(s Scale) (*Figure, error) {
 				ser.Y = append(ser.Y, float64(busy)/float64(d.G)/float64(s.Measure))
 			}
 		})
+		if stepErr != nil {
+			return fmt.Errorf("%s: %w", alg, stepErr)
+		}
 		sers[ai] = ser
 		return nil
 	})

@@ -59,9 +59,6 @@ func NewTimeline(seed uint64) *Timeline {
 // Empty reports whether the timeline schedules no events.
 func (tl *Timeline) Empty() bool { return len(tl.events) == 0 }
 
-// Events returns the number of scheduled events.
-func (tl *Timeline) Events() int { return len(tl.events) }
-
 // FailChannelsAt schedules k random channels of class c to fail at the
 // given cycle.
 func (tl *Timeline) FailChannelsAt(cycle int64, c topology.Class, k int) *Timeline {
@@ -164,7 +161,9 @@ type Epoch struct {
 // across concurrent simulations.
 type Schedule struct {
 	// Seed is the timeline seed the draws derived from.
-	Seed   uint64
+	Seed uint64
+	// Events is the number of timeline events compiled into Epochs.
+	Events int
 	Epochs []Epoch
 }
 
@@ -200,7 +199,7 @@ func (tl *Timeline) Compile(d topology.Machine) (*Schedule, error) {
 	}
 
 	st := NewPlan(tl.seed)
-	sched := &Schedule{Seed: tl.seed}
+	sched := &Schedule{Seed: tl.seed, Events: len(evs)}
 	snap := func(start int64) error {
 		ep := Epoch{Start: start, Faults: st.freeze()}
 		ep.View = topology.NewDegraded(d, ep.Faults)

@@ -213,12 +213,12 @@ func TestParseTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseTimeline: %v", err)
 	}
-	if tl.Events() != 3 {
-		t.Fatalf("events: %d, want 3", tl.Events())
-	}
 	sched, err := tl.Compile(d)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
+	}
+	if sched.Events != 3 {
+		t.Fatalf("events: %d, want 3", sched.Events)
 	}
 	if len(sched.Epochs) != 4 {
 		t.Fatalf("epochs: %d, want 4", len(sched.Epochs))
@@ -235,8 +235,10 @@ func TestParseTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseTimeline: %v", err)
 	}
-	if tl.Events() != 3 {
-		t.Fatalf("events: %d, want 3", tl.Events())
+	if sched, err = tl.Compile(d); err != nil {
+		t.Fatalf("Compile: %v", err)
+	} else if sched.Events != 3 {
+		t.Fatalf("events: %d, want 3", sched.Events)
 	}
 
 	bad := []string{

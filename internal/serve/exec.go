@@ -9,11 +9,8 @@ import (
 	"time"
 
 	"dragonfly/internal/core"
-	"dragonfly/internal/fault"
 	"dragonfly/internal/obs"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/traffic"
-	"dragonfly/internal/workload"
 )
 
 // worker pulls jobs off the queue until the server quits. Jobs already
@@ -111,45 +108,11 @@ func (s *Server) executeIsolated(ctx context.Context, job *Job) (report []byte, 
 // cancellation, timeout), not misconfiguration.
 func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 	spec := job.Spec
-	sys, err := core.NewSystem(core.SystemConfig{
-		Topology: spec.Family, TopoParams: spec.Params,
-		BufDepth: spec.BufDepth, Seed: spec.Seed, Shards: spec.Shards,
-	})
+	run, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	if spec.Timeline != "" {
-		tl, err := fault.ParseTimeline(spec.Timeline, spec.FailSeed)
-		if err != nil {
-			return nil, err
-		}
-		sched, err := tl.Compile(sys.Topo)
-		if err != nil {
-			return nil, err
-		}
-		if sys, err = sys.WithTimeline(sched); err != nil {
-			return nil, err
-		}
-	}
-	alg, err := core.ParseAlgorithm(spec.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := specWorkload(spec, sys.Topo.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	rc := sim.RunConfig{
-		WarmupCycles:  spec.Warmup,
-		MeasureCycles: spec.Measure,
-		DrainCycles:   spec.Drain,
-	}
-
-	rep := obs.NewReport(spec.Kind)
-	rep.Topology = fmt.Sprintf("%v", sys.Topo)
-	rep.Algorithm = spec.Algorithm
-	rep.Pattern = spec.Pattern
-	rep.Seed = spec.Seed
+	rc, rep := run.Config, run.Report
 
 	switch spec.Kind {
 	case KindRun:
@@ -174,17 +137,8 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 		if snap := job.resumeSnapshot(); snap != nil {
 			opts = append(opts, core.WithResume(snap))
 		}
-		var win *liveWindows
-		if spec.Window > 0 {
-			win = &liveWindows{
-				Windows: obs.NewWindows(obs.WindowsConfig{
-					Width:       spec.Window,
-					Terminals:   sys.Topo.Nodes(),
-					LinkClasses: sim.LinkClasses(sys.Topo),
-				}),
-				job: job,
-			}
-			opts = append(opts, core.WithCollector(win))
+		if run.Windows != nil {
+			opts = append(opts, core.WithCollector(&liveWindows{Windows: run.Windows, job: job}))
 		}
 		// The run itself is leaf work: it claims a slot on the shared
 		// simulation pool so the server's workers and any co-resident
@@ -193,7 +147,7 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 		var res sim.Result
 		var runErr error
 		if err := s.pool.WorkCtx(ctx, func() {
-			res, runErr = sys.RunW(alg, wl, spec.Loads[0], rc, opts...)
+			res, runErr = run.Sys.RunW(run.Algorithm, run.Workload, spec.Loads[0], rc, opts...)
 		}); err != nil {
 			return nil, fmt.Errorf("serve: canceled waiting for a simulation slot: %w", err)
 		}
@@ -201,15 +155,15 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 			return nil, runErr
 		}
 		rep.Points = []obs.Point{{Load: spec.Loads[0], Result: obs.MakeResult(res)}}
-		if win != nil {
-			rep.Windows = win.Windows.Windows()
+		if run.Windows != nil {
+			rep.Windows = run.Windows.Windows()
 		}
 
 	case KindSweep:
 		// SweepPoolW is a coordinator — it wraps its own leaf work in
 		// pool.Work — so it must not itself run under a pool slot.
 		// Completed points stream out as "point" events in load order.
-		pts, err := sys.SweepPoolW(s.pool, alg, wl, spec.Loads, rc, 2,
+		pts, err := run.Sys.SweepPoolW(s.pool, run.Algorithm, run.Workload, spec.Loads, rc, 2,
 			core.WithContext(ctx),
 			core.WithProgress(func(ev core.ProgressEvent) {
 				job.publish(Event{Type: "point", Data: obs.Point{Load: ev.Load, Result: obs.MakeResult(ev.Result)}})
@@ -227,31 +181,6 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// specWorkload rebuilds the run's Workload from a canonical JobSpec.
-// Specs journaled before the workload redesign carry only the legacy
-// Pattern spelling (empty Traffic); they resolve through
-// traffic.LegacyFamily exactly as Normalize would have resolved them.
-func specWorkload(spec JobSpec, terminals int) (core.Workload, error) {
-	if spec.Traffic == "" {
-		fam, err := traffic.LegacyFamily(spec.Pattern)
-		return core.Workload{Traffic: fam}, err
-	}
-	wl := core.Workload{
-		Traffic:       spec.Traffic,
-		TrafficParams: spec.TrafficParams,
-		Source:        spec.Source,
-		SourceParams:  spec.SourceParams,
-	}
-	if spec.Source == "trace" {
-		tr, err := workload.ParseTrace([]byte(spec.Trace), terminals)
-		if err != nil {
-			return core.Workload{}, fmt.Errorf("serve: journaled trace no longer parses: %w", err)
-		}
-		wl.Trace = tr
-	}
-	return wl, nil
 }
 
 // liveWindows wraps obs.Windows to stream each window to the job's SSE

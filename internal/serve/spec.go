@@ -6,8 +6,8 @@ import (
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/fault"
+	"dragonfly/internal/obs"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
@@ -158,7 +158,8 @@ type JobSpec struct {
 // Every rejection is a *RequestError with an HTTP 400 status; the
 // validation is deep enough that execution failures can only come from
 // the simulation itself (stall, timeout, cancel), never from a
-// malformed job that slipped into the queue.
+// malformed job that slipped into the queue: after canonicalising the
+// spelling, Normalize builds the run exactly as Build will.
 func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	var s JobSpec
 	switch sub.Kind {
@@ -170,55 +171,11 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 		return s, badRequest("unknown kind %q (want %q or %q)", sub.Kind, KindRun, KindSweep)
 	}
 
-	// Topology: both spellings canonicalise to family + the built
-	// machine's fully-defaulted parameter map, so the hash is canonical
-	// over meaning, not spelling. Building the machine here (cheap:
-	// structural only) is also the validation.
-	s.BufDepth = sub.Topology.BufDepth
-	if s.BufDepth == 0 {
-		s.BufDepth = 16
-	}
-	if s.BufDepth < 0 {
-		return s, badRequest("topology: buf_depth must be non-negative")
-	}
-	var topo topology.Machine
-	if sub.Topology.Family != "" {
-		if sub.Topology.P != 0 || sub.Topology.A != 0 || sub.Topology.H != 0 || sub.Topology.Groups != 0 {
-			return s, badRequest("topology: family %q and the p/a/h/groups shorthand are mutually exclusive", sub.Topology.Family)
-		}
-		m, err := topology.Build(sub.Topology.Family, sub.Topology.Params)
-		if err != nil {
-			return s, badRequest("topology: %v", err)
-		}
-		topo = m
-	} else {
-		if len(sub.Topology.Params) > 0 {
-			return s, badRequest(`topology: "params" needs a "family"`)
-		}
-		p, a, h := sub.Topology.P, sub.Topology.A, sub.Topology.H
-		if p == 0 && a == 0 && h == 0 {
-			p, a, h = 4, 8, 4
-		}
-		if p < 0 || a < 0 || h < 0 || sub.Topology.Groups < 0 {
-			return s, badRequest("topology parameters must be non-negative")
-		}
-		d, err := topology.NewDragonfly(p, a, h, sub.Topology.Groups)
-		if err != nil {
-			return s, badRequest("topology: %v", err)
-		}
-		topo = d
-	}
-	desc := topo.Describe()
-	s.Family, s.Params = desc.Family, desc.Params
-	if max := limits.MaxNodes; max > 0 && topo.Nodes() > max {
-		return s, badRequest("topology has %d terminals, over the server's limit of %d", topo.Nodes(), max)
-	}
-
-	if _, err := core.ParseAlgorithm(sub.Algorithm); err != nil {
+	alg, err := core.ParseAlgorithm(sub.Algorithm)
+	if err != nil {
 		return s, badRequest("%v", err)
 	}
 	s.Algorithm = sub.Algorithm
-
 	s.Seed = sub.Seed
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -228,11 +185,38 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	}
 	s.Shards = sub.Shards
 
+	// Topology: both spellings canonicalise to family + the built
+	// machine's fully-defaulted parameter map, so the hash is canonical
+	// over meaning, not spelling. Building the machine here (cheap:
+	// structural only) is also the validation.
+	t := sub.Topology
+	switch {
+	case t.BufDepth < 0:
+		return s, badRequest("topology: buf_depth must be non-negative")
+	case t.Family != "" && (t.P != 0 || t.A != 0 || t.H != 0 || t.Groups != 0):
+		return s, badRequest("topology: family %q and the p/a/h/groups shorthand are mutually exclusive", t.Family)
+	case t.Family == "" && len(t.Params) > 0:
+		return s, badRequest(`topology: "params" needs a "family"`)
+	}
+	sys, err := core.NewSystem(core.SystemConfig{
+		Topology: t.Family, TopoParams: t.Params,
+		P: t.P, A: t.A, H: t.H, Groups: t.Groups,
+		BufDepth: t.BufDepth, Seed: s.Seed, Shards: s.Shards,
+	})
+	if err != nil {
+		return s, badRequest("topology: %v", err)
+	}
+	desc := sys.Topo.Describe()
+	s.Family, s.Params = desc.Family, desc.Params
+	s.BufDepth = sys.SimConfig(alg).BufDepth // NewSystem's default applied
+	if max := limits.MaxNodes; max > 0 && sys.Topo.Nodes() > max {
+		return s, badRequest("topology has %d terminals, over the server's limit of %d", sys.Topo.Nodes(), max)
+	}
+
 	// Traffic: a legacy pattern spelling first resolves to its registry
 	// family; either spelling then canonicalises to family +
 	// fully-defaulted params, so the hash is canonical over meaning here
-	// too. Building the pattern against the real machine is the
-	// validation. Pattern keeps the submitted legacy spelling for display.
+	// too. Pattern keeps the submitted legacy spelling for display.
 	fam := sub.Traffic
 	switch {
 	case sub.Traffic != "" && sub.Pattern != "":
@@ -250,59 +234,36 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	if err != nil {
 		return s, badRequest("%v", err)
 	}
-	fam = tf.Name
-	tenv := traffic.Env{Terminals: topo.Nodes(), Machine: topo, Seed: s.Seed}
-	if _, err := traffic.Build(fam, tenv, params); err != nil {
-		return s, badRequest("%v", err)
-	}
-	s.Traffic, s.TrafficParams = fam, params
+	s.Traffic, s.TrafficParams = tf.Name, params
 	s.Pattern = sub.Pattern
 	if s.Pattern == "" {
-		s.Pattern = fam
+		s.Pattern = tf.Name
 	}
 
 	// Workload: canonicalise the arrival process. An explicit
 	// "bernoulli" is the default spelled out, so it canonicalises to the
 	// empty Source and shares the legacy cache entries.
-	switch {
-	case sub.Workload != "":
+	if sub.Workload != "" {
 		wf, params, err := workload.Families.Resolve(sub.Workload, sub.WorkloadParams)
 		if err != nil {
 			return s, badRequest("%v", err)
 		}
-		fam := wf.Name
-		wenv := workload.Env{Terminals: topo.Nodes(), Seed: s.Seed}
-		if fam == "trace" {
-			if sub.Trace == "" {
-				return s, badRequest(`workload "trace" needs the flow trace in "trace" (lines of "cycle src dst count")`)
-			}
-			if max := limits.MaxTraceBytes; max > 0 && len(sub.Trace) > max {
-				return s, badRequest("trace is %d bytes, over the server's limit of %d", len(sub.Trace), max)
-			}
-			tr, err := workload.ParseTrace([]byte(sub.Trace), topo.Nodes())
-			if err != nil {
-				return s, badRequest("%v", err)
-			}
-			wenv.Trace = tr
-			s.Trace, s.TraceHash = sub.Trace, tr.Hash()
-		} else if sub.Trace != "" {
-			return s, badRequest(`"trace" needs workload "trace", not %q`, fam)
+		if wf.Name != "bernoulli" {
+			s.Source, s.SourceParams = wf.Name, params
+			s.Pattern = s.Pattern + "+" + wf.Name
 		}
-		if _, err := workload.Build(fam, wenv, params); err != nil {
-			return s, badRequest("%v", err)
-		}
-		if fam != "bernoulli" {
-			s.Source, s.SourceParams = fam, params
-			s.Pattern = s.Pattern + "+" + fam
-		}
-	default:
-		if len(sub.WorkloadParams) > 0 {
-			return s, badRequest(`"workload_params" needs a "workload" family`)
-		}
-		if sub.Trace != "" {
-			return s, badRequest(`"trace" needs workload "trace"`)
-		}
+	} else if len(sub.WorkloadParams) > 0 {
+		return s, badRequest(`"workload_params" needs a "workload" family`)
 	}
+	switch {
+	case s.Source == "trace" && sub.Trace == "":
+		return s, badRequest(`workload "trace" needs the flow trace in "trace" (lines of "cycle src dst count")`)
+	case s.Source != "trace" && sub.Trace != "":
+		return s, badRequest(`"trace" needs workload "trace"`)
+	case limits.MaxTraceBytes > 0 && len(sub.Trace) > limits.MaxTraceBytes:
+		return s, badRequest("trace is %d bytes, over the server's limit of %d", len(sub.Trace), limits.MaxTraceBytes)
+	}
+	s.Trace = sub.Trace
 
 	switch s.Kind {
 	case KindRun:
@@ -333,10 +294,6 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 		def := sim.DefaultRunConfig(0)
 		s.Warmup, s.Measure, s.Drain = def.WarmupCycles, def.MeasureCycles, def.DrainCycles
 	}
-	rc := sim.RunConfig{Load: s.Loads[0], WarmupCycles: s.Warmup, MeasureCycles: s.Measure, DrainCycles: s.Drain}
-	if err := rc.Validate(); err != nil {
-		return s, badRequest("%v", err)
-	}
 	if max := limits.MaxCycles; max > 0 && int64(s.Warmup)+int64(s.Measure)+int64(s.Drain) > max {
 		return s, badRequest("run asks for up to %d cycles, over the server's limit of %d", int64(s.Warmup)+int64(s.Measure)+int64(s.Drain), max)
 	}
@@ -345,15 +302,6 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 	s.FailSeed = sub.FailSeed
 	if s.FailSeed == 0 {
 		s.FailSeed = 1
-	}
-	if s.Timeline != "" {
-		tl, err := fault.ParseTimeline(s.Timeline, s.FailSeed)
-		if err != nil {
-			return s, badRequest("timeline: %v", err)
-		}
-		if _, err := tl.Compile(topo); err != nil {
-			return s, badRequest("timeline: %v", err)
-		}
 	}
 
 	if sub.Window < 0 {
@@ -368,7 +316,115 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 		return s, badRequest("timeout_ms must be >= 0")
 	}
 	s.TimeoutMS = sub.TimeoutMS
+
+	r, err := s.build(sys)
+	if err != nil {
+		return s, badRequest("%v", err)
+	}
+	if r.Workload.Trace != nil {
+		s.TraceHash = r.Workload.Trace.Hash()
+	}
 	return s, nil
+}
+
+// Setup is a canonical spec resolved into what the engine executes. Both
+// front doors build their runs here: dfly-serve's executor and dfly-sim,
+// which layers its CLI-only extras (static fault plans, the packet
+// tracer, checkpoint files) on top.
+type Setup struct {
+	// Sys is the machine, with the spec's fault timeline attached.
+	Sys *core.System
+	// Algorithm is the routing algorithm.
+	Algorithm core.Algorithm
+	// Workload is the traffic and arrival process, trace parsed.
+	Workload core.Workload
+	// Config is the warm-up/measure/drain recipe (the load is set per
+	// point by core).
+	Config sim.RunConfig
+	// Report is the run's report with its identity filled in (kind,
+	// machine, algorithm, pattern label, seed); callers add the points.
+	Report *obs.Report
+	// Windows is the windowed telemetry collector of a run with a
+	// Window, split by link class; nil otherwise.
+	Windows *obs.Windows
+}
+
+// Build resolves the spec into a runnable simulation: the machine from
+// the canonical family and parameters, then everything build adds.
+func (s JobSpec) Build() (*Setup, error) {
+	sys, err := core.NewSystem(core.SystemConfig{
+		Topology: s.Family, TopoParams: s.Params,
+		BufDepth: s.BufDepth, Seed: s.Seed, Shards: s.Shards,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.build(sys)
+}
+
+// build completes a run on sys, which Normalize builds from the
+// submitted spelling and Build from the canonical one. Building the
+// traffic pattern and the arrival process against the machine, and
+// compiling the timeline, validates them. Specs journaled before the
+// workload redesign carry only the legacy Pattern spelling (empty
+// Traffic); they resolve through traffic.LegacyFamily exactly as
+// Normalize would have resolved them.
+func (s JobSpec) build(sys *core.System) (*Setup, error) {
+	alg, err := core.ParseAlgorithm(s.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	wl := core.Workload{
+		Traffic:       s.Traffic,
+		TrafficParams: s.TrafficParams,
+		Source:        s.Source,
+		SourceParams:  s.SourceParams,
+	}
+	if s.Traffic == "" {
+		if wl.Traffic, err = traffic.LegacyFamily(s.Pattern); err != nil {
+			return nil, err
+		}
+	}
+	if s.Source == "trace" {
+		if wl.Trace, err = workload.ParseTrace([]byte(s.Trace), sys.Topo.Nodes()); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := sys.TrafficFor(wl); err != nil {
+		return nil, err
+	}
+	if _, err := sys.SourceFor(wl); err != nil {
+		return nil, err
+	}
+	if s.Timeline != "" {
+		tl, err := fault.ParseTimeline(s.Timeline, s.FailSeed)
+		if err != nil {
+			return nil, fmt.Errorf("timeline: %w", err)
+		}
+		sched, err := tl.Compile(sys.Topo)
+		if err != nil {
+			return nil, fmt.Errorf("timeline: %w", err)
+		}
+		if sys, err = sys.WithTimeline(sched); err != nil {
+			return nil, err
+		}
+	}
+	rc := sim.RunConfig{WarmupCycles: s.Warmup, MeasureCycles: s.Measure, DrainCycles: s.Drain}
+	if err := rc.Validate(); err != nil {
+		return nil, err
+	}
+
+	rep := obs.NewReport(s.Kind)
+	rep.Topology, rep.Algorithm, rep.Pattern, rep.Seed = fmt.Sprint(sys.Topo), s.Algorithm, s.Pattern, s.Seed
+	r := &Setup{Sys: sys, Algorithm: alg, Workload: wl, Config: rc, Report: rep}
+	if s.Window > 0 {
+		r.Windows = obs.NewWindows(obs.WindowsConfig{
+			Width:       s.Window,
+			Terminals:   sys.Topo.Nodes(),
+			LinkClasses: sim.LinkClasses(sys.Topo),
+		})
+	}
+	return r, nil
 }
 
 // Limits bounds what a single submission may demand of the server.

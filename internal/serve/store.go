@@ -280,7 +280,7 @@ func (st *store) replayJournal() (*replayResult, error) {
 			buf.Write(l)
 			buf.WriteByte('\n')
 		}
-		if err := writeFileAtomic(st.journalPath(), buf.Bytes()); err != nil {
+		if err := WriteFileAtomic(st.journalPath(), buf.Bytes()); err != nil {
 			return nil, fmt.Errorf("serve: rewrite journal after repair: %w", err)
 		}
 	}
@@ -357,7 +357,7 @@ func (st *store) writeResult(hash string, report []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	return writeFileAtomic(path, report)
+	return WriteFileAtomic(path, report)
 }
 
 func (st *store) readResult(hash string) ([]byte, error) {
@@ -387,7 +387,7 @@ func (st *store) writeCheckpoint(id, hash string, snap []byte) error {
 	buf = append(buf, meta...)
 	buf = append(buf, '\n')
 	buf = append(buf, snap...)
-	return writeFileAtomic(st.checkpointPath(id), buf)
+	return WriteFileAtomic(st.checkpointPath(id), buf)
 }
 
 // parseCheckpoint splits a checkpoint file into its metadata and the
@@ -437,10 +437,11 @@ func (st *store) removeCheckpoint(id string) {
 	os.Remove(st.checkpointPath(id))
 }
 
-// writeFileAtomic replaces path with data via a same-directory temp
-// file, fsync'd before the rename: readers (and the next process's
-// replay) only ever observe complete files.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic replaces path with data via a same-directory temp
+// file, fsync'd before the rename: readers (the next process's replay,
+// a dfly-sim -resume) only ever observe complete files, even if the
+// writer dies mid-write.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
