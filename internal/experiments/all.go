@@ -93,19 +93,22 @@ func Names() []string {
 	return names
 }
 
-// scaled returns the runner's scale bound to its worker pool: one pool
-// per Runner invocation, shared by every exhibit, series and load point
-// underneath, so Jobs bounds the whole run. An explicitly pooled Scale
-// (Scale.WithPool) is kept as-is.
+// scaled returns the runner's scale bound to a worker pool and a curve
+// table: one pool per Runner invocation, shared by every exhibit, series
+// and load point underneath, so Jobs bounds the whole run, and one
+// table, so a curve several figures plot runs once. A scale that is
+// already bound is returned as is.
 func (r Runner) scaled() Scale {
-	if r.Scale.pool != nil {
-		return r.Scale
+	s := r.Scale
+	if s.pool != nil {
+		return s
 	}
-	pool := parallel.New(r.Jobs)
+	s.pool = parallel.New(r.Jobs)
 	if r.Log != nil {
-		pool.SetLog(r.Log)
+		s.pool.SetLog(r.Log)
 	}
-	return r.Scale.WithPool(pool)
+	s.curves = new(sync.Map)
+	return s
 }
 
 // collect executes the named experiments concurrently on the runner's

@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"dragonfly/internal/parallel"
 )
@@ -30,16 +31,13 @@ type Scale struct {
 	Small bool
 
 	// pool runs the scale's simulations; nil means the process-wide
-	// shared pool. Set with WithPool (the Runner does this from its Jobs
-	// field) so one pool bounds a whole experiment run.
+	// shared pool. Runner.scaled sets it from the Runner's Jobs field so
+	// one pool bounds a whole experiment run.
 	pool *parallel.Pool
-}
-
-// WithPool returns a copy of s whose simulations run on pool. Results
-// are identical for every pool — only wall-clock time changes.
-func (s Scale) WithPool(pool *parallel.Pool) Scale {
-	s.pool = pool
-	return s
+	// curves is the curve table Runner.scaled sets next to the pool:
+	// each curve's sync.OnceValues of its points, shared by every
+	// exhibit of one run. nil runs every curve afresh.
+	curves *sync.Map
 }
 
 // Pool returns the worker pool this scale's simulations run on,

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/metrics"
@@ -28,23 +30,6 @@ func (s Scale) runCfg() sim.RunConfig {
 	}
 }
 
-// sweep runs a latency-load curve for one algorithm/workload pair,
-// stopping two points after saturation like the paper's plots. The load
-// points run on the scale's worker pool.
-func (s Scale) sweep(sys *core.System, alg core.Algorithm, wl core.Workload, loads []float64) (Series, error) {
-	ser := Series{Name: string(alg)}
-	points, err := sys.SweepPoolW(s.Pool(), alg, wl, loads, s.runCfg(), 2)
-	if err != nil {
-		return ser, err
-	}
-	for _, p := range points {
-		ser.X = append(ser.X, p.Load)
-		ser.Y = append(ser.Y, p.Result.Latency.Mean())
-		ser.Saturated = append(ser.Saturated, p.Result.Saturated)
-	}
-	return ser, nil
-}
-
 // ur and wc are the paper's two evaluation workloads: uniform random
 // and worst-case traffic under Bernoulli injection.
 var (
@@ -52,79 +37,109 @@ var (
 	wc = core.Workload{Traffic: "wc"}
 )
 
-// urLoads and wcLoads are the sweep ranges of Figures 8, 10 and 16.
+// urLoads and wcLoads are the sweep ranges of the routing figures.
 func (s Scale) urLoads() []float64 { return s.loads(0.1, 0.95, 0.1) }
 func (s Scale) wcLoads() []float64 { return s.loads(0.05, 0.5, 0.05) }
 
-// patternCases are the UR/WC halves shared by Figures 8 and 10.
-func (s Scale) patternCases() []struct {
-	wl    core.Workload
-	loads []float64
-} {
-	return []struct {
-		wl    core.Workload
-		loads []float64
-	}{
-		{ur, s.urLoads()},
-		{wc, s.wcLoads()},
-	}
+// curve is one latency-load sweep on the evaluation machine. Figures 8,
+// 10, 11, 14 and 16 are drawn from curves, and several of them plot the
+// same one. The loads follow from the traffic: urLoads or wcLoads.
+type curve struct {
+	buf     int
+	alg     core.Algorithm
+	traffic string
 }
 
-// routingComparison fills the two UR/WC figures with one series per
-// algorithm. Every (pattern, algorithm) series is an independent job and
-// they all run concurrently on the scale's pool; series order within
-// each figure stays the caller's algorithm order.
-func (s Scale) routingComparison(sys *core.System, algs []core.Algorithm, out []*Figure) error {
-	cases := s.patternCases()
-	type job struct {
-		fig int
-		alg core.Algorithm
-	}
-	var jobs []job
-	for i := range cases {
-		for _, alg := range algs {
-			jobs = append(jobs, job{fig: i, alg: alg})
-		}
-	}
-	sers := make([]Series, len(jobs))
-	err := s.Pool().ForEach(len(jobs), func(k int) error {
-		j := jobs[k]
-		ser, err := s.sweep(sys, j.alg, cases[j.fig].wl, cases[j.fig].loads)
+// points returns c's load points, stopping two points after saturation
+// like the paper's plots. A scale with a curve table (Runner.scaled)
+// runs each curve at most once: later callers of the same curve wait on
+// the first caller's run outside the pool, so a waiter never holds a
+// worker slot.
+func (s Scale) points(c curve) ([]core.SweepPoint, error) {
+	run := func() ([]core.SweepPoint, error) {
+		sys, err := s.evalSystem(c.buf)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", j.alg, cases[j.fig].wl.Label(), err)
+			return nil, err
 		}
-		sers[k] = ser
-		return nil
+		loads := s.urLoads()
+		if c.traffic == "wc" {
+			loads = s.wcLoads()
+		}
+		pts, err := sys.SweepPoolW(s.Pool(), c.alg, core.Workload{Traffic: c.traffic}, loads, s.runCfg(), 2)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s/buf%d: %w", c.alg, c.traffic, c.buf, err)
+		}
+		return pts, nil
+	}
+	if s.curves == nil {
+		return run()
+	}
+	once, _ := s.curves.LoadOrStore(c, sync.OnceValues(run))
+	return once.(func() ([]core.SweepPoint, error))()
+}
+
+// series reads one value per load point into a curve named name.
+func series(name string, pts []core.SweepPoint, y func(*sim.Result) float64) Series {
+	ser := Series{Name: name}
+	for i := range pts {
+		ser.X = append(ser.X, pts[i].Load)
+		ser.Y = append(ser.Y, y(&pts[i].Result))
+		ser.Saturated = append(ser.Saturated, pts[i].Result.Saturated)
+	}
+	return ser
+}
+
+func meanLatency(r *sim.Result) float64 { return r.Latency.Mean() }
+
+// latencyFig is an empty latency-versus-offered-load plot.
+func latencyFig(id, title string, notes ...string) *Figure {
+	return &Figure{ID: id, Title: title, XLabel: "offered load", YLabel: "avg latency (cycles), * = saturated", Notes: notes}
+}
+
+// plot runs the curves of every figure concurrently on the scale's pool
+// and gives figs[i] one mean-latency series per entry of curves[i], in
+// order, each named by name.
+func (s Scale) plot(figs []*Figure, curves [][]curve, name func(curve) string) ([]*Figure, error) {
+	var all []curve
+	for _, cs := range curves {
+		all = append(all, cs...)
+	}
+	sers := make([]Series, len(all))
+	err := s.Pool().ForEach(len(all), func(i int) error {
+		pts, err := s.points(all[i])
+		sers[i] = series(name(all[i]), pts, meanLatency)
+		return err
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for k, j := range jobs {
-		out[j.fig].Series = append(out[j.fig].Series, sers[k])
+	for i, cs := range curves {
+		figs[i].Series, sers = sers[:len(cs):len(cs)], sers[len(cs):]
 	}
-	return nil
+	return figs, nil
 }
+
+// algCurves is one curve per algorithm at one buffer depth and traffic.
+func algCurves(buf int, traffic string, algs ...core.Algorithm) []curve {
+	cs := make([]curve, len(algs))
+	for i, alg := range algs {
+		cs[i] = curve{buf, alg, traffic}
+	}
+	return cs
+}
+
+func algName(c curve) string { return string(c.alg) }
 
 // Fig08 reproduces Figure 8: latency versus offered load for MIN, VAL,
 // UGAL-G and UGAL-L under (a) uniform random and (b) worst-case traffic.
 func Fig08(s Scale) ([]*Figure, error) {
-	sys, err := s.evalSystem(16)
-	if err != nil {
-		return nil, err
-	}
 	algs := []core.Algorithm{core.AlgMIN, core.AlgVAL, core.AlgUGALG, core.AlgUGALL}
-	out := []*Figure{
-		{ID: "Figure 8(a)", Title: "Routing comparison, uniform random traffic", XLabel: "offered load", YLabel: "avg latency (cycles), * = saturated"},
-		{ID: "Figure 8(b)", Title: "Routing comparison, worst-case traffic", XLabel: "offered load", YLabel: "avg latency (cycles), * = saturated"},
-	}
-	if err := s.routingComparison(sys, algs, out); err != nil {
-		return nil, err
-	}
-	out[0].Notes = append(out[0].Notes,
-		"expected shape: MIN and both UGALs reach near-unit throughput; VAL saturates near 0.5 with ~2x zero-load latency")
-	out[1].Notes = append(out[1].Notes,
-		"expected shape: MIN saturates at 1/(a*h); VAL and UGAL-G reach ~0.5; UGAL-L suffers high latency at intermediate load")
-	return out, nil
+	return s.plot([]*Figure{
+		latencyFig("Figure 8(a)", "Routing comparison, uniform random traffic",
+			"expected shape: MIN and both UGALs reach near-unit throughput; VAL saturates near 0.5 with ~2x zero-load latency"),
+		latencyFig("Figure 8(b)", "Routing comparison, worst-case traffic",
+			"expected shape: MIN saturates at 1/(a*h); VAL and UGAL-G reach ~0.5; UGAL-L suffers high latency at intermediate load"),
+	}, [][]curve{algCurves(16, "ur", algs...), algCurves(16, "wc", algs...)}, algName)
 }
 
 // Fig09 reproduces Figure 9: per-channel utilisation of a group's global
@@ -200,66 +215,40 @@ func Fig09(s Scale) (*Figure, error) {
 // against UGAL-L and UGAL-G on (a) uniform random and (b) worst-case
 // traffic.
 func Fig10(s Scale) ([]*Figure, error) {
-	sys, err := s.evalSystem(16)
-	if err != nil {
-		return nil, err
-	}
 	algs := []core.Algorithm{core.AlgUGALL, core.AlgUGALLVC, core.AlgUGALLVCH, core.AlgUGALG}
-	out := []*Figure{
-		{ID: "Figure 10(a)", Title: "UGAL-L_VC variants, uniform random traffic", XLabel: "offered load", YLabel: "avg latency (cycles), * = saturated"},
-		{ID: "Figure 10(b)", Title: "UGAL-L_VC variants, worst-case traffic", XLabel: "offered load", YLabel: "avg latency (cycles), * = saturated"},
-	}
-	if err := s.routingComparison(sys, algs, out); err != nil {
-		return nil, err
-	}
-	out[0].Notes = append(out[0].Notes,
-		"expected shape: UGAL-L_VC loses throughput on UR (per-VC queues misjudge balanced traffic); the hybrid UGAL-L_VCH restores it")
-	out[1].Notes = append(out[1].Notes,
-		"expected shape: both VC variants match UGAL-G's WC throughput and cut UGAL-L's intermediate latency")
-	return out, nil
+	return s.plot([]*Figure{
+		latencyFig("Figure 10(a)", "UGAL-L_VC variants, uniform random traffic",
+			"expected shape: UGAL-L_VC loses throughput on UR (per-VC queues misjudge balanced traffic); the hybrid UGAL-L_VCH restores it"),
+		latencyFig("Figure 10(b)", "UGAL-L_VC variants, worst-case traffic",
+			"expected shape: both VC variants match UGAL-G's WC throughput and cut UGAL-L's intermediate latency"),
+	}, [][]curve{algCurves(16, "ur", algs...), algCurves(16, "wc", algs...)}, algName)
 }
 
 // Fig11 reproduces Figure 11: minimally- versus non-minimally-routed
 // packet latency under UGAL-L and WC traffic, with 16- and 256-flit
-// input buffers. The two buffer depths run concurrently, and each
-// depth's load points fan out through the sweep engine (stopping one
-// point after saturation, like the paper's plot).
+// input buffers. Each depth reads the UGAL-L WC curve up to its first
+// saturated point, where the paper's plot stops.
 func Fig11(s Scale) ([]*Figure, error) {
 	bufs := []int{16, 256}
 	out := make([]*Figure, len(bufs))
 	err := s.Pool().ForEach(len(bufs), func(bi int) error {
-		buf := bufs[bi]
-		sys, err := s.evalSystem(buf)
+		pts, err := s.points(curve{bufs[bi], core.AlgUGALL, "wc"})
 		if err != nil {
 			return err
 		}
-		pts, err := sys.SweepPoolW(s.Pool(), core.AlgUGALL, wc, s.wcLoads(), s.runCfg(), 1)
-		if err != nil {
-			return err
+		for i := range pts {
+			if pts[i].Result.Saturated {
+				pts = pts[:i+1]
+				break
+			}
 		}
-		f := &Figure{
-			ID:     fmt.Sprintf("Figure 11 (buffers=%d)", buf),
-			Title:  "UGAL-L WC latency split by routing decision",
-			XLabel: "offered load",
-			YLabel: "avg latency (cycles), * = saturated",
-		}
-		min := Series{Name: "minimal pkts"}
-		nonmin := Series{Name: "non-minimal"}
-		avg := Series{Name: "average"}
-		for _, p := range pts {
-			min.X = append(min.X, p.Load)
-			min.Y = append(min.Y, p.Result.MinLatency.Mean())
-			min.Saturated = append(min.Saturated, p.Result.Saturated)
-			nonmin.X = append(nonmin.X, p.Load)
-			nonmin.Y = append(nonmin.Y, p.Result.NonminLatency.Mean())
-			nonmin.Saturated = append(nonmin.Saturated, p.Result.Saturated)
-			avg.X = append(avg.X, p.Load)
-			avg.Y = append(avg.Y, p.Result.Latency.Mean())
-			avg.Saturated = append(avg.Saturated, p.Result.Saturated)
-		}
-		f.Series = []Series{min, nonmin, avg}
-		f.Notes = append(f.Notes,
+		f := latencyFig(fmt.Sprintf("Figure 11 (buffers=%d)", bufs[bi]), "UGAL-L WC latency split by routing decision",
 			"expected shape: non-minimal packets track UGAL-G latency while minimal packets pay the buffer-filling penalty, which grows with buffer depth")
+		f.Series = []Series{
+			series("minimal pkts", pts, func(r *sim.Result) float64 { return r.MinLatency.Mean() }),
+			series("non-minimal", pts, func(r *sim.Result) float64 { return r.NonminLatency.Mean() }),
+			series("average", pts, meanLatency),
+		}
 		out[bi] = f
 		return nil
 	})
@@ -328,100 +317,36 @@ func Fig12(s Scale) ([]*Figure, error) {
 
 // Fig14 reproduces Figure 14: UGAL-L latency under WC traffic as the
 // input buffer depth varies — shallower buffers give stiffer backpressure
-// and lower intermediate latency. All five depth series run concurrently.
+// and lower intermediate latency.
 func Fig14(s Scale) (*Figure, error) {
-	f := &Figure{
-		ID:     "Figure 14",
-		Title:  "UGAL-L WC latency vs input buffer depth",
-		XLabel: "offered load",
-		YLabel: "avg latency (cycles), * = saturated",
+	var cs []curve
+	for _, buf := range []int{4, 8, 16, 32, 64} {
+		cs = append(cs, curve{buf, core.AlgUGALL, "wc"})
 	}
-	bufs := []int{4, 8, 16, 32, 64}
-	sers := make([]Series, len(bufs))
-	err := s.Pool().ForEach(len(bufs), func(bi int) error {
-		sys, err := s.evalSystem(bufs[bi])
-		if err != nil {
-			return err
-		}
-		ser, err := s.sweep(sys, core.AlgUGALL, wc, s.wcLoads())
-		if err != nil {
-			return err
-		}
-		ser.Name = fmt.Sprintf("buffers=%d", bufs[bi])
-		sers[bi] = ser
-		return nil
-	})
+	figs, err := s.plot([]*Figure{latencyFig("Figure 14", "UGAL-L WC latency vs input buffer depth",
+		"expected shape: intermediate latency grows with buffer depth; very shallow buffers trade throughput for stiffness"),
+	}, [][]curve{cs}, func(c curve) string { return fmt.Sprintf("buffers=%d", c.buf) })
 	if err != nil {
 		return nil, err
 	}
-	f.Series = sers
-	f.Notes = append(f.Notes,
-		"expected shape: intermediate latency grows with buffer depth; very shallow buffers trade throughput for stiffness")
-	return f, nil
+	return figs[0], nil
 }
 
 // Fig16 reproduces Figure 16: UGAL-L_CR (credit round-trip latency)
 // against UGAL-L_VCH and UGAL-G on WC and UR traffic with 16- and
-// 256-flit buffers. All twelve (pattern, buffer, algorithm) series are
-// independent jobs running concurrently.
+// 256-flit buffers.
 func Fig16(s Scale) ([]*Figure, error) {
-	algs := []core.Algorithm{core.AlgUGALLVCH, core.AlgUGALLCR, core.AlgUGALG}
-	cases := []struct {
-		pattern string
-		wl      core.Workload
-		buf     int
-		loads   []float64
-	}{
-		{"WC", wc, 16, s.wcLoads()},
-		{"WC", wc, 256, s.wcLoads()},
-		{"UR", ur, 16, s.urLoads()},
-		{"UR", ur, 256, s.urLoads()},
-	}
-	out := make([]*Figure, len(cases))
-	systems := make([]*core.System, len(cases))
-	for i, tc := range cases {
-		sys, err := s.evalSystem(tc.buf)
-		if err != nil {
-			return nil, err
-		}
-		systems[i] = sys
-		out[i] = &Figure{
-			ID:     fmt.Sprintf("Figure 16 (%s, buffers=%d)", tc.pattern, tc.buf),
-			Title:  "Credit round-trip latency mechanism",
-			XLabel: "offered load",
-			YLabel: "avg latency (cycles), * = saturated",
-		}
-		if tc.pattern == "WC" {
-			out[i].Notes = append(out[i].Notes,
-				"expected shape: UGAL-L_CR cuts the minimal-packet latency hump and is buffer-size independent")
+	var figs []*Figure
+	var curves [][]curve
+	for _, traffic := range []string{"wc", "ur"} {
+		for _, buf := range []int{16, 256} {
+			f := latencyFig(fmt.Sprintf("Figure 16 (%s, buffers=%d)", strings.ToUpper(traffic), buf), "Credit round-trip latency mechanism")
+			if traffic == "wc" {
+				f.Notes = []string{"expected shape: UGAL-L_CR cuts the minimal-packet latency hump and is buffer-size independent"}
+			}
+			figs = append(figs, f)
+			curves = append(curves, algCurves(buf, traffic, core.AlgUGALLVCH, core.AlgUGALLCR, core.AlgUGALG))
 		}
 	}
-	type job struct {
-		fig int
-		alg core.Algorithm
-	}
-	var jobs []job
-	for i := range cases {
-		for _, alg := range algs {
-			jobs = append(jobs, job{fig: i, alg: alg})
-		}
-	}
-	sers := make([]Series, len(jobs))
-	err := s.Pool().ForEach(len(jobs), func(k int) error {
-		j := jobs[k]
-		tc := cases[j.fig]
-		ser, err := s.sweep(systems[j.fig], j.alg, tc.wl, tc.loads)
-		if err != nil {
-			return fmt.Errorf("%s/%s/buf%d: %w", j.alg, tc.pattern, tc.buf, err)
-		}
-		sers[k] = ser
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for k, j := range jobs {
-		out[j.fig].Series = append(out[j.fig].Series, sers[k])
-	}
-	return out, nil
+	return s.plot(figs, curves, algName)
 }

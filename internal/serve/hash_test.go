@@ -108,6 +108,17 @@ func TestNormalizeTopologyRejections(t *testing.T) {
 	}
 }
 
+// TestNormalizeTopologyErrorText: a machine the topology package
+// refuses is reported with that package's message as is, under one
+// "topology:" prefix.
+func TestNormalizeTopologyErrorText(t *testing.T) {
+	sub := Submission{Kind: KindRun, Algorithm: "MIN", Pattern: "UR", Load: 0.1, Topology: TopologySpec{P: -1, A: 8, H: 4}}
+	_, err := sub.Normalize(Limits{})
+	if want := "topology: dragonfly parameters must be positive (p=-1 a=8 h=4)"; err == nil || err.Error() != want {
+		t.Errorf("Normalize(p=-1) error %v, want %q", err, want)
+	}
+}
+
 // TestHashGolden pins the exact digest of a fixed submission. A change
 // here means the canonical encoding moved: every cached result in every
 // deployment is invalidated, so the change must be deliberate and come

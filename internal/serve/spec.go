@@ -204,7 +204,7 @@ func (sub Submission) Normalize(limits Limits) (JobSpec, error) {
 		BufDepth: t.BufDepth, Seed: s.Seed, Shards: s.Shards,
 	})
 	if err != nil {
-		return s, badRequest("topology: %v", err)
+		return s, badRequest("%v", err)
 	}
 	desc := sys.Topo.Describe()
 	s.Family, s.Params = desc.Family, desc.Params
