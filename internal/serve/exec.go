@@ -28,11 +28,26 @@ func (s *Server) worker() {
 	}
 }
 
+// persister runs the steps the workers hand it — a job's running
+// record, and after execution its whole settlement — one at a time, in
+// the order they were handed over, until the channel is closed. One
+// FIFO for every worker keeps each job's journal records in lifecycle
+// order (accepted → running → retry → terminal) while the workers
+// themselves never wait on a fsync.
+func (s *Server) persister() {
+	defer close(s.persisted)
+	for step := range s.steps {
+		step()
+	}
+}
+
 // runJob executes one job with the full hardening contract: a timeout
 // context (the server default, shortened by the submission's
 // timeout_ms), panic isolation (a crashing job becomes a structured
 // failure; the worker and server survive), and error classification
-// into the job's terminal states.
+// into the job's terminal states. The worker does no durable I/O: the
+// running record and the settlement go to the persister, and the
+// worker returns for the next job as soon as the simulation does.
 func (s *Server) runJob(job *Job) {
 	timeout := s.cfg.JobTimeout
 	if ms := job.Spec.TimeoutMS; ms > 0 {
@@ -52,9 +67,18 @@ func (s *Server) runJob(job *Job) {
 	if !job.begin(cancel) {
 		return // canceled while queued; already terminal and accounted
 	}
-	s.journalRunning(job)
+	s.steps <- func() { s.journalRunning(job) }
 
 	report, panicked, err := s.executeIsolated(ctx, job)
+	s.steps <- func() { s.settle(job, timeout, report, panicked, err) }
+}
+
+// settle moves an executed job to its next state: the result cache and
+// done, failed or canceled by the error's class, or a retry. It runs on
+// the persister, so the terminal transition (and with it the result
+// file and journal record, see terminalHook) follows the job's running
+// record in the journal.
+func (s *Server) settle(job *Job, timeout time.Duration, report []byte, panicked bool, err error) {
 	switch {
 	case panicked:
 		job.finishFailed("panic", err.Error(), 0, 0)

@@ -324,8 +324,17 @@ func TestServerLoadRestart(t *testing.T) {
 	}
 	srv, ts := durableServer(t, dir, cfg)
 	// Pad jobs so the storm outruns the workers and the crash lands on a
-	// full queue, not an idle server.
-	srv.testHook = func(j *Job) { time.Sleep(20 * time.Millisecond) }
+	// full queue, not an idle server. A tail job (seed tailSeed and up)
+	// holds its worker until the crash, so however the storm is
+	// scheduled the crash finds unsettled work.
+	const tailSeed = 1000
+	srv.testHook = func(j *Job) {
+		if j.Spec.Seed >= tailSeed {
+			<-srv.baseCtx.Done()
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 	client := ts.Client()
 
 	var (
@@ -387,6 +396,28 @@ func TestServerLoadRestart(t *testing.T) {
 	// is that an acknowledged job is durable, which needs the ack to have
 	// happened.
 	wg.Wait()
+
+	// The tail: one job per worker, submitted after the storm and
+	// distinct from it, so none is a cache hit. Each job ahead of a tail
+	// job in the queue is picked up before it, and until the last tail
+	// job is accepted at least one worker is free, so the queue keeps
+	// draining and the 429 retries end.
+	for k := 0; k < cfg.Workers; k++ {
+		sub := tinySubmission()
+		sub.Seed = tailSeed + uint64(k)
+		for {
+			st, code := submit(t, ts, sub)
+			if code == http.StatusTooManyRequests {
+				time.Sleep(10 * time.Millisecond)
+				continue
+			}
+			if code != http.StatusAccepted {
+				t.Fatalf("tail submit: status %d, want 202", code)
+			}
+			accepted = append(accepted, st.ID)
+			break
+		}
+	}
 
 	srv.crashForTest()
 	ts.Close()

@@ -32,11 +32,12 @@ import (
 // terminalHook is the onTerminal callback of every accepted job:
 // persist the outcome, then release the drain accounting. finishLocked
 // invokes it with job.mu already held in this goroutine, so it reads
-// the job's fields directly instead of taking the lock again.
-func (s *Server) terminalHook(job *Job) func() {
+// the job's fields directly instead of taking the lock again. lead are
+// records journaled in the same write, ahead of the terminal one.
+func (s *Server) terminalHook(job *Job, lead ...record) func() {
 	return func() {
 		if s.store != nil {
-			s.persistTerminalLocked(job)
+			s.persistTerminalLocked(job, lead)
 		}
 		s.jobWG.Done()
 	}
@@ -47,39 +48,44 @@ func (s *Server) terminalHook(job *Job) func() {
 // now-obsolete checkpoint is dropped. Write-ahead in that order on
 // purpose — a journaled "done" whose result file is missing would
 // replay into a silent gap, while a result file without its record
-// merely re-runs to the identical bytes. Called with job.mu held.
-func (s *Server) persistTerminalLocked(job *Job) {
+// merely re-runs to the identical bytes. When the result write fails
+// only lead is journaled. Called with job.mu held.
+func (s *Server) persistTerminalLocked(job *Job, lead []record) {
 	if job.state == StateDone {
 		if err := s.store.writeResult(job.Hash, job.report); err != nil {
 			if !errors.Is(err, errStoreClosed) {
 				s.cfg.Logf("serve: job %s: persist result: %v", job.ID, err)
 			}
+			s.journal(job, "accepted", lead...)
 			return
 		}
 	}
-	rec := record{
+	s.journal(job, "terminal state", append(lead, record{
 		V: journalVersion, Type: recState, ID: job.ID, State: job.state,
 		ErrKind: job.errKind, Err: job.errMsg, Cached: job.cached,
-	}
-	if err := s.store.appendRecord(rec); err != nil && !errors.Is(err, errStoreClosed) {
-		s.cfg.Logf("serve: job %s: journal terminal state: %v", job.ID, err)
-	}
+	})...)
 	s.store.removeCheckpoint(job.ID)
 }
 
-// journalAccepted journals a submission before the client is
-// acknowledged: once the 202/200 goes out, the job survives any crash.
-func (s *Server) journalAccepted(job *Job) {
-	if s.store == nil {
+// journal appends a job's records in one write with one fsync. A
+// failure is logged, except on a detached store: a stopped or crashed
+// server writes nothing more by design.
+func (s *Server) journal(job *Job, what string, recs ...record) {
+	if s.store == nil || len(recs) == 0 {
 		return
 	}
+	if err := s.store.appendRecords(recs...); err != nil && !errors.Is(err, errStoreClosed) {
+		s.cfg.Logf("serve: job %s: journal %s: %v", job.ID, what, err)
+	}
+}
+
+// acceptedRecord is the journal record of a submission: the full spec,
+// so replay can re-run the job.
+func (s *Server) acceptedRecord(job *Job) record {
 	spec := job.Spec
-	err := s.store.appendRecord(record{
+	return record{
 		V: journalVersion, Type: recAccepted, ID: job.ID,
 		TS: job.submitted.UnixMilli(), Spec: &spec, Hash: job.Hash,
-	})
-	if err != nil && !errors.Is(err, errStoreClosed) {
-		s.cfg.Logf("serve: job %s: journal accepted: %v", job.ID, err)
 	}
 }
 
@@ -88,13 +94,7 @@ func (s *Server) journalAccepted(job *Job) {
 // far each job got, which the quarantine and debugging paths care
 // about.
 func (s *Server) journalRunning(job *Job) {
-	if s.store == nil {
-		return
-	}
-	err := s.store.appendRecord(record{V: journalVersion, Type: recState, ID: job.ID, State: StateRunning})
-	if err != nil && !errors.Is(err, errStoreClosed) {
-		s.cfg.Logf("serve: job %s: journal running: %v", job.ID, err)
-	}
+	s.journal(job, "running", record{V: journalVersion, Type: recState, ID: job.ID, State: StateRunning})
 }
 
 // recoverJobs rebuilds the job table from the replayed journal. Runs in
@@ -220,12 +220,7 @@ func (s *Server) retryJob(job *Job, reason string) {
 		return
 	}
 	s.cfg.Logf("serve: job %s: %s: retry %d/%d", job.ID, reason, attempt, max)
-	if s.store != nil {
-		err := s.store.appendRecord(record{V: journalVersion, Type: recRetry, ID: job.ID, Attempt: attempt})
-		if err != nil && !errors.Is(err, errStoreClosed) {
-			s.cfg.Logf("serve: job %s: journal retry: %v", job.ID, err)
-		}
-	}
+	s.journal(job, "retry", record{V: journalVersion, Type: recRetry, ID: job.ID, Attempt: attempt})
 	if !job.requeue() {
 		// The client canceled while the retry was being arranged; settle
 		// the cancellation instead of resurrecting the job.
@@ -312,4 +307,6 @@ func (s *Server) crashForTest() {
 	s.baseCancel()
 	close(s.quit)
 	s.workerWG.Wait()
+	close(s.steps)
+	<-s.persisted
 }

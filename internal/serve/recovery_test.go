@@ -10,10 +10,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -213,5 +218,233 @@ func TestRecoveryRetriesCorruptCheckpoint(t *testing.T) {
 	}
 	if got, want := getReport(t, ts2, long.ID), referenceReport(t, longSubmission()); !bytes.Equal(got, want) {
 		t.Error("retried run is not bit-identical to an uninterrupted run")
+	}
+}
+
+// serveLocal runs one request through the server's handler in-process,
+// with no HTTP connection or server goroutine behind it.
+func serveLocal(srv *Server, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// submitLocal submits sub through serveLocal and returns its status.
+func submitLocal(t *testing.T, srv *Server, sub Submission) (Status, int) {
+	t.Helper()
+	body, err := json.Marshal(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serveLocal(srv, http.MethodPost, "/v1/jobs", body)
+	var st Status
+	if rec.Code == http.StatusOK || rec.Code == http.StatusAccepted {
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("decode submit response: %v", err)
+		}
+	}
+	return st, rec.Code
+}
+
+// statusLocal reads a job's status through serveLocal.
+func statusLocal(t *testing.T, srv *Server, id string) Status {
+	t.Helper()
+	var st Status
+	if err := json.Unmarshal(serveLocal(srv, http.MethodGet, "/v1/jobs/"+id, nil).Body.Bytes(), &st); err != nil {
+		t.Fatalf("decode status: %v", err)
+	}
+	return st
+}
+
+// journalSteps reads dir's journal and returns each job's records in
+// journal order, spelled as their type ("accepted", "retry") or, for
+// state records, the state.
+func journalSteps(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make(map[string][]string)
+	for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+		r, err := decodeRecord(line)
+		if err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		step := r.Type
+		if r.Type == recState {
+			step = string(r.State)
+		}
+		steps[r.ID] = append(steps[r.ID], step)
+	}
+	return steps
+}
+
+// TestSettlementOrder: a durable server journals every job's records
+// in lifecycle order — accepted → running → (retry → running) →
+// terminal — although the running records and settlements are written
+// by the persister, not the worker that ran the job. A status read
+// that first shows a job terminal finds its terminal record, and for
+// a done job its result file, already on disk; a cache hit's 200 finds
+// both of its records there.
+func TestSettlementOrder(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := Open(Config{DataDir: dir, Workers: 2, QueueDepth: 8, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	}()
+
+	const seedFail, seedRetry = 101, 102
+	srv.testHook = func(j *Job) {
+		switch j.Spec.Seed {
+		case seedFail:
+			panic("injected failure")
+		case seedRetry:
+			// The first attempt resumes from a checkpoint the engine
+			// refuses: a transient failure, retried from scratch.
+			j.mu.Lock()
+			if j.attempt == 0 {
+				j.resume = []byte("not a snapshot")
+			}
+			j.mu.Unlock()
+		}
+	}
+
+	run := tinySubmission()
+	run.Seed = 1
+	sweep := tinySubmission()
+	sweep.Kind, sweep.Load, sweep.Loads = KindSweep, 0, []float64{0.05, 0.1}
+	failed := tinySubmission()
+	failed.Seed = seedFail
+	retried := tinySubmission()
+	retried.Seed = seedRetry
+
+	// onDisk reports whether the job's terminal record, and for a done
+	// job its result file, are in the data dir.
+	onDisk := func(st Status) bool {
+		steps := journalSteps(t, dir)[st.ID]
+		if len(steps) == 0 || steps[len(steps)-1] != string(st.State) {
+			return false
+		}
+		if st.State != StateDone {
+			return true
+		}
+		_, err := os.Stat(filepath.Join(dir, "results", st.Hash+".json"))
+		return err == nil
+	}
+
+	cases := []struct {
+		name  string
+		sub   Submission
+		state State
+		want  []string
+	}{
+		{"run", run, StateDone, []string{"accepted", "running", "done"}},
+		{"sweep", sweep, StateDone, []string{"accepted", "running", "done"}},
+		{"failed", failed, StateFailed, []string{"accepted", "running", "failed"}},
+		{"retried", retried, StateDone, []string{"accepted", "running", "retry", "running", "done"}},
+	}
+	ids := make([]string, len(cases))
+	for i, c := range cases {
+		st, code := submitLocal(t, srv, c.sub)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d, want 202", c.name, code)
+		}
+		ids[i] = st.ID
+		deadline := time.Now().Add(30 * time.Second)
+		for !terminal(st.State) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: job %s never settled", c.name, st.ID)
+			}
+			st = statusLocal(t, srv, st.ID)
+		}
+		if st.State != c.state {
+			t.Fatalf("%s: job ended %q (%s), want %q", c.name, st.State, st.Error, c.state)
+		}
+		if !onDisk(st) {
+			t.Errorf("%s: the first status read showing %q came before the job's durable settlement", c.name, st.State)
+		}
+	}
+
+	hit, code := submitLocal(t, srv, run)
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("resubmission: status %d cached=%v, want 200 cached", code, hit.Cached)
+	}
+	if !onDisk(hit) {
+		t.Error("cache hit answered 200 before its done record was durable")
+	}
+
+	steps := journalSteps(t, dir)
+	for i, c := range cases {
+		if got := steps[ids[i]]; !slices.Equal(got, c.want) {
+			t.Errorf("%s: journal records %v, want %v", c.name, got, c.want)
+		}
+	}
+	if got, want := steps[hit.ID], []string{"accepted", "done"}; !slices.Equal(got, want) {
+		t.Errorf("cache hit: journal records %v, want %v", got, want)
+	}
+}
+
+// TestPersisterJoined: Shutdown and crashForTest each join the
+// persister along with the workers, so a stopped server leaves exactly
+// the goroutines that ran before Open — no slack that could hide one
+// leaked persister.
+func TestPersisterJoined(t *testing.T) {
+	stops := []struct {
+		name string
+		stop func(*Server) error
+	}{
+		{"Shutdown", func(s *Server) error {
+			// A drain deadline that has already passed: Shutdown cancels
+			// the running job instead of waiting it out.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			defer cancel()
+			return s.Shutdown(ctx)
+		}},
+		{"crashForTest", func(s *Server) error { s.crashForTest(); return nil }},
+	}
+	for _, c := range stops {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			srv, err := Open(Config{DataDir: t.TempDir(), Workers: 2, CheckpointEvery: 500, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			quick, _ := submitLocal(t, srv, tinySubmission())
+			for st := quick; !terminal(st.State); st = statusLocal(t, srv, quick.ID) {
+				time.Sleep(time.Millisecond)
+			}
+			// A long job is still running when the server stops: its
+			// settlement is the persister's last step.
+			long, _ := submitLocal(t, srv, longSubmission())
+			for st := long; st.State != StateRunning; st = statusLocal(t, srv, long.ID) {
+				time.Sleep(time.Millisecond)
+			}
+			if err := c.stop(srv); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatal(err)
+			}
+			select {
+			case <-srv.persisted:
+			default:
+				t.Errorf("%s returned before the persister exited", c.name)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			n := runtime.NumGoroutine()
+			for n > base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > base {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines before Open, %d after %s\n%s", base, n, c.name, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }

@@ -118,6 +118,16 @@ func (c Config) withDefaults() Config {
 // Server is the simulation service: an http.Handler plus the worker set
 // and queue behind it. Create with Open, serve via any http.Server, stop
 // with Shutdown.
+//
+// Workers only execute. Each hands a job's "running" journal record
+// and, once the simulation returns, its settlement (result cache, then
+// the terminal transition with its result file and journal record, or
+// a retry) to one persister goroutine, which runs them in hand-over
+// order; the worker moves straight on to the next queued job. A job's
+// SSE feed therefore closes before its outcome is durable, while a
+// status or report read that shows it terminal happens after: the
+// terminal transition writes both under the job's lock. In-memory and
+// durable servers take the same path.
 type Server struct {
 	cfg   Config
 	pool  *parallel.Pool
@@ -133,6 +143,14 @@ type Server struct {
 	quit     chan struct{} // closed to stop idle workers
 	workerWG sync.WaitGroup
 	jobWG    sync.WaitGroup // one count per accepted, non-terminal job
+
+	// steps feeds the persister the workers' running records and
+	// settlements, in order; closed once the workers have exited.
+	// Its 2×Workers buffer holds one job's two steps per worker: each
+	// worker can hand over a whole job without waiting on the persister.
+	// persisted is closed when the persister has run the last step.
+	steps     chan func()
+	persisted chan struct{}
 
 	// store is the durable state (nil for an in-memory server).
 	store *store
@@ -175,6 +193,8 @@ func Open(cfg Config) (*Server, error) {
 		cache:       newCache(cfg.CacheSize),
 		queue:       make(chan *Job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
+		steps:       make(chan func(), 2*cfg.Workers),
+		persisted:   make(chan struct{}),
 		jobs:        make(map[string]*Job),
 		retryTimers: make(map[string]*time.Timer),
 	}
@@ -202,6 +222,7 @@ func Open(cfg Config) (*Server, error) {
 		s.recoverJobs(rep)
 	}
 
+	go s.persister()
 	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -255,6 +276,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	close(s.quit)
 	s.workerWG.Wait()
+	close(s.steps)
+	<-s.persisted
 	s.baseCancel()
 	s.stopRetryTimers()
 	if s.store != nil {
@@ -299,8 +322,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
 		}
+		// The accepted record rides in the done record's journal write:
+		// one fsync, and both are durable before the 200.
+		job.onTerminal = s.terminalHook(job, s.acceptedRecord(job))
 		s.index(job)
-		s.journalAccepted(job)
 		job.finishDone(report, true)
 		writeJSON(w, http.StatusOK, job.Status())
 		return
@@ -311,12 +336,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
+	// The accepted record is durable before the 202, so an acknowledged
+	// job survives any crash. It is journaled under the job's lock,
+	// which the worker's begin takes: no later record of the job can
+	// reach the journal ahead of it.
+	job.mu.Lock()
 	select {
 	case s.queue <- job:
+		s.journal(job, "accepted", s.acceptedRecord(job))
+		job.mu.Unlock()
 		s.index(job)
-		s.journalAccepted(job)
 		writeJSON(w, http.StatusAccepted, job.Status())
 	default:
+		job.mu.Unlock()
 		// Refused: the job was never indexed, so nothing else holds a
 		// reference — releasing its drain count here is the only Done it
 		// will ever get.

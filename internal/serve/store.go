@@ -10,11 +10,26 @@ package serve
 // The journal is the source of truth for which jobs exist and where
 // they got to. Every append is fsync'd under the store lock, and the
 // "accepted" record for a submission is durable before the client sees
-// its 202 — a job the server acknowledged is never lost. Result and
-// checkpoint files are written via a same-directory temp file, fsync
-// and rename, so a reader (including the replaying next process) only
-// ever sees complete files; a crash mid-write leaves a *.tmp* that the
-// next open sweeps.
+// its 202 — a job the server acknowledged is never lost. A cache hit's
+// "accepted" and "done" records share one append and one fsync, both
+// durable before its 200. Result and checkpoint files are written via
+// a same-directory temp file, fsync and rename, so a reader (including
+// the replaying next process) only ever sees complete files; a crash
+// mid-write leaves a *.tmp* that the next open sweeps.
+//
+// Job workers write none of this themselves. A worker hands the
+// server's one persister goroutine (exec.go) a job's "running" record
+// when it starts the job and the whole settlement when the simulation
+// returns, and picks up the next job at once. The persister runs these
+// steps one at a time in hand-over order, so each job's records read,
+// in journal order: accepted → running → (retry → running)… →
+// terminal. The "accepted" record is journaled under the job's lock,
+// which the worker's begin takes, so nothing of the job precedes it.
+// What a client may infer: a job's SSE feed closes before its outcome
+// is durable, but a status or report read that shows the job terminal
+// returns only after its result file and terminal record are on disk,
+// because both are written under the job's lock in the terminal
+// transition itself.
 //
 // Replay tolerates exactly the damage a crash can cause. A torn final
 // line (append cut mid-record) is dropped with a warning. A corrupt or
@@ -23,10 +38,11 @@ package serve
 // After any such surgery the journal is rewritten atomically from the
 // surviving records, so the damage is handled once, not on every
 // restart. A "state" record whose "accepted" record was quarantined is
-// an orphan and is ignored; the same applies to the benign submission
-// race where a very fast job's terminal record lands just before its
-// accepted record — the replayed job simply re-runs, and determinism
-// makes the re-run byte-identical.
+// an orphan and is ignored; so is one that precedes its job's
+// "accepted" record, which a journal from an older server can hold (it
+// journaled "accepted" after the queue send, so a fast job's later
+// records could land first) — the replayed job simply re-runs, and
+// determinism makes the re-run byte-identical.
 
 import (
 	"bytes"
@@ -308,14 +324,17 @@ func (st *store) quarantinedCount() int64 {
 	return st.quarantined
 }
 
-// appendRecord journals one record, fsync'd before returning: when this
-// succeeds the record survives any crash.
-func (st *store) appendRecord(r record) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return err
+// appendRecords journals records in one write with one fsync before
+// returning: when this succeeds every one of them survives any crash.
+func (st *store) appendRecords(rs ...record) error {
+	var data []byte
+	for _, r := range rs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		data = append(append(data, line...), '\n')
 	}
-	data = append(data, '\n')
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed || st.f == nil {
