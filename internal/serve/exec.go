@@ -32,8 +32,10 @@ func (s *Server) worker() {
 // record, and after execution its whole settlement — one at a time, in
 // the order they were handed over, until the channel is closed. One
 // FIFO for every worker keeps each job's journal records in lifecycle
-// order (accepted → running → retry → terminal) while the workers
-// themselves never wait on a fsync.
+// order (accepted → running → retry → terminal). A worker still waits
+// on disk in two places: in begin, while the submission that queued
+// the job holds the job's lock for its accepted record's fsync, and on
+// a hand-over while the channel is full.
 func (s *Server) persister() {
 	defer close(s.persisted)
 	for step := range s.steps {
@@ -45,8 +47,8 @@ func (s *Server) persister() {
 // context (the server default, shortened by the submission's
 // timeout_ms), panic isolation (a crashing job becomes a structured
 // failure; the worker and server survive), and error classification
-// into the job's terminal states. The worker does no durable I/O: the
-// running record and the settlement go to the persister, and the
+// into the job's terminal states. The worker writes nothing itself:
+// the running record and the settlement go to the persister, and the
 // worker returns for the next job as soon as the simulation does.
 func (s *Server) runJob(job *Job) {
 	timeout := s.cfg.JobTimeout

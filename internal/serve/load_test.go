@@ -301,11 +301,19 @@ func TestServerLoad(t *testing.T) {
 
 // TestServerLoadRestart is the durability half of the load exercise: a
 // storm of valid jobs against a durable server, a simulated SIGKILL
-// with the queue still full, on-disk damage, then a restart on the same
-// data directory. Every accepted job must reach done on the restarted
-// server — zero losses — the recovered backlog (far deeper than the
-// queue) must land through the deferred-enqueue path, and the whole
-// cycle must settle back to the goroutine baseline.
+// with every worker busy and jobs still queued, on-disk damage, then a
+// restart on the same data directory. Every accepted job must reach
+// done on the restarted server — zero losses — the recovered backlog
+// (deeper than the queue) must land through the deferred-enqueue path,
+// and the whole cycle must settle back to the goroutine baseline.
+//
+// Whether storm jobs are still unsettled at the crash depends on the
+// scheduling (on one warm P the storm can drain first), so the busy
+// server is built after the storm, the same way at any GOMAXPROCS: one
+// job per worker holds the workers — a long run that has written a
+// checkpoint (recovery resumes it) and hooked jobs that block until the
+// crash — and behind them a windowed run and a sweep wait in the queue
+// (recovery re-runs both from scratch).
 func TestServerLoadRestart(t *testing.T) {
 	n := 80
 	if testing.Short() {
@@ -323,17 +331,17 @@ func TestServerLoadRestart(t *testing.T) {
 		CheckpointEvery: 200,
 	}
 	srv, ts := durableServer(t, dir, cfg)
-	// Pad jobs so the storm outruns the workers and the crash lands on a
-	// full queue, not an idle server. A tail job (seed tailSeed and up)
-	// holds its worker until the crash, so however the storm is
-	// scheduled the crash finds unsettled work.
-	const tailSeed = 1000
+	// Pad storm jobs so the storm outruns the workers. Jobs seeded above
+	// heldSeed block until the crash; the long run seeded heldSeed runs
+	// unpadded.
+	const heldSeed = 1000
 	srv.testHook = func(j *Job) {
-		if j.Spec.Seed >= tailSeed {
+		switch {
+		case j.Spec.Seed > heldSeed:
 			<-srv.baseCtx.Done()
-			return
+		case j.Spec.Seed < heldSeed:
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	client := ts.Client()
 
@@ -397,14 +405,11 @@ func TestServerLoadRestart(t *testing.T) {
 	// happened.
 	wg.Wait()
 
-	// The tail: one job per worker, submitted after the storm and
-	// distinct from it, so none is a cache hit. Each job ahead of a tail
-	// job in the queue is picked up before it, and until the last tail
-	// job is accepted at least one worker is free, so the queue keeps
-	// draining and the 429 retries end.
-	for k := 0; k < cfg.Workers; k++ {
-		sub := tinySubmission()
-		sub.Seed = tailSeed + uint64(k)
+	// Hold every worker: the long run, then hooked jobs. All are seeded
+	// apart from the storm, so none is a cache hit. Each job ahead of a
+	// holder in the queue is picked up before it, and until the last
+	// holder is accepted a worker is free, so the 429 retries end.
+	submitHeld := func(sub Submission) string {
 		for {
 			st, code := submit(t, ts, sub)
 			if code == http.StatusTooManyRequests {
@@ -412,15 +417,45 @@ func TestServerLoadRestart(t *testing.T) {
 				continue
 			}
 			if code != http.StatusAccepted {
-				t.Fatalf("tail submit: status %d, want 202", code)
+				t.Fatalf("seed %d: submit status %d, want 202", sub.Seed, code)
 			}
 			accepted = append(accepted, st.ID)
-			break
+			return st.ID
 		}
 	}
+	long := longSubmission()
+	long.Seed = heldSeed
+	longID := submitHeld(long)
+	held := []string{longID}
+	for k := 1; k < cfg.Workers; k++ {
+		sub := tinySubmission()
+		sub.Seed = heldSeed + uint64(k)
+		held = append(held, submitHeld(sub))
+	}
+	waitForCheckpoint(t, dir, longID)
+	for _, id := range held {
+		deadline := time.Now().Add(30 * time.Second)
+		for getStatus(t, ts, id).State != StateRunning {
+			if time.Now().After(deadline) {
+				t.Fatalf("held job %s never started", id)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	// Every worker is held, so these two stay queued until the crash.
+	windowed := tinySubmission()
+	windowed.Seed, windowed.Window = heldSeed+uint64(cfg.Workers), 25
+	sweep := tinySubmission()
+	sweep.Seed, sweep.Kind, sweep.Load, sweep.Loads = heldSeed+uint64(cfg.Workers)+1, KindSweep, 0, []float64{0.05, 0.1}
+	queued := []string{submitHeld(windowed), submitHeld(sweep)}
 
 	srv.crashForTest()
 	ts.Close()
+	// Premise: the crash cut the long run off mid-run (its settlement,
+	// on a detached store, left the checkpoint in place).
+	if st := statusLocal(t, srv, longID); st.State != StateCanceled {
+		t.Fatalf("long job %s was %q at the crash, want cut off mid-run", longID, st.State)
+	}
 
 	// The same damage a real crash leaves behind.
 	if err := os.WriteFile(filepath.Join(dir, "checkpoints", "junk.snap.tmp9"), []byte("torn"), 0o644); err != nil {
@@ -464,8 +499,14 @@ func TestServerLoadRestart(t *testing.T) {
 	st := srv2.stats()
 	t.Logf("restart: %d accepted pre-crash, %d records replayed, %d jobs recovered, %d quarantined",
 		len(accepted), st.JournalReplays, st.JobsRecovered, st.RecordsQuarantined)
-	if st.JobsRecovered == 0 {
-		t.Error("no jobs recovered: the crash landed on an idle server (storm too small?)")
+	if min := int64(len(held) + len(queued)); st.JobsRecovered < min {
+		t.Errorf("%d jobs recovered, want at least the %d held and queued at the crash", st.JobsRecovered, min)
+	}
+	srv2.mu.Lock()
+	longJob := srv2.jobs[longID]
+	srv2.mu.Unlock()
+	if longJob.resumeSnapshot() == nil {
+		t.Errorf("long job %s was recovered without its checkpoint", longID)
 	}
 	if st.RecordsQuarantined != 1 {
 		t.Errorf("records_quarantined = %d, want 1 (the planted corrupt line)", st.RecordsQuarantined)

@@ -56,25 +56,25 @@ func (s *Server) persistTerminalLocked(job *Job, lead []record) {
 			if !errors.Is(err, errStoreClosed) {
 				s.cfg.Logf("serve: job %s: persist result: %v", job.ID, err)
 			}
-			s.journal(job, "accepted", lead...)
+			s.journal(job, "accepted", true, lead...)
 			return
 		}
 	}
-	s.journal(job, "terminal state", append(lead, record{
+	s.journal(job, "terminal state", true, append(lead, record{
 		V: journalVersion, Type: recState, ID: job.ID, State: job.state,
 		ErrKind: job.errKind, Err: job.errMsg, Cached: job.cached,
 	})...)
 	s.store.removeCheckpoint(job.ID)
 }
 
-// journal appends a job's records in one write with one fsync. A
-// failure is logged, except on a detached store: a stopped or crashed
-// server writes nothing more by design.
-func (s *Server) journal(job *Job, what string, recs ...record) {
+// journal appends a job's records in one write, fsync'd when sync is
+// set. A failure is logged, except on a detached store: a stopped or
+// crashed server writes nothing more by design.
+func (s *Server) journal(job *Job, what string, sync bool, recs ...record) {
 	if s.store == nil || len(recs) == 0 {
 		return
 	}
-	if err := s.store.appendRecords(recs...); err != nil && !errors.Is(err, errStoreClosed) {
+	if err := s.store.appendRecords(sync, recs...); err != nil && !errors.Is(err, errStoreClosed) {
 		s.cfg.Logf("serve: job %s: journal %s: %v", job.ID, what, err)
 	}
 }
@@ -92,9 +92,11 @@ func (s *Server) acceptedRecord(job *Job) record {
 // journalRunning marks the start of execution. Purely informational for
 // replay (queued and running recover identically), but it records how
 // far each job got, which the quarantine and debugging paths care
-// about.
+// about. Not fsync'd for that reason: the job's next record, synced,
+// makes it durable too, and a crash before then loses nothing replay
+// needs.
 func (s *Server) journalRunning(job *Job) {
-	s.journal(job, "running", record{V: journalVersion, Type: recState, ID: job.ID, State: StateRunning})
+	s.journal(job, "running", false, record{V: journalVersion, Type: recState, ID: job.ID, State: StateRunning})
 }
 
 // recoverJobs rebuilds the job table from the replayed journal. Runs in
@@ -220,7 +222,7 @@ func (s *Server) retryJob(job *Job, reason string) {
 		return
 	}
 	s.cfg.Logf("serve: job %s: %s: retry %d/%d", job.ID, reason, attempt, max)
-	s.journal(job, "retry", record{V: journalVersion, Type: recRetry, ID: job.ID, Attempt: attempt})
+	s.journal(job, "retry", true, record{V: journalVersion, Type: recRetry, ID: job.ID, Attempt: attempt})
 	if !job.requeue() {
 		// The client canceled while the retry was being arranged; settle
 		// the cancellation instead of resurrecting the job.

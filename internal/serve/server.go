@@ -123,7 +123,10 @@ func (c Config) withDefaults() Config {
 // and, once the simulation returns, its settlement (result cache, then
 // the terminal transition with its result file and journal record, or
 // a retry) to one persister goroutine, which runs them in hand-over
-// order; the worker moves straight on to the next queued job. A job's
+// order; the worker moves straight on to the next queued job. It waits
+// on disk only when it picks up a job whose submission is still
+// fsyncing the accepted record (under the job's lock, which begin
+// takes) or when the persister has fallen a full buffer behind. A job's
 // SSE feed therefore closes before its outcome is durable, while a
 // status or report read that shows it terminal happens after: the
 // terminal transition writes both under the job's lock. In-memory and
@@ -343,7 +346,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job.mu.Lock()
 	select {
 	case s.queue <- job:
-		s.journal(job, "accepted", s.acceptedRecord(job))
+		s.journal(job, "accepted", true, s.acceptedRecord(job))
 		job.mu.Unlock()
 		s.index(job)
 		writeJSON(w, http.StatusAccepted, job.Status())

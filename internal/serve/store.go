@@ -8,9 +8,10 @@ package serve
 //	<data-dir>/checkpoints/<id>.snap  latest engine checkpoint of a running job
 //
 // The journal is the source of truth for which jobs exist and where
-// they got to. Every append is fsync'd under the store lock, and the
-// "accepted" record for a submission is durable before the client sees
-// its 202 — a job the server acknowledged is never lost. A cache hit's
+// they got to. Every append but a "running" record's (below) is
+// fsync'd under the store lock, and the "accepted" record for a
+// submission is durable before the client sees its 202 — a job the
+// server acknowledged is never lost. A cache hit's
 // "accepted" and "done" records share one append and one fsync, both
 // durable before its 200. Result and checkpoint files are written via
 // a same-directory temp file, fsync and rename, so a reader (including
@@ -24,7 +25,10 @@ package serve
 // steps one at a time in hand-over order, so each job's records read,
 // in journal order: accepted → running → (retry → running)… →
 // terminal. The "accepted" record is journaled under the job's lock,
-// which the worker's begin takes, so nothing of the job precedes it.
+// which the worker's begin takes, so nothing of the job precedes it;
+// a worker that picks the job up that early waits out the fsync. The
+// "running" record alone is appended without a fsync: replay treats
+// queued and running alike, and the job's next record makes it durable.
 // What a client may infer: a job's SSE feed closes before its outcome
 // is durable, but a status or report read that shows the job terminal
 // returns only after its result file and terminal record are on disk,
@@ -324,9 +328,11 @@ func (st *store) quarantinedCount() int64 {
 	return st.quarantined
 }
 
-// appendRecords journals records in one write with one fsync before
-// returning: when this succeeds every one of them survives any crash.
-func (st *store) appendRecords(rs ...record) error {
+// appendRecords journals records in one write. With sync it fsyncs
+// before returning: when that succeeds every one of them survives any
+// crash. Without, they become durable with the next synced append (an
+// fsync covers every byte written to the file before it).
+func (st *store) appendRecords(sync bool, rs ...record) error {
 	var data []byte
 	for _, r := range rs {
 		line, err := json.Marshal(r)
@@ -342,6 +348,9 @@ func (st *store) appendRecords(rs ...record) error {
 	}
 	if _, err := st.f.Write(data); err != nil {
 		return err
+	}
+	if !sync {
+		return nil
 	}
 	return st.f.Sync()
 }
